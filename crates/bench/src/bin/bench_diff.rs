@@ -2,919 +2,162 @@
 //!
 //! Usage: `bench_diff <baseline.json> <candidate.json>`
 //!
-//! Works on `BENCH_chase.json` (schema `qr-bench/chase-v5`),
-//! `BENCH_rewrite.json` (schema `qr-bench/rewrite-v3`),
-//! `BENCH_serve.json` (schema `qr-bench/serve-v2`) and `BENCH_check.json`
-//! (schema `qr-bench/check-v2`) — each dump carries whichever run arrays
-//! it has. The chase engine's trigger/candidate/sweep
-//! counters are a pure function of (theory, instance, budget), and the
-//! rewrite engine's per-window counters a pure function of (theory, query,
-//! budget) — they must not drift across commits unless the engine
-//! semantics intentionally changed. This tool diffs the per-workload
-//! totals, memory counters (`peak_facts` and the storage layer's logical
-//! byte accounting — deterministic by construction, see `qr-storage`),
-//! per-round chase counters, per-window rewrite counters, the marked
-//! process's frontier counters, the homomorphism-kernel counters
-//! (schema v2: the cache tier is always present and deterministic; the
-//! search/core tier is emitted only by fully sequential workloads and
-//! gated whenever both sides carry it), and the serve engine's request
-//! counters, per-segment cache outcomes and response-trace hash, and the
-//! checker's certificate counts, encoded sizes, kernel-search pin and
-//! failure lists, the incremental-maintenance runs' batch modes,
-//! replay/rederive/cone counters and candidate totals, and the bulk
-//! sharding runs' engine/mode tags, partition shape, output counters and
-//! frontier-exchange counters (schema chase-v5; a run array present on
-//! only one side is drift, so dropping `--incr` or `--shard` from the
-//! pinned invocation cannot pass silently), ignoring
-//! everything timing- or machine-dependent (`wall_ms`, `barrier_wall_ms`,
-//! every `*_ms` split, latency percentiles, `threads`, per-experiment
-//! timings). Exit code 0 means the counters
-//! match; 1 means drift (differences listed on stderr); 2 means usage or
-//! parse errors.
+//! Works on every `BENCH_*.json` dump (schema `qr-bench/v6`). The counters
+//! in them are pure functions of the pinned inputs — chase rounds and
+//! their trigger/candidate counts, rewriting windows, serve cache outcomes
+//! and trace hash, certificate counts — so they must not drift across
+//! commits unless the engine semantics intentionally changed. One generic
+//! walk compares the two trees:
 //!
-//! The parser below covers the JSON subset the harness emits (objects,
-//! arrays, strings with escapes, numbers, booleans, null) — the workspace
-//! is offline, so no serde.
+//! - objects are compared key by key, and a key present on only one side
+//!   is drift;
+//! - arrays whose elements all carry a `workload`, `name` or `id` string
+//!   are matched by that label, and other arrays by index; an element
+//!   present on only one side is drift;
+//! - scalars are compared by their literal token;
+//! - the values of keys named `threads` or ending in `_ms` are skipped —
+//!   thread counts and times are the only machine-dependent fields.
+//!
+//! Exit code 0 means the counters match; 1 means drift (differences
+//! listed on stderr); 2 means usage or input errors, including two
+//! elements of one array sharing a label.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+use qr_bench::report::Json;
+
+/// The one exemption rule: values that depend on the machine, not the
+/// inputs.
+fn exempt(key: &str) -> bool {
+    key == "threads" || key.ends_with("_ms")
 }
 
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> &[Value] {
-        match self {
-            Value::Arr(items) => items,
-            _ => &[],
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
+/// The identity of an array element: its `workload`, `name` or `id`.
+fn label(v: &Json) -> Option<&str> {
+    ["workload", "name", "id"]
+        .into_iter()
+        .find_map(|k| v.get(k)?.as_str())
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The array's elements keyed by label, or `None` if any element has none.
+fn keyed(items: &[Json]) -> Option<Vec<(&str, &Json)>> {
+    items.iter().map(|v| Some((label(v)?, v))).collect()
 }
 
-impl<'a> Parser<'a> {
-    fn parse(src: &'a str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
+/// Rejects an array holding two elements with one label: matching by label
+/// would check both against one counterpart and never see the other.
+fn check_labels(path: &str, v: &Json) -> Result<(), String> {
+    match v {
+        Json::Obj(fields) => fields
+            .iter()
+            .try_for_each(|(k, x)| check_labels(&field(path, k), x)),
+        Json::Arr(items) => {
+            for (i, x) in items.iter().enumerate() {
+                if let Some(l) = label(x) {
+                    if items[..i].iter().any(|y| label(y) == Some(l)) {
+                        return Err(format!("{path}: duplicate label \"{l}\""));
                     }
-                    self.pos += 1;
                 }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through unchanged.
-                    let s = &self.bytes[self.pos..];
-                    let ch_len = match s[0] {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xF0 => 4,
-                        b if b >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    out.push_str(
-                        std::str::from_utf8(&s[..ch_len.min(s.len())])
-                            .map_err(|e| e.to_string())?,
-                    );
-                    self.pos += ch_len;
-                }
+                check_labels(&format!("{path}[{i}]"), x)?;
             }
+            Ok(())
         }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
+        _ => Ok(()),
     }
 }
 
-/// The deterministic counter fields compared at both the totals and the
-/// per-round level. Wall times (`wall_ms`, `enum_ms`, `merge_ms`) and the
-/// thread count are machine-dependent and deliberately absent.
-const COUNTERS: [&str; 6] = [
-    "triggers",
-    "candidates",
-    "dom_sweeps",
-    "dom_pruned",
-    "facts_added",
-    "terms_added",
-];
+/// The path of field `key` under `path` (the root path is empty).
+fn field(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_owned()
+    } else {
+        format!("{path}.{key}")
+    }
+}
 
-/// The storage layer's deterministic memory counters (schema v3+): logical
-/// byte accounting with fixed element sizes, so — like the trigger counters
-/// — identical across machines and thread counts, and gated the same way.
-const MEMORY_KEYS: [&str; 4] = ["peak_facts", "bytes_facts", "bytes_index", "bytes_tuples"];
+fn missing(report: &mut String, path: &str, side: &str) {
+    let _ = writeln!(report, "  {path}: missing from {side}");
+}
 
-fn diff_memory(scope: &str, base: &Value, cand: &Value, report: &mut String) {
-    match (base.get("memory"), cand.get("memory")) {
-        (None, None) => {}
-        (Some(_), None) => {
-            let _ = writeln!(report, "  {scope}: memory counters missing from candidate");
-        }
-        (None, Some(_)) => {
-            let _ = writeln!(report, "  {scope}: memory counters missing from baseline");
-        }
-        (Some(bm), Some(cm)) => {
-            for key in MEMORY_KEYS {
-                let b = bm.get(key).and_then(Value::as_u64);
-                let c = cm.get(key).and_then(Value::as_u64);
-                if b != c {
-                    let _ = writeln!(report, "  {scope}: memory.{key} {b:?} -> {c:?}");
+/// Appends every difference between `b` and `c` under `path` to `report`.
+fn walk(path: &str, b: &Json, c: &Json, report: &mut String) {
+    match (b, c) {
+        (Json::Obj(bf), Json::Obj(cf)) => {
+            for (k, bv) in bf {
+                let p = field(path, k);
+                match c.get(k) {
+                    None => missing(report, &p, "candidate"),
+                    Some(_) if exempt(k) => {}
+                    Some(cv) => walk(&p, bv, cv, report),
+                }
+            }
+            for (k, _) in cf {
+                if b.get(k).is_none() {
+                    missing(report, &field(path, k), "baseline");
                 }
             }
         }
-    }
-}
-
-fn diff_keys(scope: &str, keys: &[&str], base: &Value, cand: &Value, report: &mut String) {
-    for key in keys {
-        let b = base.get(key).and_then(Value::as_u64);
-        let c = cand.get(key).and_then(Value::as_u64);
-        if b != c {
-            let _ = writeln!(report, "  {scope}: {key} {b:?} -> {c:?}");
-        }
-    }
-}
-
-fn diff_counters(scope: &str, base: &Value, cand: &Value, report: &mut String) {
-    diff_keys(scope, &COUNTERS, base, cand, report);
-}
-
-/// The incremental-maintenance runs' batch-mode tallies (schema chase-v4).
-const INCR_MODE_KEYS: [&str; 4] = ["noops", "seeded_inserts", "truncated_retracts", "rechases"];
-
-/// The incremental runs' replay/rederive/cone counters and the
-/// deterministic incremental-vs-cold candidate comparison. Every `*_ms`
-/// field (`wall_ms`, `batch_ms`, `rechase_ms`) and `threads` are
-/// machine-dependent and deliberately absent.
-const INCR_COUNTER_KEYS: [&str; 5] = [
-    "replayed_facts",
-    "rederived_facts",
-    "cone_facts",
-    "candidates_incr",
-    "candidates_cold",
-];
-
-/// Diffs one incremental-maintenance run: batch count, final shape, the
-/// mode tallies and the counter object.
-fn diff_incr_run(name: &str, b: &Value, c: &Value, report: &mut String) {
-    diff_keys(
-        &format!("\"{name}\""),
-        &["batches", "facts_out", "rounds_run"],
-        b,
-        c,
-        report,
-    );
-    match (b.get("modes"), c.get("modes")) {
-        (None, None) => {}
-        (Some(_), None) => {
-            let _ = writeln!(report, "  \"{name}\": mode tallies missing from candidate");
-        }
-        (None, Some(_)) => {
-            let _ = writeln!(report, "  \"{name}\": mode tallies missing from baseline");
-        }
-        (Some(bm), Some(cm)) => {
-            diff_keys(
-                &format!("\"{name}\" modes"),
-                &INCR_MODE_KEYS,
-                bm,
-                cm,
-                report,
-            );
-        }
-    }
-    match (b.get("counters"), c.get("counters")) {
-        (None, None) => {}
-        (Some(_), None) => {
-            let _ = writeln!(report, "  \"{name}\": incr counters missing from candidate");
-        }
-        (None, Some(_)) => {
-            let _ = writeln!(report, "  \"{name}\": incr counters missing from baseline");
-        }
-        (Some(bc), Some(cc)) => {
-            diff_keys(
-                &format!("\"{name}\" counters"),
-                &INCR_COUNTER_KEYS,
-                bc,
-                cc,
-                report,
-            );
-        }
-    }
-}
-
-/// Per-window (and totals-level) rewrite counters, all deterministic.
-/// Schema `rewrite-v3` adds the generation-side dedup and prefilter
-/// counters (`dedup_hits`, `unifier_*`, `trie_*`); like the hom search
-/// tier, keys absent from both sides compare equal, so a v2 baseline
-/// still diffs cleanly on the shared counters.
-const REWRITE_COUNTERS: [&str; 12] = [
-    "merged",
-    "dead_skipped",
-    "generated",
-    "dedup_hits",
-    "subsumption_hits",
-    "evictions",
-    "oversized",
-    "accepted",
-    "unifier_probes",
-    "unifier_skipped",
-    "trie_probes",
-    "trie_skipped",
-];
-
-/// Window-identity and capacity counters gated on top of the shared ones.
-const WINDOW_KEYS: [&str; 3] = ["window", "items", "kept"];
-
-/// Frontier counters of the marked-query process.
-const PROCESS_KEYS: [&str; 3] = ["steps", "max_frontier", "dropped"];
-
-/// Homomorphism-kernel counters (schema `rewrite-v2`). The first six form
-/// the cache tier — incremented at entry-acquisition and sequential
-/// prefilter points, so deterministic across thread counts — and are
-/// present in every `hom` object. The last five form the search/core tier,
-/// emitted only by fully sequential workloads; keys absent from both sides
-/// compare equal and cause no drift, so the gate adapts per run.
-const HOM_KEYS: [&str; 11] = [
-    "freezes",
-    "freeze_cache_hits",
-    "plan_compiles",
-    "plan_cache_hits",
-    "prefilter_rejects",
-    "components",
-    "searches",
-    "search_candidates",
-    "core_rounds",
-    "core_searches",
-    "core_cache_hits",
-];
-
-fn diff_hom(name: &str, base: &Value, cand: &Value, report: &mut String) {
-    match (base.get("hom"), cand.get("hom")) {
-        (None, None) => {}
-        (Some(_), None) => {
-            let _ = writeln!(report, "  \"{name}\": hom counters missing from candidate");
-        }
-        (None, Some(_)) => {
-            let _ = writeln!(report, "  \"{name}\": hom counters missing from baseline");
-        }
-        (Some(bh), Some(ch)) => {
-            diff_keys(&format!("\"{name}\" hom"), &HOM_KEYS, bh, ch, report);
-        }
-    }
-}
-
-/// Diffs the `rewrite_runs` of two dumps into `report`. Run-level shape
-/// fields (`outcome`, `disjuncts`, `rs`, ...), totals, per-window counters,
-/// hom-kernel counters and marked-process counters are gated; every `*_ms`
-/// field, `threads` and `barrier_wall_ms` are machine-dependent and
-/// ignored.
-fn diff_rewrite_run(name: &str, b: &Value, c: &Value, report: &mut String) {
-    for key in ["engine", "outcome"] {
-        let bv = b.get(key).and_then(Value::as_str);
-        let cv = c.get(key).and_then(Value::as_str);
-        if bv != cv {
-            let _ = writeln!(report, "  \"{name}\": {key} {bv:?} -> {cv:?}");
-        }
-    }
-    diff_keys(
-        &format!("\"{name}\""),
-        &[
-            "disjuncts",
-            "rs",
-            "generated",
-            "oversized_discarded",
-            "depth",
-        ],
-        b,
-        c,
-        report,
-    );
-    if let (Some(bt), Some(ct)) = (b.get("totals"), c.get("totals")) {
-        diff_keys(
-            &format!("\"{name}\" totals"),
-            &REWRITE_COUNTERS,
-            bt,
-            ct,
-            report,
-        );
-    }
-    let bwins = b.get("windows").map(Value::as_arr).unwrap_or_default();
-    let cwins = c.get("windows").map(Value::as_arr).unwrap_or_default();
-    if bwins.len() != cwins.len() {
-        let _ = writeln!(
-            report,
-            "  \"{name}\": window count {} -> {}",
-            bwins.len(),
-            cwins.len()
-        );
-    }
-    for (bw, cw) in bwins.iter().zip(cwins) {
-        let n = bw.get("window").and_then(Value::as_u64).unwrap_or(0);
-        let scope = format!("\"{name}\" window {n}");
-        diff_keys(&scope, &WINDOW_KEYS, bw, cw, report);
-        diff_keys(&scope, &REWRITE_COUNTERS, bw, cw, report);
-    }
-    diff_hom(name, b, c, report);
-    match (b.get("process"), c.get("process")) {
-        (None, None) => {}
-        (Some(_), None) => {
-            let _ = writeln!(
-                report,
-                "  \"{name}\": process counters missing from candidate"
-            );
-        }
-        (None, Some(_)) => {
-            let _ = writeln!(
-                report,
-                "  \"{name}\": process counters missing from baseline"
-            );
-        }
-        (Some(bp), Some(cp)) => {
-            diff_keys(
-                &format!("\"{name}\" process"),
-                &PROCESS_KEYS,
-                bp,
-                cp,
-                report,
-            );
-            let bh = bp.get("has_true");
-            let ch = cp.get("has_true");
-            if bh != ch {
-                let _ = writeln!(report, "  \"{name}\": process.has_true {bh:?} -> {ch:?}");
+        (Json::Arr(bi), Json::Arr(ci)) => match (keyed(bi), keyed(ci)) {
+            (Some(bk), Some(ck)) => {
+                for (l, bv) in &bk {
+                    let p = format!("{path}[\"{l}\"]");
+                    match ck.iter().find(|(m, _)| m == l) {
+                        None => missing(report, &p, "candidate"),
+                        Some((_, cv)) => walk(&p, bv, cv, report),
+                    }
+                }
+                for (l, _) in &ck {
+                    if !bk.iter().any(|(m, _)| m == l) {
+                        missing(report, &format!("{path}[\"{l}\"]"), "baseline");
+                    }
+                }
             }
+            _ => {
+                for (i, bv) in bi.iter().enumerate() {
+                    match ci.get(i) {
+                        None => missing(report, &format!("{path}[{i}]"), "candidate"),
+                        Some(cv) => walk(&format!("{path}[{i}]"), bv, cv, report),
+                    }
+                }
+                for i in bi.len()..ci.len() {
+                    missing(report, &format!("{path}[{i}]"), "baseline");
+                }
+            }
+        },
+        _ if b != c => {
+            let _ = writeln!(report, "  {path}: {b} -> {c}");
         }
-    }
-}
-
-/// The serve engine's deterministic counters (schema `serve-v2`, which
-/// adds the write-path counters): every field of `ServeCounters`. All are
-/// pure functions of (tenants, request stream, engine config) — updated
-/// only at the engine's ordered merge point — so they gate at any
-/// worker-pool width. Keys absent from both sides compare equal, so a
-/// serve-v1 baseline still diffs cleanly on the shared counters. `wall_ms`
-/// and the `p50_ms`/`p95_ms`/`p99_ms` latency percentiles are
-/// machine-dependent and deliberately absent.
-const SERVE_COUNTERS: [&str; 19] = [
-    "requests",
-    "answered",
-    "rejected",
-    "hits",
-    "misses",
-    "evictions",
-    "plan_compiles",
-    "plan_reuses",
-    "incomplete",
-    "truncated",
-    "answers_emitted",
-    "match_candidates",
-    "rewrite_generated",
-    "cache_bytes",
-    "peak_cache_bytes",
-    "writes",
-    "facts_inserted",
-    "facts_retracted",
-    "cache_invalidations",
-];
-
-/// Per-segment cache outcomes of a serve run.
-const SERVE_SEGMENT_KEYS: [&str; 3] = ["requests", "hits", "misses"];
-
-/// Diffs one serve run: the `trace_fnv` determinism pin (a hex string —
-/// any response-stream drift lands here even if every counter happens to
-/// agree), the counters object, and segments matched by name.
-fn diff_serve_run(name: &str, b: &Value, c: &Value, report: &mut String) {
-    let bf = b.get("trace_fnv").and_then(Value::as_str);
-    let cf = c.get("trace_fnv").and_then(Value::as_str);
-    if bf != cf {
-        let _ = writeln!(report, "  \"{name}\": trace_fnv {bf:?} -> {cf:?}");
-    }
-    match (b.get("counters"), c.get("counters")) {
-        (None, None) => {}
-        (Some(_), None) => {
-            let _ = writeln!(report, "  \"{name}\": counters missing from candidate");
-        }
-        (None, Some(_)) => {
-            let _ = writeln!(report, "  \"{name}\": counters missing from baseline");
-        }
-        (Some(bc), Some(cc)) => {
-            diff_keys(&format!("\"{name}\""), &SERVE_COUNTERS, bc, cc, report);
-        }
-    }
-    let seg_name = |s: &Value| {
-        s.get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("<unnamed>")
-            .to_owned()
-    };
-    let bsegs = b.get("segments").map(Value::as_arr).unwrap_or_default();
-    let csegs = c.get("segments").map(Value::as_arr).unwrap_or_default();
-    for bs in bsegs {
-        let sname = seg_name(bs);
-        let Some(cs) = csegs.iter().find(|s| seg_name(s) == sname) else {
-            let _ = writeln!(
-                report,
-                "  \"{name}\": segment \"{sname}\" missing from candidate"
-            );
-            continue;
-        };
-        diff_keys(
-            &format!("\"{name}\" segment \"{sname}\""),
-            &SERVE_SEGMENT_KEYS,
-            bs,
-            cs,
-            report,
-        );
-    }
-    for cs in csegs {
-        let sname = seg_name(cs);
-        if !bsegs.iter().any(|s| seg_name(s) == sname) {
-            let _ = writeln!(
-                report,
-                "  \"{name}\": segment \"{sname}\" missing from baseline"
-            );
-        }
-    }
-}
-
-/// The checker's deterministic counters (schema `check-v2`): certificate
-/// counts and encoded bundle sizes are pure functions of the workload, and
-/// `kernel_searches` is the checker's no-search contract pinned at zero.
-/// `wall_ms` and `threads` (new in v2) are machine-dependent and exempt.
-const CHECK_KEYS: [&str; 3] = ["certs", "cert_bytes", "kernel_searches"];
-
-/// Diffs one check run: the `kind` tag, the counter keys, and the
-/// `failures` array compared element-wise (a baseline certifies cleanly,
-/// so any appearing failure string is drift by construction).
-fn diff_check_run(name: &str, b: &Value, c: &Value, report: &mut String) {
-    let bk = b.get("kind").and_then(Value::as_str);
-    let ck = c.get("kind").and_then(Value::as_str);
-    if bk != ck {
-        let _ = writeln!(report, "  \"{name}\": kind {bk:?} -> {ck:?}");
-    }
-    diff_keys(&format!("\"{name}\""), &CHECK_KEYS, b, c, report);
-    let bf = b.get("failures").map(Value::as_arr).unwrap_or_default();
-    let cf = c.get("failures").map(Value::as_arr).unwrap_or_default();
-    if bf.len() != cf.len() {
-        let _ = writeln!(
-            report,
-            "  \"{name}\": failure count {} -> {}",
-            bf.len(),
-            cf.len()
-        );
-    }
-    for (i, (be, ce)) in bf.iter().zip(cf).enumerate() {
-        let bs = be.as_str();
-        let cs = ce.as_str();
-        if bs != cs {
-            let _ = writeln!(report, "  \"{name}\": failure {i} {bs:?} -> {cs:?}");
-        }
-    }
-}
-
-/// The bulk sharding runs' partition and merge shape (schema chase-v5):
-/// components, packing and the final merged chase are deterministic
-/// functions of the instance (sharding is byte-identical to the
-/// monolithic chase), so all of it is gated. Every `*_ms` field
-/// (`wall_ms`, `partition_ms`, `shard_ms`, `merge_ms`) and `threads` are
-/// machine-dependent and deliberately absent.
-const SHARD_KEYS: [&str; 6] = [
-    "components",
-    "shards",
-    "facts_out",
-    "rounds_run",
-    "triggers",
-    "candidates",
-];
-
-/// The frontier-exchange counters nested under `exchange`:
-/// `kernel_searches` is the replay contract pinned at zero,
-/// `certs_rejected` pinned at zero on a healthy run.
-const SHARD_EXCHANGE_KEYS: [&str; 5] = [
-    "frontier_rounds",
-    "certs_exchanged",
-    "certs_checked",
-    "certs_rejected",
-    "kernel_searches",
-];
-
-/// Diffs one bulk sharding run: the engine/mode tags, the partition and
-/// output counters, and the nested exchange object.
-fn diff_shard_run(name: &str, b: &Value, c: &Value, report: &mut String) {
-    for key in ["engine", "mode"] {
-        let bv = b.get(key).and_then(Value::as_str);
-        let cv = c.get(key).and_then(Value::as_str);
-        if bv != cv {
-            let _ = writeln!(report, "  \"{name}\": {key} {bv:?} -> {cv:?}");
-        }
-    }
-    diff_keys(&format!("\"{name}\""), &SHARD_KEYS, b, c, report);
-    match (b.get("exchange"), c.get("exchange")) {
-        (None, None) => {}
-        (Some(_), None) => {
-            let _ = writeln!(
-                report,
-                "  \"{name}\": exchange counters missing from candidate"
-            );
-        }
-        (None, Some(_)) => {
-            let _ = writeln!(
-                report,
-                "  \"{name}\": exchange counters missing from baseline"
-            );
-        }
-        (Some(be), Some(ce)) => {
-            diff_keys(
-                &format!("\"{name}\" exchange"),
-                &SHARD_EXCHANGE_KEYS,
-                be,
-                ce,
-                report,
-            );
-        }
+        _ => {}
     }
 }
 
 /// Diffs two parsed dumps; returns a human-readable drift report (empty
-/// when the deterministic counters agree).
-fn diff(base: &Value, cand: &Value) -> String {
+/// when the deterministic counters agree), or an input error.
+fn diff(base: &Json, cand: &Json) -> Result<String, String> {
+    check_labels("", base).map_err(|e| format!("baseline {e}"))?;
+    check_labels("", cand).map_err(|e| format!("candidate {e}"))?;
     let mut report = String::new();
-    let base_runs = base
-        .get("chase_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    let cand_runs = cand
-        .get("chase_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    let workload = |r: &Value| {
-        r.get("workload")
-            .and_then(Value::as_str)
-            .unwrap_or("<unnamed>")
-            .to_owned()
-    };
-    for b in base_runs {
-        let name = workload(b);
-        let Some(c) = cand_runs.iter().find(|r| workload(r) == name) else {
-            let _ = writeln!(report, "  workload \"{name}\": missing from candidate");
-            continue;
-        };
-        for key in ["facts_out", "rounds_run"] {
-            let bv = b.get(key).and_then(Value::as_u64);
-            let cv = c.get(key).and_then(Value::as_u64);
-            if bv != cv {
-                let _ = writeln!(report, "  \"{name}\": {key} {bv:?} -> {cv:?}");
-            }
-        }
-        diff_memory(&format!("\"{name}\""), b, c, &mut report);
-        if let (Some(bt), Some(ct)) = (b.get("totals"), c.get("totals")) {
-            diff_counters(&format!("\"{name}\" totals"), bt, ct, &mut report);
-        }
-        let brounds = b.get("rounds").map(Value::as_arr).unwrap_or_default();
-        let crounds = c.get("rounds").map(Value::as_arr).unwrap_or_default();
-        if brounds.len() != crounds.len() {
-            let _ = writeln!(
-                report,
-                "  \"{name}\": round count {} -> {}",
-                brounds.len(),
-                crounds.len()
-            );
-        }
-        for (br, cr) in brounds.iter().zip(crounds) {
-            let n = br.get("round").and_then(Value::as_u64).unwrap_or(0);
-            diff_counters(&format!("\"{name}\" round {n}"), br, cr, &mut report);
-        }
-    }
-    for c in cand_runs {
-        let name = workload(c);
-        if !base_runs.iter().any(|b| workload(b) == name) {
-            let _ = writeln!(report, "  workload \"{name}\": missing from baseline");
-        }
-    }
-    let base_incr = base.get("incr_runs").map(Value::as_arr).unwrap_or_default();
-    let cand_incr = cand.get("incr_runs").map(Value::as_arr).unwrap_or_default();
-    for b in base_incr {
-        let name = workload(b);
-        let Some(c) = cand_incr.iter().find(|r| workload(r) == name) else {
-            let _ = writeln!(report, "  incr workload \"{name}\": missing from candidate");
-            continue;
-        };
-        diff_incr_run(&name, b, c, &mut report);
-    }
-    for c in cand_incr {
-        let name = workload(c);
-        if !base_incr.iter().any(|b| workload(b) == name) {
-            let _ = writeln!(report, "  incr workload \"{name}\": missing from baseline");
-        }
-    }
-    let base_sh = base
-        .get("shard_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    let cand_sh = cand
-        .get("shard_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    for b in base_sh {
-        let name = workload(b);
-        let Some(c) = cand_sh.iter().find(|r| workload(r) == name) else {
-            let _ = writeln!(
-                report,
-                "  shard workload \"{name}\": missing from candidate"
-            );
-            continue;
-        };
-        diff_shard_run(&name, b, c, &mut report);
-    }
-    for c in cand_sh {
-        let name = workload(c);
-        if !base_sh.iter().any(|b| workload(b) == name) {
-            let _ = writeln!(report, "  shard workload \"{name}\": missing from baseline");
-        }
-    }
-    let base_rw = base
-        .get("rewrite_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    let cand_rw = cand
-        .get("rewrite_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    for b in base_rw {
-        let name = workload(b);
-        let Some(c) = cand_rw.iter().find(|r| workload(r) == name) else {
-            let _ = writeln!(
-                report,
-                "  rewrite workload \"{name}\": missing from candidate"
-            );
-            continue;
-        };
-        diff_rewrite_run(&name, b, c, &mut report);
-    }
-    for c in cand_rw {
-        let name = workload(c);
-        if !base_rw.iter().any(|b| workload(b) == name) {
-            let _ = writeln!(
-                report,
-                "  rewrite workload \"{name}\": missing from baseline"
-            );
-        }
-    }
-    let base_sv = base
-        .get("serve_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    let cand_sv = cand
-        .get("serve_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    for b in base_sv {
-        let name = workload(b);
-        let Some(c) = cand_sv.iter().find(|r| workload(r) == name) else {
-            let _ = writeln!(
-                report,
-                "  serve workload \"{name}\": missing from candidate"
-            );
-            continue;
-        };
-        diff_serve_run(&name, b, c, &mut report);
-    }
-    for c in cand_sv {
-        let name = workload(c);
-        if !base_sv.iter().any(|b| workload(b) == name) {
-            let _ = writeln!(report, "  serve workload \"{name}\": missing from baseline");
-        }
-    }
-    let base_ck = base
-        .get("check_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    let cand_ck = cand
-        .get("check_runs")
-        .map(Value::as_arr)
-        .unwrap_or_default();
-    for b in base_ck {
-        let name = workload(b);
-        let Some(c) = cand_ck.iter().find(|r| workload(r) == name) else {
-            let _ = writeln!(
-                report,
-                "  check workload \"{name}\": missing from candidate"
-            );
-            continue;
-        };
-        diff_check_run(&name, b, c, &mut report);
-    }
-    for c in cand_ck {
-        let name = workload(c);
-        if !base_ck.iter().any(|b| workload(b) == name) {
-            let _ = writeln!(report, "  check workload \"{name}\": missing from baseline");
-        }
-    }
-    report
+    walk("", base, cand, &mut report);
+    Ok(report)
 }
 
-fn load(path: &str) -> Value {
-    let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_diff: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    Parser::parse(&src).unwrap_or_else(|e| {
-        eprintln!("bench_diff: cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
+fn fail(msg: String) -> ! {
+    eprintln!("bench_diff: {msg}");
+    std::process::exit(2);
+}
+
+fn load(path: &str) -> Json {
+    let src =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    Json::parse(&src).unwrap_or_else(|e| fail(format!("cannot parse {path}: {e}")))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [base_path, cand_path] = args.as_slice() else {
-        eprintln!("usage: bench_diff <baseline.json> <candidate.json>");
-        std::process::exit(2);
+        fail("usage: bench_diff <baseline.json> <candidate.json>".into());
     };
-    let base = load(base_path);
-    let cand = load(cand_path);
-    let report = diff(&base, &cand);
+    let report = diff(&load(base_path), &load(cand_path)).unwrap_or_else(|e| fail(e));
     if report.is_empty() {
         println!("bench_diff: deterministic counters match ({base_path} vs {cand_path})");
     } else {
@@ -928,619 +171,164 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn run(workload: &str, triggers: u64, rounds: &[(u64, u64)]) -> String {
-        let mut rows = String::new();
-        for (i, (round, t)) in rounds.iter().enumerate() {
-            let _ = write!(
-                rows,
-                "{{\"round\": {round}, \"triggers\": {t}, \"candidates\": 1, \"dom_sweeps\": 0, \"dom_pruned\": 0, \"facts_added\": 1, \"terms_added\": 0, \"enum_ms\": 0.1, \"merge_ms\": 0.1, \"wall_ms\": 0.3}}{}",
-                if i + 1 < rounds.len() { "," } else { "" }
-            );
+    /// The committed dumps, as `(file name, contents)`.
+    const BASELINES: [(&str, &str); 4] = [
+        (
+            "BENCH_chase.json",
+            include_str!("../../../../BENCH_chase.json"),
+        ),
+        (
+            "BENCH_rewrite.json",
+            include_str!("../../../../BENCH_rewrite.json"),
+        ),
+        (
+            "BENCH_serve.json",
+            include_str!("../../../../BENCH_serve.json"),
+        ),
+        (
+            "BENCH_check.json",
+            include_str!("../../../../BENCH_check.json"),
+        ),
+    ];
+
+    fn baselines() -> impl Iterator<Item = (&'static str, Json)> {
+        BASELINES
+            .map(|(name, src)| (name, Json::parse(src).unwrap()))
+            .into_iter()
+    }
+
+    /// Every node below `v` as (child indices from the root, name of the
+    /// nearest enclosing field, is a leaf).
+    fn nodes(
+        v: &Json,
+        path: &mut Vec<usize>,
+        key: &str,
+        out: &mut Vec<(Vec<usize>, String, bool)>,
+    ) {
+        let children: Vec<(&str, &Json)> = match v {
+            Json::Obj(fields) => fields.iter().map(|(k, x)| (k.as_str(), x)).collect(),
+            Json::Arr(items) => items.iter().map(|x| (key, x)).collect(),
+            _ => Vec::new(),
+        };
+        for (i, (k, x)) in children.into_iter().enumerate() {
+            path.push(i);
+            out.push((
+                path.clone(),
+                k.to_owned(),
+                !matches!(x, Json::Obj(_) | Json::Arr(_)),
+            ));
+            nodes(x, path, k, out);
+            path.pop();
         }
-        format!(
-            "{{\"workload\": \"{workload}\", \"engine\": \"semi-naive\", \"threads\": 4, \"wall_ms\": 9.9, \"facts_out\": 10, \"rounds_run\": {}, \"memory\": {{\"peak_facts\": 10, \"bytes_facts\": 80, \"bytes_index\": 200, \"bytes_tuples\": 96}}, \"totals\": {{\"triggers\": {triggers}, \"candidates\": 2, \"dom_sweeps\": 0, \"dom_pruned\": 0, \"facts_added\": 2, \"terms_added\": 0, \"enum_ms\": 1.0, \"merge_ms\": 0.5}}, \"rounds\": [{rows}]}}",
-            rounds.len()
+    }
+
+    /// The parent of the node at `path` inside `v`, and the node's index in it.
+    fn parent_mut<'a>(v: &'a mut Json, path: &[usize]) -> (&'a mut Json, usize) {
+        let (last, init) = path.split_last().unwrap();
+        let mut node = v;
+        for &i in init {
+            node = match node {
+                Json::Obj(fields) => &mut fields[i].1,
+                Json::Arr(items) => &mut items[i],
+                _ => unreachable!(),
+            };
+        }
+        (node, *last)
+    }
+
+    fn drift(a: &Json, b: &Json) -> String {
+        diff(a, b).unwrap()
+    }
+
+    #[test]
+    fn committed_dumps_match_themselves() {
+        for (name, tree) in baselines() {
+            assert_eq!(drift(&tree, &tree), "", "{name}");
+        }
+    }
+
+    #[test]
+    fn every_perturbed_leaf_is_drift_unless_exempt() {
+        for (name, tree) in baselines() {
+            let mut all = Vec::new();
+            nodes(&tree, &mut Vec::new(), "", &mut all);
+            for (path, key, _) in all.iter().filter(|(_, _, leaf)| *leaf) {
+                let mut bent = tree.clone();
+                let (parent, i) = parent_mut(&mut bent, path);
+                let leaf = match parent {
+                    Json::Obj(fields) => &mut fields[i].1,
+                    Json::Arr(items) => &mut items[i],
+                    _ => unreachable!(),
+                };
+                *leaf = match leaf {
+                    Json::Num(t) => Json::Num(format!("{t}1")),
+                    Json::Str(s) => Json::Str(format!("{s}~")),
+                    Json::Bool(b) => Json::Bool(!*b),
+                    _ => Json::Bool(true),
+                };
+                let report = drift(&tree, &bent);
+                // The rule, restated so a change to `exempt` fails here.
+                let machine_dependent = key == "threads" || key.ends_with("_ms");
+                assert_eq!(
+                    report.is_empty(),
+                    machine_dependent,
+                    "{name}: leaf {path:?} under \"{key}\": {report}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_deleted_key_or_element_is_drift() {
+        for (name, tree) in baselines() {
+            let mut all = Vec::new();
+            nodes(&tree, &mut Vec::new(), "", &mut all);
+            for (path, key, _) in &all {
+                let mut cut = tree.clone();
+                match parent_mut(&mut cut, path) {
+                    (Json::Obj(fields), i) => drop(fields.remove(i)),
+                    (Json::Arr(items), i) => drop(items.remove(i)),
+                    _ => unreachable!(),
+                }
+                for report in [drift(&tree, &cut), drift(&cut, &tree)] {
+                    assert!(
+                        report.contains("missing from"),
+                        "{name}: deleting {path:?} under \"{key}\" went unseen: {report}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drift_is_reported_by_path() {
+        let a = Json::parse(
+            r#"{"runs": [{"workload": "TC", "threads": 4, "rounds": [{"triggers": 3}]}]}"#,
         )
-    }
-
-    fn dump(runs: &[String]) -> Value {
-        let src = format!(
-            "{{\"schema\": \"qr-bench/chase-v3\", \"experiments\": [], \"chase_runs\": [{}]}}",
-            runs.join(",")
-        );
-        Parser::parse(&src).unwrap()
-    }
-
-    #[test]
-    fn identical_dumps_have_no_drift() {
-        let a = dump(&[run("TC", 7, &[(1, 4), (2, 3)])]);
-        assert!(diff(&a, &a).is_empty());
-    }
-
-    #[test]
-    fn wall_times_and_threads_are_ignored() {
-        let a = dump(&[run("TC", 7, &[(1, 4)])]);
-        let b_src = run("TC", 7, &[(1, 4)])
-            .replace("\"threads\": 4", "\"threads\": 1")
-            .replace("\"wall_ms\": 9.9", "\"wall_ms\": 123.4")
-            .replace("\"enum_ms\": 1.0", "\"enum_ms\": 55.0");
-        let b = dump(&[b_src]);
-        assert!(diff(&a, &b).is_empty());
-    }
-
-    #[test]
-    fn counter_drift_is_reported() {
-        let a = dump(&[run("TC", 7, &[(1, 4), (2, 3)])]);
-        let b = dump(&[run("TC", 8, &[(1, 4), (2, 4)])]);
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("totals: triggers Some(7) -> Some(8)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("round 2: triggers Some(3) -> Some(4)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn memory_drift_is_reported() {
-        let a = dump(&[run("TC", 7, &[(1, 4)])]);
-        let b_src = run("TC", 7, &[(1, 4)]).replace("\"bytes_index\": 200", "\"bytes_index\": 240");
-        let b = dump(&[b_src]);
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("\"TC\": memory.bytes_index Some(200) -> Some(240)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn missing_memory_object_is_drift() {
-        // A v2 baseline (no "memory") against a v3 candidate must flag the
-        // one-sided memory block instead of silently skipping it.
-        let a_src = run("TC", 7, &[(1, 4)]).replace(
-            "\"memory\": {\"peak_facts\": 10, \"bytes_facts\": 80, \"bytes_index\": 200, \"bytes_tuples\": 96}, ",
-            "",
-        );
-        let a = dump(&[a_src]);
-        let b = dump(&[run("TC", 7, &[(1, 4)])]);
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("\"TC\": memory counters missing from baseline"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn missing_workloads_are_reported_both_ways() {
-        let a = dump(&[run("TC", 7, &[(1, 4)])]);
-        let b = dump(&[run("T_a", 7, &[(1, 4)])]);
-        let report = diff(&a, &b);
-        assert!(report.contains("\"TC\": missing from candidate"));
-        assert!(report.contains("\"T_a\": missing from baseline"));
-    }
-
-    fn incr_run(workload: &str, seeded: u64, rederived: u64) -> String {
-        format!(
-            "{{\"workload\": \"{workload}\", \"threads\": 1, \"batches\": 9, \"wall_ms\": 4.2, \"batch_ms\": 0.5, \"rechase_ms\": 1.1, \"facts_out\": 50, \"rounds_run\": 3, \"modes\": {{\"noops\": 0, \"seeded_inserts\": {seeded}, \"truncated_retracts\": 0, \"rechases\": 1}}, \"counters\": {{\"replayed_facts\": 8, \"rederived_facts\": {rederived}, \"cone_facts\": 6, \"candidates_incr\": 120, \"candidates_cold\": 400}}}}"
-        )
-    }
-
-    fn incr_dump(runs: &[String]) -> Value {
-        let src = format!(
-            "{{\"schema\": \"qr-bench/chase-v4\", \"experiments\": [], \"chase_runs\": [], \"incr_runs\": [{}]}}",
-            runs.join(",")
-        );
-        Parser::parse(&src).unwrap()
-    }
-
-    #[test]
-    fn incr_wall_times_and_threads_are_ignored() {
-        let a = incr_dump(&[incr_run("TC incr", 8, 40)]);
-        let b_src = incr_run("TC incr", 8, 40)
-            .replace("\"threads\": 1", "\"threads\": 4")
-            .replace("\"wall_ms\": 4.2", "\"wall_ms\": 99.9")
-            .replace("\"batch_ms\": 0.5", "\"batch_ms\": 11.0")
-            .replace("\"rechase_ms\": 1.1", "\"rechase_ms\": 77.0");
-        let b = incr_dump(&[b_src]);
-        assert!(diff(&a, &b).is_empty());
-    }
-
-    #[test]
-    fn incr_mode_and_counter_drift_is_reported() {
-        let a = incr_dump(&[incr_run("TC incr", 8, 40)]);
-        let b_src = incr_run("TC incr", 7, 44)
-            .replace("\"rechases\": 1", "\"rechases\": 2")
-            .replace("\"candidates_incr\": 120", "\"candidates_incr\": 150");
-        let report = diff(&a, &incr_dump(&[b_src]));
-        assert!(
-            report.contains("\"TC incr\" modes: seeded_inserts Some(8) -> Some(7)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"TC incr\" modes: rechases Some(1) -> Some(2)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"TC incr\" counters: rederived_facts Some(40) -> Some(44)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"TC incr\" counters: candidates_incr Some(120) -> Some(150)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn incr_shape_drift_is_reported() {
-        let a = incr_dump(&[incr_run("TC incr", 8, 40)]);
-        let b_src = incr_run("TC incr", 8, 40)
-            .replace("\"facts_out\": 50", "\"facts_out\": 51")
-            .replace("\"batches\": 9", "\"batches\": 10");
-        let report = diff(&a, &incr_dump(&[b_src]));
-        assert!(
-            report.contains("\"TC incr\": batches Some(9) -> Some(10)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"TC incr\": facts_out Some(50) -> Some(51)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn missing_incr_workloads_are_reported_both_ways() {
-        // A chase-v3 baseline (no incr_runs at all) against a chase-v4
-        // candidate with runs must flag every run as one-sided — dropping
-        // `--incr` from the pinned invocation cannot pass silently.
-        let a = dump(&[run("TC", 7, &[(1, 4)])]);
-        let b = Parser::parse(&format!(
-            "{{\"schema\": \"qr-bench/chase-v4\", \"experiments\": [], \"chase_runs\": [{}], \"incr_runs\": [{}]}}",
-            run("TC", 7, &[(1, 4)]),
-            incr_run("TC incr", 8, 40)
-        ))
         .unwrap();
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("incr workload \"TC incr\": missing from baseline"),
-            "{report}"
-        );
-        let report_rev = diff(&b, &a);
-        assert!(
-            report_rev.contains("incr workload \"TC incr\": missing from candidate"),
-            "{report_rev}"
+        let b = Json::parse(r#"{"runs": [{"workload": "TC", "threads": 1, "rounds": [{"triggers": 4}, {"triggers": 1}]}]}"#).unwrap();
+        assert_eq!(
+            drift(&a, &b),
+            "  runs[\"TC\"].rounds[0].triggers: 3 -> 4\n  runs[\"TC\"].rounds[1]: missing from baseline\n"
         );
     }
 
-    fn shard_run(workload: &str, engine: &str, mode: &str, shards: u64, checked: u64) -> String {
-        format!(
-            "{{\"workload\": \"{workload}\", \"engine\": \"{engine}\", \"threads\": 4, \"mode\": \"{mode}\", \"wall_ms\": 300.5, \"partition_ms\": 40.0, \"shard_ms\": 200.0, \"merge_ms\": 60.0, \"components\": 4000, \"shards\": {shards}, \"facts_out\": 946000, \"rounds_run\": 6, \"triggers\": 6000000, \"candidates\": 9000000, \"exchange\": {{\"frontier_rounds\": 1, \"certs_exchanged\": {checked}, \"certs_checked\": {checked}, \"certs_rejected\": 0, \"kernel_searches\": 0}}}}"
+    #[test]
+    fn duplicate_labels_are_an_input_error() {
+        let dup = Json::parse(
+            r#"{"runs": [{"workload": "TC", "triggers": 3}, {"workload": "TC", "triggers": 9}]}"#,
         )
-    }
-
-    fn shard_dump(runs: &[String]) -> Value {
-        let src = format!(
-            "{{\"schema\": \"qr-bench/chase-v5\", \"experiments\": [], \"chase_runs\": [], \"incr_runs\": [], \"shard_runs\": [{}]}}",
-            runs.join(",")
-        );
-        Parser::parse(&src).unwrap()
-    }
-
-    #[test]
-    fn shard_wall_times_and_threads_are_ignored() {
-        let a = shard_dump(&[shard_run("bulk-tc/sharded", "sharded", "gaifman", 16, 0)]);
-        let b_src = shard_run("bulk-tc/sharded", "sharded", "gaifman", 16, 0)
-            .replace("\"threads\": 4", "\"threads\": 8")
-            .replace("\"wall_ms\": 300.5", "\"wall_ms\": 77.7")
-            .replace("\"partition_ms\": 40.0", "\"partition_ms\": 1.0")
-            .replace("\"shard_ms\": 200.0", "\"shard_ms\": 2.0")
-            .replace("\"merge_ms\": 60.0", "\"merge_ms\": 3.0");
-        assert!(diff(&a, &shard_dump(&[b_src])).is_empty());
-    }
-
-    #[test]
-    fn shard_mode_and_counter_drift_is_reported() {
-        let a = shard_dump(&[shard_run("bulk-tc/sharded", "sharded", "gaifman", 16, 0)]);
-        let b_src = shard_run("bulk-tc/sharded", "sharded", "pred-group", 12, 0)
-            .replace("\"triggers\": 6000000", "\"triggers\": 6000001")
-            .replace("\"facts_out\": 946000", "\"facts_out\": 946001");
-        let report = diff(&a, &shard_dump(&[b_src]));
-        assert!(
-            report.contains("\"bulk-tc/sharded\": mode Some(\"gaifman\") -> Some(\"pred-group\")"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"bulk-tc/sharded\": shards Some(16) -> Some(12)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"bulk-tc/sharded\": triggers Some(6000000) -> Some(6000001)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"bulk-tc/sharded\": facts_out Some(946000) -> Some(946001)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn shard_exchange_counters_are_gated() {
-        let a = shard_dump(&[shard_run(
-            "bulk-bridge/sharded",
-            "sharded",
-            "exchange",
-            4,
-            120,
-        )]);
-        let b_src = shard_run("bulk-bridge/sharded", "sharded", "exchange", 4, 120)
-            .replace("\"certs_checked\": 120", "\"certs_checked\": 90")
-            .replace("\"kernel_searches\": 0", "\"kernel_searches\": 3");
-        let report = diff(&a, &shard_dump(&[b_src]));
-        assert!(
-            report
-                .contains("\"bulk-bridge/sharded\" exchange: certs_checked Some(120) -> Some(90)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"bulk-bridge/sharded\" exchange: kernel_searches Some(0) -> Some(3)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn missing_shard_workloads_are_reported_both_ways() {
-        // A chase-v4 baseline (no shard_runs) against a chase-v5 candidate
-        // with runs must flag every run as one-sided — dropping `--shard`
-        // from the pinned invocation cannot pass silently.
-        let a = dump(&[run("TC", 7, &[(1, 4)])]);
-        let b = Parser::parse(&format!(
-            "{{\"schema\": \"qr-bench/chase-v5\", \"experiments\": [], \"chase_runs\": [{}], \"incr_runs\": [], \"shard_runs\": [{}]}}",
-            run("TC", 7, &[(1, 4)]),
-            shard_run("bulk-tc/sharded", "sharded", "gaifman", 16, 0)
-        ))
         .unwrap();
-        let report = diff(&a, &b);
+        let one = Json::parse(r#"{"runs": [{"workload": "TC", "triggers": 3}]}"#).unwrap();
+        let err = diff(&dup, &one).unwrap_err();
         assert!(
-            report.contains("shard workload \"bulk-tc/sharded\": missing from baseline"),
-            "{report}"
+            err.contains("baseline runs: duplicate label \"TC\""),
+            "{err}"
         );
-        let report_rev = diff(&b, &a);
+        let err = diff(&one, &dup).unwrap_err();
         assert!(
-            report_rev.contains("shard workload \"bulk-tc/sharded\": missing from candidate"),
-            "{report_rev}"
+            err.contains("candidate runs: duplicate label \"TC\""),
+            "{err}"
         );
-    }
-
-    #[test]
-    fn serve_write_counters_are_gated() {
-        let a = serve_dump(&[serve_run("mixed", 120, "aa")]);
-        let b_src = serve_run("mixed", 120, "aa")
-            .replace("\"writes\": 6", "\"writes\": 7")
-            .replace("\"cache_invalidations\": 4", "\"cache_invalidations\": 9");
-        let report = diff(&a, &serve_dump(&[b_src]));
-        assert!(
-            report.contains("\"mixed\": writes Some(6) -> Some(7)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"mixed\": cache_invalidations Some(4) -> Some(9)"),
-            "{report}"
-        );
-    }
-
-    fn rewrite_run(workload: &str, generated: u64, accepted: u64) -> String {
-        format!(
-            "{{\"workload\": \"{workload}\", \"engine\": \"saturation\", \"threads\": 4, \"wall_ms\": 5.5, \"barrier_wall_ms\": 8.8, \"outcome\": \"Complete\", \"disjuncts\": 3, \"rs\": 4, \"generated\": {generated}, \"oversized_discarded\": 0, \"depth\": 2, \"totals\": {{\"merged\": 4, \"dead_skipped\": 0, \"generated\": {generated}, \"dedup_hits\": 3, \"subsumption_hits\": 2, \"evictions\": 1, \"oversized\": 0, \"accepted\": {accepted}, \"unifier_probes\": 30, \"unifier_skipped\": 12, \"trie_probes\": 8, \"trie_skipped\": 5, \"gen_ms\": 4.0, \"merge_ms\": 1.0, \"wait_ms\": 2.0, \"overlap_ms\": 2.0}}, \"windows\": [{{\"window\": 0, \"items\": 1, \"merged\": 1, \"dead_skipped\": 0, \"generated\": {generated}, \"dedup_hits\": 3, \"subsumption_hits\": 2, \"evictions\": 1, \"oversized\": 0, \"accepted\": {accepted}, \"kept\": 3, \"unifier_probes\": 30, \"unifier_skipped\": 12, \"trie_probes\": 8, \"trie_skipped\": 5, \"gen_ms\": 4.0, \"merge_ms\": 1.0, \"wait_ms\": 2.0, \"overlap_ms\": 2.0}}], \"hom\": {{\"freezes\": 12, \"freeze_cache_hits\": 5, \"plan_compiles\": 6, \"plan_cache_hits\": 9, \"prefilter_rejects\": 3, \"components\": 14}}}}"
-        )
-    }
-
-    fn rewrite_dump(runs: &[String]) -> Value {
-        let src = format!(
-            "{{\"schema\": \"qr-bench/rewrite-v3\", \"rewrite_runs\": [{}]}}",
-            runs.join(",")
-        );
-        Parser::parse(&src).unwrap()
-    }
-
-    #[test]
-    fn rewrite_wall_splits_are_ignored() {
-        let a = rewrite_dump(&[rewrite_run("t_p", 9, 3)]);
-        let b_src = rewrite_run("t_p", 9, 3)
-            .replace("\"threads\": 4", "\"threads\": 1")
-            .replace("\"barrier_wall_ms\": 8.8", "\"barrier_wall_ms\": 99.0")
-            .replace("\"gen_ms\": 4.0", "\"gen_ms\": 44.0")
-            .replace("\"overlap_ms\": 2.0", "\"overlap_ms\": 0.0");
-        let b = rewrite_dump(&[b_src]);
-        assert!(diff(&a, &b).is_empty());
-    }
-
-    #[test]
-    fn rewrite_counter_drift_is_reported() {
-        let a = rewrite_dump(&[rewrite_run("t_p", 9, 3)]);
-        let b = rewrite_dump(&[rewrite_run("t_p", 11, 4)]);
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("\"t_p\": generated Some(9) -> Some(11)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"t_p\" totals: accepted Some(3) -> Some(4)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"t_p\" window 0: generated Some(9) -> Some(11)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn v3_dedup_and_prefilter_counters_are_gated() {
-        let a = rewrite_dump(&[rewrite_run("t_p", 9, 3)]);
-        let b_src = rewrite_run("t_p", 9, 3)
-            .replace("\"dedup_hits\": 3", "\"dedup_hits\": 0")
-            .replace("\"unifier_skipped\": 12", "\"unifier_skipped\": 7")
-            .replace("\"trie_probes\": 8", "\"trie_probes\": 9");
-        let report = diff(&a, &rewrite_dump(&[b_src]));
-        assert!(
-            report.contains("\"t_p\" totals: dedup_hits Some(3) -> Some(0)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"t_p\" window 0: unifier_skipped Some(12) -> Some(7)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"t_p\" window 0: trie_probes Some(8) -> Some(9)"),
-            "{report}"
-        );
-        // A v2 baseline (no v3 counters on either side) still diffs clean.
-        let strip = |s: String| {
-            s.replace("\"dedup_hits\": 3, ", "")
-                .replace("\"unifier_probes\": 30, \"unifier_skipped\": 12, ", "")
-                .replace("\"trie_probes\": 8, \"trie_skipped\": 5, ", "")
-        };
-        let v2 = rewrite_dump(&[strip(rewrite_run("t_p", 9, 3))]);
-        assert!(diff(&v2, &v2).is_empty());
-    }
-
-    #[test]
-    fn rewrite_outcome_and_process_drift_are_reported() {
-        let a_src = rewrite_run("t_p", 9, 3);
-        let b_src = a_src.replace("\"outcome\": \"Complete\"", "\"outcome\": \"Budget\"");
-        let report = diff(&rewrite_dump(&[a_src]), &rewrite_dump(&[b_src]));
-        assert!(
-            report.contains("\"t_p\": outcome Some(\"Complete\") -> Some(\"Budget\")"),
-            "{report}"
-        );
-        let marked = |steps: u64, has_true: bool| {
-            format!(
-                "{{\"workload\": \"T_d marked phi_R^1\", \"engine\": \"marked\", \"threads\": 1, \"wall_ms\": 1.0, \"outcome\": \"Complete\", \"disjuncts\": 2, \"rs\": 3, \"generated\": 0, \"oversized_discarded\": 0, \"depth\": 0, \"process\": {{\"steps\": {steps}, \"max_frontier\": 3, \"dropped\": 1, \"has_true\": {has_true}}}}}"
-            )
-        };
-        let report = diff(
-            &rewrite_dump(&[marked(7, false)]),
-            &rewrite_dump(&[marked(9, true)]),
-        );
-        assert!(
-            report.contains("process: steps Some(7) -> Some(9)"),
-            "{report}"
-        );
-        assert!(report.contains("process.has_true"), "{report}");
-    }
-
-    #[test]
-    fn missing_rewrite_workloads_are_reported() {
-        let a = rewrite_dump(&[rewrite_run("t_p", 9, 3)]);
-        let b = rewrite_dump(&[rewrite_run("t_a", 9, 3)]);
-        let report = diff(&a, &b);
-        assert!(report.contains("rewrite workload \"t_p\": missing from candidate"));
-        assert!(report.contains("rewrite workload \"t_a\": missing from baseline"));
-    }
-
-    #[test]
-    fn hom_counter_drift_is_reported() {
-        let a = rewrite_dump(&[rewrite_run("t_p", 9, 3)]);
-        let b_src = rewrite_run("t_p", 9, 3)
-            .replace("\"freeze_cache_hits\": 5", "\"freeze_cache_hits\": 4")
-            .replace("\"prefilter_rejects\": 3", "\"prefilter_rejects\": 0");
-        let report = diff(&a, &rewrite_dump(&[b_src]));
-        assert!(
-            report.contains("\"t_p\" hom: freeze_cache_hits Some(5) -> Some(4)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"t_p\" hom: prefilter_rejects Some(3) -> Some(0)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn missing_hom_object_is_drift() {
-        // A v1 baseline (no "hom") against a v2 candidate must flag the
-        // one-sided hom block instead of silently skipping it.
-        let a_src = rewrite_run("t_p", 9, 3).replace(
-            ", \"hom\": {\"freezes\": 12, \"freeze_cache_hits\": 5, \"plan_compiles\": 6, \"plan_cache_hits\": 9, \"prefilter_rejects\": 3, \"components\": 14}",
-            "",
-        );
-        let a = rewrite_dump(&[a_src]);
-        let b = rewrite_dump(&[rewrite_run("t_p", 9, 3)]);
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("\"t_p\": hom counters missing from baseline"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn hom_search_tier_gated_only_when_present() {
-        // The cache-tier-only fixture (parallel workloads omit the
-        // search/core tier) shows no drift against itself...
-        let a = rewrite_dump(&[rewrite_run("t_p", 9, 3)]);
-        assert!(diff(&a, &a).is_empty());
-        // ...but a sequential workload carrying the full tier gates it.
-        let full = |searches: u64| {
-            rewrite_run("t_p", 9, 3).replace(
-                "\"components\": 14}",
-                &format!(
-                    "\"components\": 14, \"searches\": {searches}, \"search_candidates\": 40, \"core_rounds\": 2, \"core_searches\": 6, \"core_cache_hits\": 1}}"
-                ),
-            )
-        };
-        assert!(diff(&rewrite_dump(&[full(20)]), &rewrite_dump(&[full(20)])).is_empty());
-        let report = diff(&rewrite_dump(&[full(20)]), &rewrite_dump(&[full(21)]));
-        assert!(
-            report.contains("\"t_p\" hom: searches Some(20) -> Some(21)"),
-            "{report}"
-        );
-    }
-
-    fn serve_run(workload: &str, hits: u64, fnv: &str) -> String {
-        format!(
-            "{{\"workload\": \"{workload}\", \"threads\": 8, \"wall_ms\": 31.2, \"p50_ms\": 0.010, \"p95_ms\": 0.900, \"p99_ms\": 2.100, \"trace_fnv\": \"{fnv}\", \"counters\": {{\"requests\": 1200, \"answered\": 1200, \"rejected\": 0, \"hits\": {hits}, \"misses\": 150, \"evictions\": 0, \"plan_compiles\": 290, \"plan_reuses\": 2030, \"incomplete\": 41, \"truncated\": 6, \"answers_emitted\": 8120, \"match_candidates\": 40100, \"rewrite_generated\": 7300, \"cache_bytes\": 51200, \"peak_cache_bytes\": 51200, \"writes\": 6, \"facts_inserted\": 5, \"facts_retracted\": 2, \"cache_invalidations\": 4}}, \"segments\": [{{\"name\": \"cold\", \"requests\": 116, \"hits\": 0, \"misses\": 116}}, {{\"name\": \"iso\", \"requests\": 704, \"hits\": 688, \"misses\": 16}}]}}"
-        )
-    }
-
-    fn serve_dump(runs: &[String]) -> Value {
-        let src = format!(
-            "{{\"schema\": \"qr-bench/serve-v2\", \"serve_runs\": [{}]}}",
-            runs.join(",")
-        );
-        Parser::parse(&src).unwrap()
-    }
-
-    #[test]
-    fn serve_wall_and_percentiles_are_ignored() {
-        let a = serve_dump(&[serve_run("serve-mixed", 1050, "0x00ff")]);
-        let b_src = serve_run("serve-mixed", 1050, "0x00ff")
-            .replace("\"threads\": 8", "\"threads\": 1")
-            .replace("\"wall_ms\": 31.2", "\"wall_ms\": 900.0")
-            .replace("\"p95_ms\": 0.900", "\"p95_ms\": 44.0");
-        assert!(diff(&a, &serve_dump(&[b_src])).is_empty());
-    }
-
-    #[test]
-    fn serve_counter_and_segment_drift_is_reported() {
-        let a = serve_dump(&[serve_run("serve-mixed", 1050, "0x00ff")]);
-        let b_src = serve_run("serve-mixed", 1049, "0x00ff").replace(
-            "\"iso\", \"requests\": 704, \"hits\": 688",
-            "\"iso\", \"requests\": 704, \"hits\": 687",
-        );
-        let report = diff(&a, &serve_dump(&[b_src]));
-        assert!(
-            report.contains("\"serve-mixed\": hits Some(1050) -> Some(1049)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"serve-mixed\" segment \"iso\": hits Some(688) -> Some(687)"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn serve_trace_hash_drift_is_reported() {
-        let a = serve_dump(&[serve_run("serve-mixed", 1050, "0x00ff")]);
-        let b = serve_dump(&[serve_run("serve-mixed", 1050, "0x0100")]);
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("trace_fnv Some(\"0x00ff\") -> Some(\"0x0100\")"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn missing_serve_workloads_and_segments_are_reported() {
-        let a = serve_dump(&[serve_run("serve-mixed", 1050, "0x00ff")]);
-        let b = serve_dump(&[serve_run("serve-churn", 60, "0xbeef")]);
-        let report = diff(&a, &b);
-        assert!(report.contains("serve workload \"serve-mixed\": missing from candidate"));
-        assert!(report.contains("serve workload \"serve-churn\": missing from baseline"));
-        let c_src = serve_run("serve-mixed", 1050, "0x00ff").replace(
-            ", {\"name\": \"iso\", \"requests\": 704, \"hits\": 688, \"misses\": 16}",
-            "",
-        );
-        let report = diff(&a, &serve_dump(&[c_src]));
-        assert!(
-            report.contains("\"serve-mixed\": segment \"iso\" missing from candidate"),
-            "{report}"
-        );
-    }
-
-    fn check_run(workload: &str, certs: u64, searches: u64, failures: &str) -> String {
-        format!(
-            "{{\"workload\": \"{workload}\", \"kind\": \"rewrite\", \"threads\": 1, \"wall_ms\": 0.7, \"certs\": {certs}, \"cert_bytes\": 2048, \"kernel_searches\": {searches}, \"failures\": [{failures}]}}"
-        )
-    }
-
-    fn check_dump(runs: &[String]) -> Value {
-        let src = format!(
-            "{{\"schema\": \"qr-bench/check-v2\", \"check_runs\": [{}]}}",
-            runs.join(",")
-        );
-        Parser::parse(&src).unwrap()
-    }
-
-    #[test]
-    fn check_wall_times_and_threads_are_ignored() {
-        let a = check_dump(&[check_run("t_p", 9, 0, "")]);
-        let b_src = check_run("t_p", 9, 0, "")
-            .replace("\"wall_ms\": 0.7", "\"wall_ms\": 99.9")
-            .replace("\"threads\": 1", "\"threads\": 16");
-        assert!(diff(&a, &check_dump(&[b_src])).is_empty());
-    }
-
-    #[test]
-    fn check_counter_and_failure_drift_is_reported() {
-        let a = check_dump(&[check_run("t_p", 9, 0, "")]);
-        let b = check_dump(&[check_run(
-            "t_p",
-            8,
-            1,
-            "\"certificate 3: unifier rejected\"",
-        )]);
-        let report = diff(&a, &b);
-        assert!(
-            report.contains("\"t_p\": certs Some(9) -> Some(8)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("\"t_p\": kernel_searches Some(0) -> Some(1)"),
-            "{report}"
-        );
-        assert!(report.contains("\"t_p\": failure count 0 -> 1"), "{report}");
-        let c_src =
-            check_run("t_p", 9, 0, "").replace("\"kind\": \"rewrite\"", "\"kind\": \"chase\"");
-        let report = diff(&a, &check_dump(&[c_src]));
-        assert!(
-            report.contains("\"t_p\": kind Some(\"rewrite\") -> Some(\"chase\")"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn missing_check_workloads_are_reported() {
-        let a = check_dump(&[check_run("t_p", 9, 0, "")]);
-        let b = check_dump(&[check_run("t_a", 9, 0, "")]);
-        let report = diff(&a, &b);
-        assert!(report.contains("check workload \"t_p\": missing from candidate"));
-        assert!(report.contains("check workload \"t_a\": missing from baseline"));
-    }
-
-    #[test]
-    fn parser_round_trips_escapes_and_numbers() {
-        let v = Parser::parse(r#"{"a": "x\"y\nz", "b": [1, -2.5, 1e3], "c": true, "d": null}"#)
-            .unwrap();
-        assert_eq!(v.get("a").and_then(Value::as_str), Some("x\"y\nz"));
-        assert_eq!(v.get("b").unwrap().as_arr().len(), 3);
-        assert_eq!(v.get("b").unwrap().as_arr()[2], Value::Num(1000.0));
-        assert_eq!(v.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(Parser::parse("{\"a\": }").is_err());
-        assert!(Parser::parse("[1, 2").is_err());
-        assert!(Parser::parse("{} extra").is_err());
     }
 }

@@ -2,7 +2,8 @@
 //! it completes.
 //!
 //! Usage: `cargo run -p qr-bench --release --bin harness [--json]
-//! [--threads N] [--serve] [--list] [e01 e07 serve-mixed ...]`
+//! [--threads N] [--serve] [--check] [--incr] [--shard] [--list]
+//! [e01 e07 serve-mixed ...]`
 //!
 //! With no experiment arguments all experiments run in order. With
 //! `--json`, per-experiment wall times plus the chase engine's per-round
@@ -11,21 +12,21 @@
 //! counters and wall splits (saturation fixtures + T_d marked-query runs
 //! under [`qr_rewrite::RewriteStats`], plus a deterministic `hom`
 //! microbench workload; every run also carries the homomorphism kernel's
-//! cache counters, schema `qr-bench/rewrite-v3`) to `BENCH_rewrite.json`,
-//! both in the current directory. `--threads N` sizes the worker pool the parallel
+//! cache counters) to `BENCH_rewrite.json`, both in the current
+//! directory. Every dump carries the one schema tag `qr-bench/v6`
+//! ([`report::SCHEMA`]). `--threads N` sizes the worker pool the parallel
 //! engines run on: the count is plumbed into the [`Executor`] explicitly
 //! (the `QR_THREADS` env var is only read as a default, never written).
 //! Thread count never changes any counter or table value — only wall
 //! times. `--serve` replays the pinned serving workloads through the
 //! `qr-serve` engine and prints a per-workload cache summary; with
-//! `--json` the runs are also written to `BENCH_serve.json` (schema
-//! `qr-bench/serve-v2`). Individual serve workloads can be selected by
-//! listing their ids (`serve-mixed`, `serve-churn`) — naming one implies
-//! `--serve`. `--check` certifies every pinned rewrite fixture and the
-//! E11 chase workload through `qr-check` (engine → codec → linear
-//! replay, zero homomorphism searches) and prints a per-workload
-//! summary; with `--json` the runs are written to `BENCH_check.json`
-//! (schema `qr-bench/check-v1`). `--incr` (or the `chase-incr` id)
+//! `--json` the runs are also written to `BENCH_serve.json`. Individual
+//! serve workloads can be selected by listing their ids (`serve-mixed`,
+//! `serve-churn`) — naming one implies `--serve`. `--check` certifies
+//! every pinned rewrite fixture and the E11 chase workload through
+//! `qr-check` (engine → codec → linear replay, zero homomorphism
+//! searches) and prints a per-workload summary; with `--json` the runs
+//! are written to `BENCH_check.json`. `--incr` (or the `chase-incr` id)
 //! measures the pinned incremental-maintenance workloads — write batches
 //! absorbed by `qr_chase::IncrementalChase` on the E11-scale TC
 //! instances, against a full-re-chase baseline — and, with `--json`,
@@ -34,14 +35,17 @@
 //! the bulk-instance workloads through `qr_chase::chase_sharded` on
 //! pinned 1-thread (monolithic) and 4-thread (sharded) pools and, with
 //! `--json`, records the speedup pairs in `BENCH_chase.json`'s
-//! `shard_runs` array (schema `qr-bench/chase-v5`). `--list` prints the
+//! `shard_runs` array. `BENCH_chase.json` is written only when
+//! experiments run, so `--json` with `--incr` or `--shard` needs an
+//! experiment id too (e.g. `e11`); without one the harness exits 2
+//! instead of silently recording nothing. `--list` prints the
 //! available experiment and workload ids and exits. Unknown options and
 //! unknown ids are rejected (a misspelled `--thread 4` used to silently
 //! run everything single-threaded as two never-matching experiment
 //! filters).
 
 use qr_bench::experiments;
-use qr_bench::report::{self, ExperimentTiming};
+use qr_bench::report::{self, ExperimentTiming, Json};
 use qr_exec::Executor;
 
 fn usage() -> ! {
@@ -51,6 +55,7 @@ fn usage() -> ! {
          options:\n\
          \x20 --json       also write BENCH_chase.json, BENCH_rewrite.json\n\
          \x20              (BENCH_serve.json / BENCH_check.json when those modes run)\n\
+         \x20              (--incr/--shard runs go to BENCH_chase.json: name an experiment, e.g. e11)\n\
          \x20 --threads N  size the worker pool (default: QR_THREADS or all cores)\n\
          \x20 --serve      replay the pinned serving workloads (qr-serve)\n\
          \x20 --check      certify the pinned workloads' certificates (qr-check)\n\
@@ -65,6 +70,22 @@ fn usage() -> ! {
          run in order"
     );
     std::process::exit(2);
+}
+
+/// Writes one dump (the shared schema tag plus `sections`) to `path`.
+fn write_dump(path: &str, sections: Vec<(&str, Json)>) {
+    let counts: Vec<String> = sections
+        .iter()
+        .map(|(name, v)| match v {
+            Json::Arr(items) => format!("{} {name}", items.len()),
+            _ => name.to_string(),
+        })
+        .collect();
+    if let Err(e) = std::fs::write(path, format!("{}\n", report::dump(sections))) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path} ({})", counts.join(", "));
 }
 
 fn main() {
@@ -136,17 +157,24 @@ fn main() {
             }
         }
     }
+    // Serve-/check-/incr-/shard-only invocations (their flags or ids
+    // without experiment ids) skip the experiment tables and their JSON
+    // dumps entirely.
+    let run_experiments = !filters.is_empty() || (!serve && !check && !incr && !shard);
+    if json && (incr || shard) && !run_experiments {
+        eprintln!(
+            "harness: --json records --incr/--shard runs in BENCH_chase.json, which is \
+             written only when experiments run; name one too (e.g. e11)"
+        );
+        std::process::exit(2);
+    }
+
     // The explicit flag wins; the env var is a read-only default.
     let exec = match threads {
         Some(n) => Executor::with_threads(n),
         None => Executor::from_env(),
     };
     eprintln!("worker pool: {} thread(s)", exec.threads());
-
-    // Serve-/check-/incr-/shard-only invocations (their flags or ids
-    // without experiment ids) skip the experiment tables and their JSON
-    // dumps entirely.
-    let run_experiments = !filters.is_empty() || (!serve && !check && !incr && !shard);
 
     let mut timings: Vec<ExperimentTiming> = Vec::new();
     if run_experiments {
@@ -221,30 +249,20 @@ fn main() {
 
     if json && run_experiments {
         let runs = experiments::e11_chase_engine::stats_runs(&exec);
-        let rendered = report::render_json(&timings, &runs, &incr_runs, &shard_runs);
-        let path = "BENCH_chase.json";
-        match std::fs::write(path, rendered) {
-            Ok(()) => println!(
-                "wrote {path} ({} chase runs, {} incr runs, {} shard runs)",
-                runs.len(),
-                incr_runs.len(),
-                shard_runs.len()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_dump(
+            "BENCH_chase.json",
+            vec![
+                ("experiments", report::list(&timings)),
+                ("chase_runs", report::list(&runs)),
+                ("incr_runs", report::list(&incr_runs)),
+                ("shard_runs", report::list(&shard_runs)),
+            ],
+        );
         let rruns = qr_bench::rewrite_workloads::stats_runs(&exec);
-        let rendered = report::render_rewrite_json(&rruns);
-        let path = "BENCH_rewrite.json";
-        match std::fs::write(path, rendered) {
-            Ok(()) => println!("wrote {path} ({} rewrite runs)", rruns.len()),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_dump(
+            "BENCH_rewrite.json",
+            vec![("rewrite_runs", report::list(&rruns))],
+        );
     }
 
     if serve {
@@ -273,15 +291,10 @@ fn main() {
             }
         }
         if json {
-            let rendered = report::render_serve_json(&sruns);
-            let path = "BENCH_serve.json";
-            match std::fs::write(path, rendered) {
-                Ok(()) => println!("wrote {path} ({} serve runs)", sruns.len()),
-                Err(e) => {
-                    eprintln!("failed to write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            write_dump(
+                "BENCH_serve.json",
+                vec![("serve_runs", report::list(&sruns))],
+            );
         }
     }
 
@@ -304,15 +317,10 @@ fn main() {
             }
         }
         if json {
-            let rendered = report::render_check_json(&cruns);
-            let path = "BENCH_check.json";
-            match std::fs::write(path, rendered) {
-                Ok(()) => println!("wrote {path} ({} check runs)", cruns.len()),
-                Err(e) => {
-                    eprintln!("failed to write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            write_dump(
+                "BENCH_check.json",
+                vec![("check_runs", report::list(&cruns))],
+            );
         }
         if failed {
             std::process::exit(1);

@@ -1,6 +1,6 @@
 //! The `bulk-*` workloads: bulk-instance chases behind the harness's
 //! `--shard` mode and `BENCH_chase.json`'s `shard_runs` array (schema
-//! chase-v5).
+//! `qr-bench/v6`).
 //!
 //! Each workload is a deterministic seeded generator producing a bulk
 //! instance of many disconnected Gaifman components, chased twice through

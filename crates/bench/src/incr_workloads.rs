@@ -49,7 +49,7 @@ fn candidates(ch: &Chase) -> u64 {
 }
 
 /// The pinned incremental-maintenance runs the harness's `--incr` mode
-/// measures and `--json` writes into `BENCH_chase.json` (schema chase-v4).
+/// measures and `--json` writes into `BENCH_chase.json` (schema `qr-bench/v6`).
 /// Everything but the wall times is deterministic at any thread count: the
 /// batch modes, replay/rederive/cone counters and candidate totals are
 /// pure functions of (theory, base, batch sequence, budget).

@@ -1,18 +1,385 @@
 //! Machine-readable bench output.
 //!
-//! The harness's `--json` mode serializes per-experiment wall times and the
-//! chase engine's [`ChaseStats`] counters to `BENCH_chase.json`, and the
-//! rewrite engine's [`RewriteStats`] counters to `BENCH_rewrite.json`, so
-//! the repo's perf trajectory is recorded as data points across PRs instead
-//! of anecdotes in commit messages. The format is hand-rolled (the
-//! workspace is offline — no serde) but stable: see `render_json` and
-//! `render_rewrite_json` for the schemas.
+//! The harness's `--json` mode writes each run family to a `BENCH_*.json`
+//! dump, so the repo's perf trajectory is recorded as data points across
+//! PRs instead of anecdotes in commit messages. Every dump is one [`Json`]
+//! tree: the shared [`SCHEMA`] tag plus one array of run records, each
+//! built by its struct's [`ToJson::to_json`], which lists every emitted
+//! field exactly once. One layout rule prints any tree (see [`Json`]), and
+//! `bench_diff` reads the dumps back with [`Json::parse`]. The format is
+//! hand-rolled (the workspace is offline — no serde) but stable.
 
-use std::fmt::Write as _;
+use std::fmt;
+use std::time::Duration;
 
-use qr_chase::{ChaseStats, IncrementalStats};
+use qr_chase::{ChaseStats, IncrementalStats, RoundStats};
 use qr_hom::HomStats;
-use qr_rewrite::RewriteStats;
+use qr_rewrite::{RewriteStats, WindowStats};
+
+/// Schema tag shared by every `BENCH_*.json` dump.
+pub const SCHEMA: &str = "qr-bench/v6";
+
+/// A JSON value. Numbers keep their literal token, so dumps compare
+/// exactly and never round-trip through `f64`.
+///
+/// `Display` prints one layout: a container whose children are all
+/// scalars goes on one line; any other container puts each child on its
+/// own line, indented two spaces per level.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, as its literal token (`"4555"`, `"0.250"`).
+    Num(String),
+    /// A string (unescaped).
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, in field order.
+    Obj(Vec<(String, Json)>),
+}
+
+/// Builds the field list of a [`Json::Obj`] from `key => value` pairs,
+/// converting each value with `Json::from`.
+macro_rules! fields {
+    ($($key:literal => $val:expr),* $(,)?) => {
+        vec![$(($key.to_owned(), Json::from($val))),*]
+    };
+}
+
+impl Json {
+    /// A millisecond figure, printed with three decimals.
+    fn ms(v: f64) -> Json {
+        Json::Num(format!("{v:.3}"))
+    }
+
+    fn dur(d: Duration) -> Json {
+        Json::ms(d.as_secs_f64() * 1e3)
+    }
+
+    /// The value under `key`, if `self` is an object holding it.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string, if `self` is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Parses a whole document (objects, arrays, strings with escapes,
+    /// numbers, booleans, null).
+    pub fn parse(src: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: src.as_bytes(),
+            pos: 0,
+        };
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing input at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, children): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => return out.push_str(n),
+            Json::Str(s) => return write_str(out, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => (
+                '{',
+                '}',
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        let flat = children
+            .iter()
+            .all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+        let indent = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        };
+        out.push(open);
+        for (i, (key, v)) in children.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if !flat {
+                indent(out, depth + 1);
+            } else if i > 0 {
+                out.push(' ');
+            }
+            if let Some(k) = key {
+                write_str(out, k);
+                out.push_str(": ");
+            }
+            v.write(out, depth + 1);
+        }
+        if !flat {
+            indent(out, depth);
+        }
+        out.push(close);
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        f.write_str(&out)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Num(v.to_string())
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v.to_string())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_owned())
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(v: Vec<Json>) -> Json {
+        Json::Arr(v)
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_whitespace())
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected '{}' at byte {}, found {:?}",
+                b as char,
+                self.pos,
+                self.peek().map(|c| c as char)
+            ))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|c| c as char),
+                self.pos
+            )),
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
+            self.pos += 1;
+        }
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .filter(|s| s.parse::<f64>().is_ok())
+            .map(|s| Json::Num(s.to_owned()))
+            .ok_or_else(|| format!("bad number at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or("bad \\u escape")?;
+                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
+                            self.pos += 4;
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Multi-byte UTF-8 passes through unchanged.
+                    let s = &self.bytes[self.pos..];
+                    let ch_len = match s[0] {
+                        b if b < 0x80 => 1,
+                        b if b >= 0xF0 => 4,
+                        b if b >= 0xE0 => 3,
+                        _ => 2,
+                    };
+                    out.push_str(
+                        std::str::from_utf8(&s[..ch_len.min(s.len())])
+                            .map_err(|e| e.to_string())?,
+                    );
+                    self.pos += ch_len;
+                }
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                other => return Err(format!("expected ',' or ']', found {other:?}")),
+            }
+        }
+    }
+}
+
+/// A record that lists its fields once, as a [`Json`] object.
+pub trait ToJson {
+    /// The record as one object of the dump.
+    fn to_json(&self) -> Json;
+}
+
+/// A run array of a dump.
+pub fn list<T: ToJson>(items: &[T]) -> Json {
+    Json::Arr(items.iter().map(ToJson::to_json).collect())
+}
+
+/// One whole dump: the [`SCHEMA`] tag followed by the named `sections`.
+pub fn dump(sections: Vec<(&str, Json)>) -> Json {
+    let mut fields = fields! { "schema" => SCHEMA };
+    fields.extend(sections.into_iter().map(|(k, v)| (k.to_owned(), v)));
+    Json::Obj(fields)
+}
 
 /// One measured chase run: a named workload plus the engine's own counters.
 pub struct ChaseRun {
@@ -247,786 +614,361 @@ pub struct ExperimentTiming {
     pub wall_ms: f64,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// The per-round chase counters, shared by each round and the run totals.
+fn round_counters(r: &RoundStats) -> Vec<(String, Json)> {
+    fields! {
+        "triggers" => r.triggers,
+        "candidates" => r.candidates,
+        "dom_sweeps" => r.dom_sweeps,
+        "dom_pruned" => r.dom_pruned,
+        "facts_added" => r.facts_added,
+        "terms_added" => r.terms_added,
+        "enum_ms" => Json::dur(r.enum_wall),
+        "merge_ms" => Json::dur(r.merge_wall),
     }
-    out
 }
 
-fn ms(v: f64) -> String {
-    format!("{v:.3}")
+impl ToJson for ChaseRun {
+    fn to_json(&self) -> Json {
+        let s = &self.stats;
+        let totals = RoundStats {
+            round: 0,
+            triggers: s.triggers(),
+            candidates: s.candidates(),
+            dom_sweeps: s.dom_sweeps(),
+            dom_pruned: s.dom_pruned(),
+            facts_added: s.facts_added(),
+            terms_added: s.terms_added(),
+            enum_wall: s.enum_wall(),
+            merge_wall: s.merge_wall(),
+            wall: s.wall(),
+        };
+        let rounds = s.rounds.iter().map(|r| {
+            let mut f = fields! { "round" => r.round };
+            f.extend(round_counters(r));
+            f.extend(fields! { "wall_ms" => Json::dur(r.wall) });
+            Json::Obj(f)
+        });
+        Json::Obj(fields! {
+            "workload" => self.workload.as_str(),
+            "engine" => self.engine,
+            "threads" => s.threads,
+            "wall_ms" => Json::ms(self.wall_ms),
+            "facts_out" => self.facts_out,
+            "rounds_run" => self.rounds_run,
+            "memory" => Json::Obj(fields! {
+                "peak_facts" => s.peak_facts,
+                "bytes_facts" => s.bytes_facts,
+                "bytes_index" => s.bytes_index,
+                "bytes_tuples" => s.bytes_tuples,
+            }),
+            "totals" => Json::Obj(round_counters(&totals)),
+            "rounds" => rounds.collect::<Vec<_>>(),
+        })
+    }
 }
 
-/// Renders `BENCH_chase.json`: schema tag, per-experiment wall times, one
-/// entry per chase run with totals, memory counters (schema v3: the
-/// storage layer's deterministic byte accounting) and per-round counters,
-/// one entry per incremental-maintenance run (schema v4: the `--incr`
-/// workloads' batch modes, replay/rederive/cone counters and the
-/// incremental-vs-cold candidate comparison), and one entry per bulk
-/// sharding run (schema v5: the `--shard` workloads' partition, exchange
-/// and speedup-relevant counters).
-pub fn render_json(
-    experiments: &[ExperimentTiming],
-    runs: &[ChaseRun],
-    incr: &[IncrRun],
-    shard: &[ShardRun],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"qr-bench/chase-v5\",\n  \"experiments\": [\n");
-    for (i, e) in experiments.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"id\": \"{}\", \"wall_ms\": {}}}{}",
-            escape(&e.id),
-            ms(e.wall_ms),
-            if i + 1 < experiments.len() { "," } else { "" }
-        );
+impl ToJson for IncrRun {
+    fn to_json(&self) -> Json {
+        let c = &self.counters;
+        Json::Obj(fields! {
+            "workload" => self.workload.as_str(),
+            "threads" => self.threads,
+            "batches" => self.batches,
+            "wall_ms" => Json::ms(self.wall_ms),
+            "batch_ms" => Json::ms(self.batch_ms),
+            "rechase_ms" => Json::ms(self.rechase_ms),
+            "facts_out" => self.facts_out,
+            "rounds_run" => self.rounds_run,
+            "modes" => Json::Obj(fields! {
+                "noops" => c.noops,
+                "seeded_inserts" => c.seeded_inserts,
+                "truncated_retracts" => c.truncated_retracts,
+                "rechases" => c.rechases,
+            }),
+            "counters" => Json::Obj(fields! {
+                "replayed_facts" => c.replayed_facts,
+                "rederived_facts" => c.rederived_facts,
+                "cone_facts" => c.cone_facts,
+                "candidates_incr" => self.candidates_incr,
+                "candidates_cold" => self.candidates_cold,
+            }),
+        })
     }
-    out.push_str("  ],\n  \"chase_runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"workload\": \"{}\",\n      \"engine\": \"{}\",\n      \"threads\": {},\n      \"wall_ms\": {},\n      \"facts_out\": {},\n      \"rounds_run\": {},\n      \"memory\": {{\"peak_facts\": {}, \"bytes_facts\": {}, \"bytes_index\": {}, \"bytes_tuples\": {}}},\n      \"totals\": {{\"triggers\": {}, \"candidates\": {}, \"dom_sweeps\": {}, \"dom_pruned\": {}, \"facts_added\": {}, \"terms_added\": {}, \"enum_ms\": {}, \"merge_ms\": {}}},\n      \"rounds\": [\n",
-            escape(&r.workload),
-            escape(r.engine),
-            r.stats.threads,
-            ms(r.wall_ms),
-            r.facts_out,
-            r.rounds_run,
-            r.stats.peak_facts,
-            r.stats.bytes_facts,
-            r.stats.bytes_index,
-            r.stats.bytes_tuples,
-            r.stats.triggers(),
-            r.stats.candidates(),
-            r.stats.dom_sweeps(),
-            r.stats.dom_pruned(),
-            r.stats.facts_added(),
-            r.stats.terms_added(),
-            ms(r.stats.enum_wall().as_secs_f64() * 1e3),
-            ms(r.stats.merge_wall().as_secs_f64() * 1e3),
-        );
-        for (j, round) in r.stats.rounds.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"round\": {}, \"triggers\": {}, \"candidates\": {}, \"dom_sweeps\": {}, \"dom_pruned\": {}, \"facts_added\": {}, \"terms_added\": {}, \"enum_ms\": {}, \"merge_ms\": {}, \"wall_ms\": {}}}{}",
-                round.round,
-                round.triggers,
-                round.candidates,
-                round.dom_sweeps,
-                round.dom_pruned,
-                round.facts_added,
-                round.terms_added,
-                ms(round.enum_wall.as_secs_f64() * 1e3),
-                ms(round.merge_wall.as_secs_f64() * 1e3),
-                ms(round.wall.as_secs_f64() * 1e3),
-                if j + 1 < r.stats.rounds.len() { "," } else { "" }
-            );
-        }
-        let _ = write!(
-            out,
-            "      ]\n    }}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n  \"incr_runs\": [\n");
-    for (i, r) in incr.iter().enumerate() {
-        let c = &r.counters;
-        let _ = write!(
-            out,
-            "    {{\n      \"workload\": \"{}\",\n      \"threads\": {},\n      \"batches\": {},\n      \"wall_ms\": {},\n      \"batch_ms\": {},\n      \"rechase_ms\": {},\n      \"facts_out\": {},\n      \"rounds_run\": {},\n      \"modes\": {{\"noops\": {}, \"seeded_inserts\": {}, \"truncated_retracts\": {}, \"rechases\": {}}},\n      \"counters\": {{\"replayed_facts\": {}, \"rederived_facts\": {}, \"cone_facts\": {}, \"candidates_incr\": {}, \"candidates_cold\": {}}}\n    }}{}\n",
-            escape(&r.workload),
-            r.threads,
-            r.batches,
-            ms(r.wall_ms),
-            ms(r.batch_ms),
-            ms(r.rechase_ms),
-            r.facts_out,
-            r.rounds_run,
-            c.noops,
-            c.seeded_inserts,
-            c.truncated_retracts,
-            c.rechases,
-            c.replayed_facts,
-            c.rederived_facts,
-            c.cone_facts,
-            r.candidates_incr,
-            r.candidates_cold,
-            if i + 1 < incr.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n  \"shard_runs\": [\n");
-    for (i, r) in shard.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"workload\": \"{}\",\n      \"engine\": \"{}\",\n      \"threads\": {},\n      \"mode\": \"{}\",\n      \"wall_ms\": {},\n      \"partition_ms\": {},\n      \"shard_ms\": {},\n      \"merge_ms\": {},\n      \"components\": {},\n      \"shards\": {},\n      \"facts_out\": {},\n      \"rounds_run\": {},\n      \"triggers\": {},\n      \"candidates\": {},\n      \"exchange\": {{\"frontier_rounds\": {}, \"certs_exchanged\": {}, \"certs_checked\": {}, \"certs_rejected\": {}, \"kernel_searches\": {}}}\n    }}{}\n",
-            escape(&r.workload),
-            escape(r.engine),
-            r.threads,
-            escape(&r.mode),
-            ms(r.wall_ms),
-            ms(r.partition_ms),
-            ms(r.shard_ms),
-            ms(r.merge_ms),
-            r.components,
-            r.shards,
-            r.facts_out,
-            r.rounds_run,
-            r.triggers,
-            r.candidates,
-            r.frontier_rounds,
-            r.certs_exchanged,
-            r.certs_checked,
-            r.certs_rejected,
-            r.kernel_searches,
-            if i + 1 < shard.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Renders `BENCH_rewrite.json` (schema `qr-bench/rewrite-v3`): one entry
-/// per rewrite run. Saturation runs carry a `totals` object and a
-/// `windows` array of per-window counters and wall splits; marked runs
-/// carry a `process` object; runs that exercise the homomorphism kernel
-/// carry a `hom` object whose search/core counters appear only for
-/// fully sequential runs. v3 adds the generation-side dedup and prefilter
-/// counters (`dedup_hits`, `unifier_probes`, `unifier_skipped`,
-/// `trie_probes`, `trie_skipped`) to totals and windows. Every emitted
-/// counter is deterministic across thread counts; only `*_ms` fields (and
-/// `threads`) vary between machines and schedules — `bench_diff` exempts
-/// exactly those.
-pub fn render_rewrite_json(runs: &[RewriteRun]) -> String {
-    let dur_ms = |d: std::time::Duration| ms(d.as_secs_f64() * 1e3);
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"qr-bench/rewrite-v3\",\n  \"rewrite_runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"workload\": \"{}\",\n      \"engine\": \"{}\",\n      \"threads\": {},\n      \"wall_ms\": {},\n",
-            escape(&r.workload),
-            escape(r.engine),
-            r.threads,
-            ms(r.wall_ms),
-        );
-        if let Some(b) = r.barrier_wall_ms {
-            let _ = writeln!(out, "      \"barrier_wall_ms\": {},", ms(b));
+/// One rewrite window's counters; with `per_window` off, the run totals
+/// (no window identity or capacity fields).
+fn window_counters(w: &WindowStats, per_window: bool) -> Json {
+    let mut f = Vec::new();
+    if per_window {
+        f.extend(fields! { "window" => w.window, "items" => w.items });
+    }
+    f.extend(fields! {
+        "merged" => w.merged,
+        "dead_skipped" => w.dead_skipped,
+        "generated" => w.generated,
+        "dedup_hits" => w.dedup_hits,
+        "subsumption_hits" => w.subsumption_hits,
+        "evictions" => w.evictions,
+        "oversized" => w.oversized,
+        "accepted" => w.accepted,
+    });
+    if per_window {
+        f.extend(fields! { "kept" => w.kept });
+    }
+    f.extend(fields! {
+        "unifier_probes" => w.unifier_probes,
+        "unifier_skipped" => w.unifier_skipped,
+        "trie_probes" => w.trie_probes,
+        "trie_skipped" => w.trie_skipped,
+        "gen_ms" => Json::dur(w.gen_wall),
+        "merge_ms" => Json::dur(w.merge_wall),
+        "wait_ms" => Json::dur(w.wait_wall),
+        "overlap_ms" => Json::dur(w.overlap_wall),
+    });
+    Json::Obj(f)
+}
+
+impl ToJson for RewriteRun {
+    fn to_json(&self) -> Json {
+        let mut f = fields! {
+            "workload" => self.workload.as_str(),
+            "engine" => self.engine,
+            "threads" => self.threads,
+            "wall_ms" => Json::ms(self.wall_ms),
+        };
+        if let Some(b) = self.barrier_wall_ms {
+            f.extend(fields! { "barrier_wall_ms" => Json::ms(b) });
         }
-        let _ = write!(
-            out,
-            "      \"outcome\": \"{}\",\n      \"disjuncts\": {},\n      \"rs\": {},\n      \"generated\": {},\n      \"oversized_discarded\": {},\n      \"depth\": {}",
-            escape(&r.outcome),
-            r.disjuncts,
-            r.rs,
-            r.generated,
-            r.oversized_discarded,
-            r.depth,
-        );
-        if let Some(s) = &r.stats {
-            let _ = write!(
-                out,
-                ",\n      \"totals\": {{\"merged\": {}, \"dead_skipped\": {}, \"generated\": {}, \"dedup_hits\": {}, \"subsumption_hits\": {}, \"evictions\": {}, \"oversized\": {}, \"accepted\": {}, \"unifier_probes\": {}, \"unifier_skipped\": {}, \"trie_probes\": {}, \"trie_skipped\": {}, \"gen_ms\": {}, \"merge_ms\": {}, \"wait_ms\": {}, \"overlap_ms\": {}}},\n      \"windows\": [\n",
-                s.merged(),
-                s.dead_skipped(),
-                s.generated(),
-                s.dedup_hits(),
-                s.subsumption_hits(),
-                s.evictions(),
-                s.oversized(),
-                s.accepted(),
-                s.unifier_probes(),
-                s.unifier_skipped(),
-                s.trie_probes(),
-                s.trie_skipped(),
-                dur_ms(s.gen_wall()),
-                dur_ms(s.merge_wall()),
-                dur_ms(s.wait_wall()),
-                dur_ms(s.overlap_wall()),
-            );
-            for (j, w) in s.windows.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "        {{\"window\": {}, \"items\": {}, \"merged\": {}, \"dead_skipped\": {}, \"generated\": {}, \"dedup_hits\": {}, \"subsumption_hits\": {}, \"evictions\": {}, \"oversized\": {}, \"accepted\": {}, \"kept\": {}, \"unifier_probes\": {}, \"unifier_skipped\": {}, \"trie_probes\": {}, \"trie_skipped\": {}, \"gen_ms\": {}, \"merge_ms\": {}, \"wait_ms\": {}, \"overlap_ms\": {}}}{}",
-                    w.window,
-                    w.items,
-                    w.merged,
-                    w.dead_skipped,
-                    w.generated,
-                    w.dedup_hits,
-                    w.subsumption_hits,
-                    w.evictions,
-                    w.oversized,
-                    w.accepted,
-                    w.kept,
-                    w.unifier_probes,
-                    w.unifier_skipped,
-                    w.trie_probes,
-                    w.trie_skipped,
-                    dur_ms(w.gen_wall),
-                    dur_ms(w.merge_wall),
-                    dur_ms(w.wait_wall),
-                    dur_ms(w.overlap_wall),
-                    if j + 1 < s.windows.len() { "," } else { "" }
-                );
-            }
-            out.push_str("      ]");
+        f.extend(fields! {
+            "outcome" => self.outcome.as_str(),
+            "disjuncts" => self.disjuncts,
+            "rs" => self.rs,
+            "generated" => self.generated,
+            "oversized_discarded" => self.oversized_discarded,
+            "depth" => self.depth,
+        });
+        if let Some(s) = &self.stats {
+            let totals = WindowStats {
+                merged: s.merged(),
+                dead_skipped: s.dead_skipped(),
+                generated: s.generated(),
+                dedup_hits: s.dedup_hits(),
+                subsumption_hits: s.subsumption_hits(),
+                evictions: s.evictions(),
+                oversized: s.oversized(),
+                accepted: s.accepted(),
+                unifier_probes: s.unifier_probes(),
+                unifier_skipped: s.unifier_skipped(),
+                trie_probes: s.trie_probes(),
+                trie_skipped: s.trie_skipped(),
+                gen_wall: s.gen_wall(),
+                merge_wall: s.merge_wall(),
+                wait_wall: s.wait_wall(),
+                overlap_wall: s.overlap_wall(),
+                ..WindowStats::default()
+            };
+            let windows = s.windows.iter().map(|w| window_counters(w, true));
+            f.extend(fields! {
+                "totals" => window_counters(&totals, false),
+                "windows" => windows.collect::<Vec<_>>(),
+            });
         }
-        if let Some(p) = &r.process {
-            let _ = write!(
-                out,
-                ",\n      \"process\": {{\"steps\": {}, \"max_frontier\": {}, \"dropped\": {}, \"has_true\": {}}}",
-                p.steps, p.max_frontier, p.dropped, p.has_true,
-            );
+        if let Some(p) = &self.process {
+            f.extend(fields! {
+                "process" => Json::Obj(fields! {
+                    "steps" => p.steps,
+                    "max_frontier" => p.max_frontier,
+                    "dropped" => p.dropped,
+                    "has_true" => p.has_true,
+                }),
+            });
         }
-        if let Some(h) = &r.hom {
+        if let Some(h) = &self.hom {
             let s = &h.stats;
-            let _ = write!(
-                out,
-                ",\n      \"hom\": {{\"freezes\": {}, \"freeze_cache_hits\": {}, \"plan_compiles\": {}, \"plan_cache_hits\": {}, \"prefilter_rejects\": {}, \"components\": {}",
-                s.freezes,
-                s.freeze_cache_hits,
-                s.plan_compiles,
-                s.plan_cache_hits,
-                s.prefilter_rejects,
-                s.components,
-            );
+            let mut hom = fields! {
+                "freezes" => s.freezes,
+                "freeze_cache_hits" => s.freeze_cache_hits,
+                "plan_compiles" => s.plan_compiles,
+                "plan_cache_hits" => s.plan_cache_hits,
+                "prefilter_rejects" => s.prefilter_rejects,
+                "components" => s.components,
+            };
             if h.full {
-                let _ = write!(
-                    out,
-                    ", \"searches\": {}, \"search_candidates\": {}, \"core_rounds\": {}, \"core_searches\": {}, \"core_cache_hits\": {}",
-                    s.searches,
-                    s.search_candidates,
-                    s.core_rounds,
-                    s.core_searches,
-                    s.core_cache_hits,
-                );
+                hom.extend(fields! {
+                    "searches" => s.searches,
+                    "search_candidates" => s.search_candidates,
+                    "core_rounds" => s.core_rounds,
+                    "core_searches" => s.core_searches,
+                    "core_cache_hits" => s.core_cache_hits,
+                });
             }
-            out.push('}');
+            f.extend(fields! { "hom" => Json::Obj(hom) });
         }
-        let _ = write!(
-            out,
-            "\n    }}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        );
+        Json::Obj(f)
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Renders `BENCH_serve.json` (schema `qr-bench/serve-v2`, which adds the
-/// write-path counters `writes`/`facts_inserted`/`facts_retracted`/
-/// `cache_invalidations`): one entry per
-/// serve-workload replay. The `counters` object carries every field of
-/// [`ServeCounters`](qr_serve::ServeCounters) — all deterministic, all
-/// drift-gated — plus the per-segment cache outcomes and the trace hash
-/// (emitted as a hex string so the 64-bit value survives f64-based JSON
-/// parsers). `wall_ms`, `p50_ms`/`p95_ms`/`p99_ms` and `threads` are
-/// machine-dependent; `bench_diff` exempts exactly those.
-pub fn render_serve_json(runs: &[ServeRun]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"qr-bench/serve-v2\",\n  \"serve_runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let c = &r.counters;
-        let _ = write!(
-            out,
-            "    {{\n      \"workload\": \"{}\",\n      \"threads\": {},\n      \"wall_ms\": {},\n      \"p50_ms\": {},\n      \"p95_ms\": {},\n      \"p99_ms\": {},\n      \"trace_fnv\": \"{:#018x}\",\n      \"counters\": {{\"requests\": {}, \"answered\": {}, \"rejected\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"plan_compiles\": {}, \"plan_reuses\": {}, \"incomplete\": {}, \"truncated\": {}, \"answers_emitted\": {}, \"match_candidates\": {}, \"rewrite_generated\": {}, \"cache_bytes\": {}, \"peak_cache_bytes\": {}, \"writes\": {}, \"facts_inserted\": {}, \"facts_retracted\": {}, \"cache_invalidations\": {}}},\n      \"segments\": [\n",
-            escape(&r.workload),
-            r.threads,
-            ms(r.wall_ms),
-            ms(r.p50_ms),
-            ms(r.p95_ms),
-            ms(r.p99_ms),
-            r.trace_fnv,
-            c.requests,
-            c.answered,
-            c.rejected,
-            c.hits,
-            c.misses,
-            c.evictions,
-            c.plan_compiles,
-            c.plan_reuses,
-            c.incomplete,
-            c.truncated,
-            c.answers_emitted,
-            c.match_candidates,
-            c.rewrite_generated,
-            c.cache_bytes,
-            c.peak_cache_bytes,
-            c.writes,
-            c.facts_inserted,
-            c.facts_retracted,
-            c.cache_invalidations,
-        );
-        for (j, s) in r.segments.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"name\": \"{}\", \"requests\": {}, \"hits\": {}, \"misses\": {}}}{}",
-                escape(&s.name),
-                s.requests,
-                s.hits,
-                s.misses,
-                if j + 1 < r.segments.len() { "," } else { "" }
-            );
-        }
-        let _ = write!(
-            out,
-            "      ]\n    }}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        );
+impl ToJson for ServeRun {
+    fn to_json(&self) -> Json {
+        let c = &self.counters;
+        let segments = self.segments.iter().map(|s| {
+            Json::Obj(fields! {
+                "name" => s.name.as_str(),
+                "requests" => s.requests,
+                "hits" => s.hits,
+                "misses" => s.misses,
+            })
+        });
+        Json::Obj(fields! {
+            "workload" => self.workload.as_str(),
+            "threads" => self.threads,
+            "wall_ms" => Json::ms(self.wall_ms),
+            "p50_ms" => Json::ms(self.p50_ms),
+            "p95_ms" => Json::ms(self.p95_ms),
+            "p99_ms" => Json::ms(self.p99_ms),
+            // Hex, so the 64-bit hash survives f64-based JSON readers.
+            "trace_fnv" => format!("{:#018x}", self.trace_fnv).as_str(),
+            "counters" => Json::Obj(fields! {
+                "requests" => c.requests,
+                "answered" => c.answered,
+                "rejected" => c.rejected,
+                "hits" => c.hits,
+                "misses" => c.misses,
+                "evictions" => c.evictions,
+                "plan_compiles" => c.plan_compiles,
+                "plan_reuses" => c.plan_reuses,
+                "incomplete" => c.incomplete,
+                "truncated" => c.truncated,
+                "answers_emitted" => c.answers_emitted,
+                "match_candidates" => c.match_candidates,
+                "rewrite_generated" => c.rewrite_generated,
+                "cache_bytes" => c.cache_bytes,
+                "peak_cache_bytes" => c.peak_cache_bytes,
+                "writes" => c.writes,
+                "facts_inserted" => c.facts_inserted,
+                "facts_retracted" => c.facts_retracted,
+                "cache_invalidations" => c.cache_invalidations,
+            }),
+            "segments" => segments.collect::<Vec<_>>(),
+        })
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Renders `BENCH_check.json` (schema `qr-bench/check-v2`, which adds
-/// `threads`): one entry per certification replay. `certs`, `cert_bytes`,
-/// `kernel_searches` and the `failures` array are deterministic and
-/// drift-gated; `wall_ms` and `threads` are machine-dependent —
-/// `bench_diff` exempts exactly those.
-pub fn render_check_json(runs: &[CheckRun]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"qr-bench/check-v2\",\n  \"check_runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let failures = r
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", escape(f)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            out,
-            "    {{\n      \"workload\": \"{}\",\n      \"kind\": \"{}\",\n      \"threads\": {},\n      \"wall_ms\": {},\n      \"certs\": {},\n      \"cert_bytes\": {},\n      \"kernel_searches\": {},\n      \"failures\": [{}]\n    }}{}\n",
-            escape(&r.workload),
-            escape(r.kind),
-            r.threads,
-            ms(r.wall_ms),
-            r.certs,
-            r.cert_bytes,
-            r.kernel_searches,
-            failures,
-            if i + 1 < runs.len() { "," } else { "" }
-        );
+impl ToJson for ShardRun {
+    fn to_json(&self) -> Json {
+        Json::Obj(fields! {
+            "workload" => self.workload.as_str(),
+            "engine" => self.engine,
+            "threads" => self.threads,
+            "mode" => self.mode.as_str(),
+            "wall_ms" => Json::ms(self.wall_ms),
+            "partition_ms" => Json::ms(self.partition_ms),
+            "shard_ms" => Json::ms(self.shard_ms),
+            "merge_ms" => Json::ms(self.merge_ms),
+            "components" => self.components,
+            "shards" => self.shards,
+            "facts_out" => self.facts_out,
+            "rounds_run" => self.rounds_run,
+            "triggers" => self.triggers,
+            "candidates" => self.candidates,
+            "exchange" => Json::Obj(fields! {
+                "frontier_rounds" => self.frontier_rounds,
+                "certs_exchanged" => self.certs_exchanged,
+                "certs_checked" => self.certs_checked,
+                "certs_rejected" => self.certs_rejected,
+                "kernel_searches" => self.kernel_searches,
+            }),
+        })
     }
-    out.push_str("  ]\n}\n");
-    out
+}
+
+impl ToJson for CheckRun {
+    fn to_json(&self) -> Json {
+        let failures = self.failures.iter().map(|f| Json::from(f.as_str()));
+        Json::Obj(fields! {
+            "workload" => self.workload.as_str(),
+            "kind" => self.kind,
+            "threads" => self.threads,
+            "wall_ms" => Json::ms(self.wall_ms),
+            "certs" => self.certs,
+            "cert_bytes" => self.cert_bytes,
+            "kernel_searches" => self.kernel_searches,
+            "failures" => failures.collect::<Vec<_>>(),
+        })
+    }
+}
+
+impl ToJson for ExperimentTiming {
+    fn to_json(&self) -> Json {
+        Json::Obj(fields! {
+            "id" => self.id.as_str(),
+            "wall_ms" => Json::ms(self.wall_ms),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr_chase::RoundStats;
-    use std::time::Duration;
+
+    /// The committed dumps, as `(file name, contents)`.
+    const BASELINES: [(&str, &str); 4] = [
+        (
+            "BENCH_chase.json",
+            include_str!("../../../BENCH_chase.json"),
+        ),
+        (
+            "BENCH_rewrite.json",
+            include_str!("../../../BENCH_rewrite.json"),
+        ),
+        (
+            "BENCH_serve.json",
+            include_str!("../../../BENCH_serve.json"),
+        ),
+        (
+            "BENCH_check.json",
+            include_str!("../../../BENCH_check.json"),
+        ),
+    ];
 
     #[test]
-    fn renders_escaped_well_formed_json() {
-        let runs = vec![ChaseRun {
-            workload: "TC on \"G(2,2)\"".into(),
-            engine: "semi-naive",
-            wall_ms: 1.5,
-            facts_out: 4,
-            rounds_run: 1,
-            stats: ChaseStats {
-                threads: 4,
-                rounds: vec![RoundStats {
-                    round: 1,
-                    triggers: 2,
-                    candidates: 8,
-                    dom_sweeps: 1,
-                    dom_pruned: 3,
-                    facts_added: 2,
-                    terms_added: 0,
-                    enum_wall: Duration::from_micros(1200),
-                    merge_wall: Duration::from_micros(300),
-                    wall: Duration::from_micros(1500),
-                }],
-                peak_facts: 4,
-                bytes_facts: 32,
-                bytes_index: 120,
-                bytes_tuples: 60,
-            },
-        }];
-        let timings = vec![ExperimentTiming {
-            id: "e11".into(),
-            wall_ms: 10.0,
-        }];
-        let json = render_json(&timings, &runs, &[], &[]);
-        assert!(json.contains("\"schema\": \"qr-bench/chase-v5\""));
-        assert!(json.contains("\"incr_runs\": [\n  ]"));
-        assert!(json.contains("\"shard_runs\": [\n  ]"));
-        assert!(json.contains(
-            "\"memory\": {\"peak_facts\": 4, \"bytes_facts\": 32, \"bytes_index\": 120, \"bytes_tuples\": 60}"
-        ));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"dom_pruned\": 3"));
-        assert!(json.contains("\"enum_ms\": 1.200"));
-        assert!(json.contains("\"merge_ms\": 0.300"));
-        assert!(json.contains("\\\"G(2,2)\\\""));
-        assert!(json.contains("\"wall_ms\": 1.500"));
-        assert!(json.contains("\"candidates\": 8"));
-        // Braces and brackets balance.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // No trailing commas before closers.
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n      ]"));
+    fn committed_dumps_round_trip_byte_for_byte() {
+        for (name, src) in BASELINES {
+            let tree = Json::parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(tree.get("schema"), Some(&Json::from(SCHEMA)), "{name}");
+            assert_eq!(format!("{tree}\n"), src, "{name} does not re-render");
+        }
     }
 
     #[test]
-    fn renders_incr_runs_well_formed() {
-        let incr = vec![IncrRun {
-            workload: "TC incr on \"G(24,40)\"".into(),
-            threads: 4,
-            batches: 9,
-            wall_ms: 5.25,
-            batch_ms: 0.583,
-            rechase_ms: 2.5,
-            facts_out: 321,
-            rounds_run: 7,
-            counters: IncrementalStats {
-                batches: 9,
-                noops: 0,
-                seeded_inserts: 8,
-                truncated_retracts: 0,
-                rechases: 1,
-                replayed_facts: 0,
-                rederived_facts: 250,
-                cone_facts: 17,
-            },
-            candidates_incr: 900,
-            candidates_cold: 4000,
-        }];
-        let json = render_json(&[], &[], &incr, &[]);
-        assert!(json.contains("\"schema\": \"qr-bench/chase-v5\""));
-        assert!(json.contains("TC incr on \\\"G(24,40)\\\""));
-        assert!(json.contains(
-            "\"modes\": {\"noops\": 0, \"seeded_inserts\": 8, \"truncated_retracts\": 0, \"rechases\": 1}"
-        ));
-        assert!(json.contains(
-            "\"counters\": {\"replayed_facts\": 0, \"rederived_facts\": 250, \"cone_facts\": 17, \"candidates_incr\": 900, \"candidates_cold\": 4000}"
-        ));
-        assert!(json.contains("\"batch_ms\": 0.583"));
-        assert!(json.contains("\"rechase_ms\": 2.500"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n      ]"));
-    }
-
-    #[test]
-    fn renders_rewrite_runs_well_formed() {
-        use qr_rewrite::{RewriteStats, WindowStats};
-        let runs = vec![
-            RewriteRun {
-                workload: "TC \"wide\"".into(),
-                engine: "saturation",
-                threads: 4,
-                wall_ms: 12.5,
-                barrier_wall_ms: Some(20.25),
-                outcome: "Budget".into(),
-                disjuncts: 7,
-                rs: 9,
-                generated: 41,
-                oversized_discarded: 3,
-                depth: 5,
-                stats: Some(RewriteStats {
-                    threads: 4,
-                    windows: vec![WindowStats {
-                        window: 0,
-                        items: 1,
-                        merged: 1,
-                        generated: 41,
-                        dedup_hits: 11,
-                        subsumption_hits: 30,
-                        evictions: 1,
-                        oversized: 3,
-                        accepted: 7,
-                        kept: 7,
-                        unifier_probes: 120,
-                        unifier_skipped: 80,
-                        trie_probes: 25,
-                        trie_skipped: 60,
-                        gen_wall: Duration::from_micros(9000),
-                        merge_wall: Duration::from_micros(2000),
-                        wait_wall: Duration::from_micros(1500),
-                        overlap_wall: Duration::from_micros(7500),
-                        ..WindowStats::default()
-                    }],
-                }),
-                process: None,
-                hom: Some(HomReport {
-                    stats: HomStats {
-                        freezes: 12,
-                        freeze_cache_hits: 30,
-                        plan_compiles: 13,
-                        plan_cache_hits: 2,
-                        prefilter_rejects: 21,
-                        components: 14,
-                        searches: 99,
-                        search_candidates: 400,
-                        core_rounds: 9,
-                        core_searches: 17,
-                        core_cache_hits: 3,
-                    },
-                    full: false,
-                }),
-            },
-            RewriteRun {
-                workload: "T_d marked n=2".into(),
-                engine: "marked",
-                threads: 1,
-                wall_ms: 3.0,
-                barrier_wall_ms: None,
-                outcome: "Complete".into(),
-                disjuncts: 4,
-                rs: 6,
-                generated: 0,
-                oversized_discarded: 0,
-                depth: 0,
-                stats: None,
-                process: Some(MarkedCounters {
-                    steps: 17,
-                    max_frontier: 5,
-                    dropped: 2,
-                    has_true: false,
-                }),
-                hom: Some(HomReport {
-                    stats: HomStats {
-                        freezes: 5,
-                        freeze_cache_hits: 35,
-                        plan_compiles: 5,
-                        plan_cache_hits: 1,
-                        prefilter_rejects: 8,
-                        components: 6,
-                        searches: 40,
-                        search_candidates: 123,
-                        core_rounds: 0,
-                        core_searches: 0,
-                        core_cache_hits: 0,
-                    },
-                    full: true,
-                }),
-            },
-        ];
-        let json = render_rewrite_json(&runs);
-        assert!(json.contains("\"schema\": \"qr-bench/rewrite-v3\""));
-        assert!(json.contains("\\\"wide\\\""));
-        assert!(json.contains("\"barrier_wall_ms\": 20.250"));
-        assert!(json.contains("\"subsumption_hits\": 30"));
-        assert!(json.contains("\"dedup_hits\": 11"));
-        assert!(json.contains("\"unifier_probes\": 120"));
-        assert!(json.contains("\"unifier_skipped\": 80"));
-        assert!(json.contains("\"trie_probes\": 25"));
-        assert!(json.contains("\"trie_skipped\": 60"));
-        assert!(json.contains("\"gen_ms\": 9.000"));
-        // 9ms of generation, 1.5ms of it waited out: 7.5ms overlapped.
-        assert!(json.contains("\"overlap_ms\": 7.500"));
-        assert!(json.contains(
-            "\"process\": {\"steps\": 17, \"max_frontier\": 5, \"dropped\": 2, \"has_true\": false}"
-        ));
-        // Saturation hom object: cache tier only (parallel run).
-        assert!(json.contains("\"freeze_cache_hits\": 30"));
-        assert!(!json.contains("\"search_candidates\": 400"));
-        // Marked hom object: fully sequential, search tier included.
-        assert!(json.contains(
-            "\"hom\": {\"freezes\": 5, \"freeze_cache_hits\": 35, \"plan_compiles\": 5, \
-             \"plan_cache_hits\": 1, \"prefilter_rejects\": 8, \"components\": 6, \
-             \"searches\": 40, \"search_candidates\": 123, \"core_rounds\": 0, \
-             \"core_searches\": 0, \"core_cache_hits\": 0}"
-        ));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n      ]"));
-    }
-
-    #[test]
-    fn renders_serve_runs_well_formed() {
-        use qr_serve::ServeCounters;
-        let runs = vec![ServeRun {
-            workload: "serve-\"mixed\"".into(),
-            threads: 4,
-            wall_ms: 42.125,
-            counters: ServeCounters {
-                requests: 1200,
-                answered: 1200,
-                rejected: 0,
-                hits: 1050,
-                misses: 150,
-                evictions: 3,
-                plan_compiles: 300,
-                plan_reuses: 2100,
-                incomplete: 40,
-                truncated: 5,
-                answers_emitted: 9000,
-                match_candidates: 44000,
-                rewrite_generated: 8000,
-                cache_bytes: 52000,
-                peak_cache_bytes: 53000,
-                writes: 12,
-                facts_inserted: 9,
-                facts_retracted: 4,
-                cache_invalidations: 7,
-            },
-            segments: vec![
-                ServeSegment {
-                    name: "cold".into(),
-                    requests: 116,
-                    hits: 0,
-                    misses: 116,
-                },
-                ServeSegment {
-                    name: "iso".into(),
-                    requests: 704,
-                    hits: 690,
-                    misses: 14,
-                },
-            ],
-            trace_fnv: 0x00ab_cdef_0123_4567,
-            p50_ms: 0.011,
-            p95_ms: 0.5,
-            p99_ms: 1.25,
-        }];
-        let json = render_serve_json(&runs);
-        assert!(json.contains("\"schema\": \"qr-bench/serve-v2\""));
-        assert!(json.contains("serve-\\\"mixed\\\""));
-        assert!(json.contains("\"trace_fnv\": \"0x00abcdef01234567\""));
-        assert!(json.contains("\"hits\": 1050"));
-        assert!(json.contains("\"peak_cache_bytes\": 53000"));
-        assert!(json.contains("\"writes\": 12"));
-        assert!(json.contains("\"cache_invalidations\": 7"));
-        assert!(
-            json.contains("{\"name\": \"iso\", \"requests\": 704, \"hits\": 690, \"misses\": 14}")
+    fn parser_round_trips_escapes_and_numbers() {
+        let src = r#"{"a": "x\"y\nz\u0001", "b": [1, -2.5, 1e3], "c": true, "d": null}"#;
+        let v = Json::parse(src).unwrap();
+        assert_eq!(v.get("a").and_then(Json::as_str), Some("x\"y\nz\u{1}"));
+        assert_eq!(
+            v.get("b"),
+            Some(&Json::Arr(vec![
+                Json::Num("1".into()),
+                Json::Num("-2.5".into()),
+                Json::Num("1e3".into()),
+            ]))
         );
-        assert!(json.contains("\"p95_ms\": 0.500"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n      ]"));
+        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("d"), Some(&Json::Null));
+        assert_eq!(v.get("b").unwrap().to_string(), "[1, -2.5, 1e3]");
+        assert_eq!(
+            Json::from("x\"y\\z\nw\u{1}").to_string(),
+            r#""x\"y\\z\nw\u0001""#
+        );
     }
 
     #[test]
-    fn renders_shard_runs_well_formed() {
-        let runs = vec![
-            ShardRun {
-                workload: "bulk-\"tc\"/chase".into(),
-                engine: "chase",
-                threads: 1,
-                mode: "bypass".into(),
-                components: 0,
-                shards: 0,
-                frontier_rounds: 0,
-                certs_exchanged: 0,
-                certs_checked: 0,
-                certs_rejected: 0,
-                kernel_searches: 0,
-                wall_ms: 800.5,
-                partition_ms: 0.0,
-                shard_ms: 0.0,
-                merge_ms: 0.0,
-                facts_out: 946_000,
-                rounds_run: 6,
-                triggers: 6_000_000,
-                candidates: 9_000_000,
-            },
-            ShardRun {
-                workload: "bulk-\"tc\"/sharded".into(),
-                engine: "sharded",
-                threads: 4,
-                mode: "gaifman".into(),
-                components: 4000,
-                shards: 16,
-                frontier_rounds: 1,
-                certs_exchanged: 120,
-                certs_checked: 120,
-                certs_rejected: 0,
-                kernel_searches: 0,
-                wall_ms: 300.25,
-                partition_ms: 40.0,
-                shard_ms: 200.0,
-                merge_ms: 60.0,
-                facts_out: 946_000,
-                rounds_run: 6,
-                triggers: 6_000_000,
-                candidates: 9_000_000,
-            },
-        ];
-        let json = render_json(&[], &[], &[], &runs);
-        assert!(json.contains("\"schema\": \"qr-bench/chase-v5\""));
-        assert!(json.contains("bulk-\\\"tc\\\"/sharded"));
-        assert!(json.contains("\"engine\": \"sharded\""));
-        assert!(json.contains("\"mode\": \"gaifman\""));
-        assert!(json.contains("\"components\": 4000"));
-        assert!(json.contains("\"shards\": 16"));
-        assert!(json.contains("\"partition_ms\": 40.000"));
-        assert!(json.contains(
-            "\"exchange\": {\"frontier_rounds\": 1, \"certs_exchanged\": 120, \
-             \"certs_checked\": 120, \"certs_rejected\": 0, \"kernel_searches\": 0}"
-        ));
-        assert!(json.contains("\"triggers\": 6000000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n      ]"));
-    }
-
-    #[test]
-    fn renders_check_runs_well_formed() {
-        let runs = vec![
-            CheckRun {
-                workload: "tc-\"wide\"".into(),
-                kind: "rewrite",
-                threads: 1,
-                wall_ms: 0.75,
-                certs: 41,
-                cert_bytes: 2048,
-                kernel_searches: 0,
-                failures: Vec::new(),
-            },
-            CheckRun {
-                workload: "TC on G(60,120)".into(),
-                kind: "chase",
-                threads: 4,
-                wall_ms: 3.5,
-                certs: 900,
-                cert_bytes: 12000,
-                kernel_searches: 0,
-                failures: vec!["certificate 7: trigger 0 not earlier".into()],
-            },
-        ];
-        let json = render_check_json(&runs);
-        assert!(json.contains("\"schema\": \"qr-bench/check-v2\""));
-        assert!(json.contains("tc-\\\"wide\\\""));
-        assert!(json.contains("\"kind\": \"rewrite\""));
-        assert!(json.contains("\"threads\": 1"));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"certs\": 41"));
-        assert!(json.contains("\"cert_bytes\": 2048"));
-        assert!(json.contains("\"kernel_searches\": 0"));
-        assert!(json.contains("\"wall_ms\": 0.750"));
-        assert!(json.contains("\"failures\": []"));
-        assert!(json.contains("\"failures\": [\"certificate 7: trigger 0 not earlier\"]"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n      ]"));
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+    fn parser_rejects_garbage() {
+        assert!(Json::parse("{\"a\": }").is_err());
+        assert!(Json::parse("[1, 2").is_err());
+        assert!(Json::parse("{} extra").is_err());
+        assert!(Json::parse("[1.2.3]").is_err());
     }
 }
