@@ -168,8 +168,11 @@ pub struct Response {
     pub theory: String,
     /// Outcome.
     pub status: ResponseStatus,
-    /// Merge-side service time. Wall-clock: excluded from trace lines and
-    /// never drift-gated.
+    /// Service time: the worker-side prepare (parse, freeze key,
+    /// speculative rewrite) plus the merge-side finish (cache decision,
+    /// plan execution or write application). Time spent queued between
+    /// the two stages is left out. Wall-clock: excluded from trace lines
+    /// and never drift-gated.
     pub wall: Duration,
 }
 
@@ -240,7 +243,7 @@ struct Tenant {
     id: String,
     theory: Theory,
     /// The live base instance. Workers never touch it — queries read it
-    /// and writes replace it only at the ordered merge point — but the
+    /// and writes change it only at the ordered merge point — but the
     /// pipeline shares `&Tenant` across threads, so interior mutability
     /// keeps the borrow checker honest.
     data: Mutex<Instance>,
@@ -258,11 +261,13 @@ pub struct Engine {
 
 /// Worker-side result: everything computable without touching engine
 /// state authoritatively.
-enum Prepared {
-    /// A query: parse outcome plus any speculative rewrite.
-    Query(Result<ParsedReq, String>),
-    /// A write: nothing to precompute — application is merge-only.
-    Write,
+struct Prepared {
+    /// A query's parse outcome plus any speculative rewrite; `None` for a
+    /// write, which has nothing to precompute (application is merge-only).
+    query: Option<Result<ParsedReq, String>>,
+    /// Time the worker spent preparing (parse, freeze key, speculative
+    /// rewrite); counted into [`Response::wall`].
+    wall: Duration,
 }
 
 struct ParsedReq {
@@ -381,9 +386,16 @@ impl Engine {
         } = *self;
         exec.pipeline_ordered(
             seeds,
-            |(_, req)| match req {
-                Request::Query(q) => prepare(tenants, cache, config, q),
-                Request::Write(_) => Prepared::Write,
+            |(_, req)| {
+                let t0 = Instant::now();
+                let query = match req {
+                    Request::Query(q) => Some(prepare(tenants, cache, config, q)),
+                    Request::Write(_) => None,
+                };
+                Prepared {
+                    query,
+                    wall: t0.elapsed(),
+                }
             },
             |(seq, req), prep, _ctx| {
                 responses.push(finish(tenants, cache, config, stats, seq, req, prep));
@@ -468,31 +480,28 @@ fn prepare(
     cache: &Mutex<RewriteCache>,
     config: &EngineConfig,
     req: &CqRequest,
-) -> Prepared {
-    let parsed = (|| {
-        let tenant = tenants
-            .iter()
-            .position(|t| t.id == req.theory)
-            .ok_or_else(|| format!("unknown theory '{}'", req.theory))?;
-        let query = parse_query(&req.query).map_err(|e| format!("parse error: {e}"))?;
-        let key = CacheKey {
-            tenant: tenant as u32,
-            key: canonical_key(&query),
-        };
-        let resident = cache.lock().expect("serve cache poisoned").contains(&key);
-        let speculative = if resident {
-            None
-        } else {
-            Some(build_entry(&tenants[tenant].theory, &query, config))
-        };
-        Ok(ParsedReq {
-            tenant,
-            query,
-            key,
-            speculative,
-        })
-    })();
-    Prepared::Query(parsed)
+) -> Result<ParsedReq, String> {
+    let tenant = tenants
+        .iter()
+        .position(|t| t.id == req.theory)
+        .ok_or_else(|| format!("unknown theory '{}'", req.theory))?;
+    let query = parse_query(&req.query).map_err(|e| format!("parse error: {e}"))?;
+    let key = CacheKey {
+        tenant: tenant as u32,
+        key: canonical_key(&query),
+    };
+    let resident = cache.lock().expect("serve cache poisoned").contains(&key);
+    let speculative = if resident {
+        None
+    } else {
+        Some(build_entry(&tenants[tenant].theory, &query, config))
+    };
+    Ok(ParsedReq {
+        tenant,
+        query,
+        key,
+        speculative,
+    })
 }
 
 /// The cold path: rewrite and compile. Runs the saturation engine
@@ -529,16 +538,14 @@ fn finish(
     let t0 = Instant::now();
     stats.counters.requests += 1;
     let theory_id = req.theory().to_owned();
-    let status = match (req, prep) {
+    let status = match (req, prep.query) {
         (Request::Write(w), _) => finish_write(tenants, cache, stats, &w),
-        (Request::Query(_), Prepared::Write) => {
-            unreachable!("queries prepare as Prepared::Query")
-        }
-        (Request::Query(_), Prepared::Query(Err(reason))) => {
+        (Request::Query(_), None) => unreachable!("queries prepare a parse outcome"),
+        (Request::Query(_), Some(Err(reason))) => {
             stats.counters.rejected += 1;
             ResponseStatus::Rejected { reason }
         }
-        (Request::Query(_), Prepared::Query(Ok(p))) => {
+        (Request::Query(_), Some(Ok(p))) => {
             let mut c = cache.lock().expect("serve cache poisoned");
             let (entry, tier) = match c.get(&p.key) {
                 Some(entry) => {
@@ -587,7 +594,7 @@ fn finish(
             }
         }
     };
-    let wall = t0.elapsed();
+    let wall = prep.wall + t0.elapsed();
     stats.record_latency(wall);
     Response {
         seq,
@@ -641,31 +648,25 @@ fn finish_write(
 }
 
 /// Applies a write batch to a base instance, mirroring the incremental
-/// chase's base semantics: retractions first (by rebuilding the append-only
-/// fact log without them), then inserts appended if absent. Returns the
-/// facts actually (inserted, retracted).
+/// chase's base semantics: retractions first, then inserts appended if
+/// absent. Returns the facts actually (inserted, retracted).
+///
+/// Retractions go through [`Instance::retract`], which pops the instance
+/// back to the oldest retracted fact and re-inserts the survivors after
+/// it: O(k + facts after the oldest retracted one), with a result
+/// byte-identical to rebuilding the instance from its survivors. The
+/// stream's usual retract names recent inserts, so the suffix is short: on
+/// `perfbench --workload serve --seed 1 --trace 1` (2-vCPU container) the
+/// median retract fell from 2 601 µs (whole-instance rebuild) to 24 µs,
+/// against 10 µs per insert. Retracting a tenant's oldest fact still pays
+/// for the whole instance.
 fn apply_write(data: &mut Instance, batch: &WriteBatch) -> (u64, u64) {
-    let mut retracted = 0u64;
-    if !batch.retracts.is_empty() {
-        let mut survivors = Instance::new();
-        for fr in data.iter() {
-            let fact = fr.to_fact();
-            if batch.retracts.contains(&fact) {
-                retracted += 1;
-            } else {
-                survivors.insert(fact);
-            }
-        }
-        if retracted > 0 {
-            *data = survivors;
-        }
-    }
-    let mut inserted = 0u64;
-    for fact in &batch.inserts {
-        if data.insert(fact.clone()).is_some() {
-            inserted += 1;
-        }
-    }
+    let retracted = data.retract(&batch.retracts);
+    let inserted = batch
+        .inserts
+        .iter()
+        .filter(|f| data.insert((*f).clone()).is_some())
+        .count() as u64;
     (inserted, retracted)
 }
 
@@ -991,6 +992,83 @@ mod tests {
         assert_eq!(c.requests, c.answered + c.rejected + c.writes);
         assert_eq!(c.facts_inserted, 1);
         assert_eq!(c.facts_retracted, 0);
+    }
+
+    /// Retracting registration-time facts (the oldest, and one in the
+    /// middle) alongside inserts leaves the tenant answering exactly as a
+    /// fresh engine registered with the surviving base, in the same order.
+    #[test]
+    fn oldest_fact_retracts_match_a_fresh_engine() {
+        const THEORY: &str = "e(X,Y) -> e(Y,Z).\nlabel(X) -> e(X,Y).";
+        let writes = || {
+            vec![
+                Request::Write(FactWrite {
+                    theory: "g".into(),
+                    batch: WriteBatch {
+                        inserts: facts("e(d,a). label(z)."),
+                        retracts: facts("label(a). e(b,c). e(q,q)."),
+                    },
+                }),
+                Request::Write(FactWrite {
+                    theory: "g".into(),
+                    batch: WriteBatch {
+                        inserts: facts("e(c,a)."),
+                        retracts: facts("e(c,d). e(d,a). e(c,d)."),
+                    },
+                }),
+            ]
+        };
+        let queries = || {
+            [
+                "?(A) :- e(A,B), e(B,C).",
+                "?(A) :- label(A).",
+                "?(A,B) :- e(A,B).",
+                "? :- e(c,d).",
+                "?(A) :- e(A,B), label(B).",
+                "?(B) :- e(a,B).",
+            ]
+            .map(|q| Request::Query(req("g", q)))
+        };
+        for threads in [1, 2, 4] {
+            let config = EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            };
+            let mut written = Engine::new(config);
+            written
+                .register(
+                    "g",
+                    THEORY,
+                    "label(a). e(a,b). e(b,c). label(c). e(c,d). e(x,y).",
+                )
+                .unwrap();
+            let mut fresh = Engine::new(config);
+            fresh
+                .register("g", THEORY, "e(a,b). label(c). e(x,y). label(z). e(c,a).")
+                .unwrap();
+
+            let mut batch = writes();
+            batch.extend(queries());
+            let got = written.run_requests(batch);
+            let want = fresh.run_requests(queries().into());
+            let retracted: Vec<u64> = got[..2]
+                .iter()
+                .map(|r| match r.status {
+                    ResponseStatus::Written { retracted, .. } => retracted,
+                    _ => panic!("written expected, got {:?}", r.status),
+                })
+                .collect();
+            assert_eq!(retracted, [2, 2], "absent and repeated retracts ignored");
+            for (g, w) in got[2..].iter().zip(&want) {
+                assert_eq!(g.status, w.status, "at {threads} threads");
+            }
+            let mut expect = fresh.stats().counters;
+            expect.requests += 2;
+            expect.writes += 2;
+            expect.facts_inserted += 3;
+            expect.facts_retracted += 4;
+            assert_eq!(written.stats().counters, expect, "at {threads} threads");
+        }
     }
 
     #[test]

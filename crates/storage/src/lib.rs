@@ -17,7 +17,9 @@
 //! * byte-level memory accounting ([`StorageStats`]) with *logical* sizes
 //!   that are identical on every platform and `QR_THREADS` setting,
 //! * O(1) prefix [`Snapshot`]s with suffix-popping [`FactStore::restore`],
-//!   exploiting the append-only insertion order,
+//!   exploiting the append-only insertion order, and
+//!   [`FactStore::snapshot_at`], which recovers the snapshot of any past
+//!   prefix so a retract can pop back to its oldest fact,
 //! * a varint byte codec ([`codec`]) used by `qr-syntax` for the versioned
 //!   chase checkpoint format.
 //!

@@ -278,6 +278,13 @@ fn dedup_key(pred: PredId, tuple: TupleId) -> u64 {
     ((pred.0 as u64) << 32) | tuple.0 as u64
 }
 
+/// The number of leading ids in `0..len` that satisfy `keep`, for a `keep`
+/// that holds on a prefix and fails after it. Scans back from the end, so
+/// it costs one probe per id past the cut, plus one.
+fn cut_from_end(len: usize, keep: impl Fn(usize) -> bool) -> usize {
+    (0..len).rev().find(|&i| keep(i)).map_or(0, |i| i + 1)
+}
+
 impl<T: Copy + Eq + Hash> FactStore<T> {
     /// The empty store.
     pub fn new() -> FactStore<T> {
@@ -439,6 +446,44 @@ impl<T: Copy + Eq + Hash> FactStore<T> {
             domain: self.domain.len(),
             tuples: self.tuples.len(),
             preds: self.preds.len(),
+        }
+    }
+
+    /// The snapshot [`FactStore::snapshot`] returned when the store held
+    /// its first `n` facts, worked out from the current state. A domain
+    /// element, tuple or predicate belongs to that prefix iff its first
+    /// fact does: its first posting, its first `dedup` entry, its first
+    /// row. Each is monotone in id order, so the cut is found by scanning
+    /// back from the end: one probe per id past the cut, plus one, each
+    /// costing a lookup per stripe (element), per predicate (tuple) or
+    /// O(1) (predicate). Like [`FactStore::restore`], that is O(facts
+    /// dropped) for a fixed signature.
+    ///
+    /// Exact when every predicate is registered just before its first
+    /// fact, as `qr-syntax`'s `Instance` does. A predicate with no fact
+    /// below `n` is dropped only if every later one is too, so the result
+    /// is always a valid [`FactStore::restore`] target.
+    pub fn snapshot_at(&self, n: usize) -> Snapshot {
+        assert!(n <= self.len(), "snapshot_at past the end of the store");
+        let below = |first: Option<&u32>| first.is_some_and(|&i| (i as usize) < n);
+        let domain = cut_from_end(self.domain.len(), |d| {
+            let t = self.domain[d];
+            self.preds.iter().any(|p| {
+                p.stripes
+                    .iter()
+                    .any(|s| below(s.get(&t).and_then(|l| l.first())))
+            })
+        });
+        let tuples = cut_from_end(self.tuples.len(), |id| {
+            (0..self.preds.len() as u32)
+                .any(|p| below(self.dedup.get(&dedup_key(PredId(p), TupleId(id as u32)))))
+        });
+        let preds = cut_from_end(self.preds.len(), |p| below(self.preds[p].rows.first()));
+        Snapshot {
+            facts: n,
+            domain,
+            tuples,
+            preds,
         }
     }
 
@@ -644,6 +689,41 @@ mod tests {
         // Re-inserting re-interns at the same id.
         s.insert(e, &[3, 4]);
         assert_eq!(s.tuple_of(1).index(), 1);
+    }
+
+    /// `snapshot_at(n)` equals the `snapshot()` taken when the store held
+    /// `n` facts, for every `n`: shared tuples, repeated elements, and a
+    /// predicate (`q`) whose only facts sit in the suffix.
+    #[test]
+    fn snapshot_at_equals_snapshot_taken_then() {
+        let mut s: FactStore<u32> = FactStore::new();
+        let mut taken = vec![s.snapshot()];
+        // Each predicate is registered just before its first fact.
+        let e = s.register_pred(2);
+        let mut step = |s: &mut FactStore<u32>, pred, args: &[u32]| {
+            s.insert(pred, args);
+            taken.push(s.snapshot());
+        };
+        step(&mut s, e, &[1, 2]);
+        step(&mut s, e, &[2, 3]);
+        let p = s.register_pred(1);
+        step(&mut s, p, &[2]);
+        step(&mut s, e, &[1, 1]);
+        let q = s.register_pred(2);
+        step(&mut s, q, &[1, 2]);
+        step(&mut s, e, &[4, 1]);
+        step(&mut s, q, &[5, 5]);
+        step(&mut s, p, &[4]);
+        for (n, snap) in taken.iter().enumerate() {
+            assert_eq!(s.snapshot_at(n), *snap, "n = {n}");
+        }
+        // Restoring to a derived cut matches a store that stopped there.
+        let mut popped = s.clone();
+        popped.restore(&s.snapshot_at(4));
+        assert_eq!(popped.pred_count(), 2);
+        assert_eq!(popped.domain(), &[1, 2, 3]);
+        assert_eq!(popped.stats().tuples, 4);
+        assert_eq!(popped.lookup(e, &[4, 1]), None);
     }
 
     #[test]

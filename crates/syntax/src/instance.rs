@@ -376,6 +376,33 @@ impl Instance {
         }
     }
 
+    /// Removes `facts` in place (absent facts and repeats are ignored) and
+    /// returns how many were removed. It pops the store back to the oldest
+    /// removed fact and re-inserts the survivors after it in their
+    /// original order, so it costs O(k + facts after the oldest removed
+    /// one) for `k` facts named. The result is identical (fact indices,
+    /// domain order, tuple ids, postings, [`Instance::to_bytes`]) to
+    /// [`Instance::from_facts`] over the survivors in order; only
+    /// `stats().peak_facts` stays a high-water mark, as in
+    /// [`Instance::restore`].
+    pub fn retract(&mut self, facts: &[Fact]) -> u64 {
+        let mut removed: Vec<FactIdx> = facts.iter().filter_map(|f| self.index_of(f)).collect();
+        removed.sort_unstable();
+        removed.dedup();
+        let Some(&oldest) = removed.first() else {
+            return 0;
+        };
+        let survivors: Vec<Fact> = (oldest..self.len())
+            .filter(|i| removed.binary_search(i).is_err())
+            .map(|i| self.fact(i).to_fact())
+            .collect();
+        self.restore(&InstanceSnapshot {
+            inner: self.store.snapshot_at(oldest),
+        });
+        self.extend(survivors);
+        removed.len() as u64
+    }
+
     /// A copy of this instance restored to `snap` — bit-identical (facts,
     /// indices, domain, stats) to an instance freshly built from the
     /// prefix insertion sequence, but O(suffix) instead of O(n). This is

@@ -222,3 +222,86 @@ fn checkpoint_bytes_roundtrip_randomized_instances() {
         },
     );
 }
+
+/// Asserts that `inst` is indistinguishable from a fresh build of `live`
+/// (in order): checkpoint bytes, domain, every index slice over `terms`,
+/// and the byte accounting with only the high-water mark masked.
+fn assert_matches_rebuild(inst: &Instance, live: &[Fact], preds: &[Pred], terms: &[TermId]) {
+    let fresh = Instance::from_facts(live.iter().cloned());
+    assert_eq!(inst.to_bytes(), fresh.to_bytes());
+    assert_eq!(inst.domain(), fresh.domain());
+    for &pred in preds {
+        assert_eq!(inst.with_pred(pred), fresh.with_pred(pred), "{pred:?}");
+        for pos in 0..pred.arity() {
+            for &t in terms {
+                assert_eq!(
+                    inst.with_pred_pos_term(pred, pos, t),
+                    fresh.with_pred_pos_term(pred, pos, t),
+                    "with_pred_pos_term({pred:?},{pos},{t:?})"
+                );
+            }
+        }
+    }
+    let mut stats = inst.stats();
+    assert!(stats.peak_facts >= stats.facts);
+    stats.peak_facts = fresh.stats().peak_facts;
+    assert_eq!(stats, fresh.stats());
+}
+
+#[test]
+fn retract_in_place_equals_a_rebuild_of_the_survivors() {
+    // Three binary predicates over a small term pool share argument
+    // tuples; `e/1`, `r/3`, `p/1` and `flag/0` add mixed arities.
+    let mut preds = pred_pool();
+    preds.extend([Pred::new("s", 2), Pred::new("t", 2)]);
+    check(
+        "retract_in_place_equals_a_rebuild_of_the_survivors",
+        150,
+        |rng| {
+            let mut inst = Instance::new();
+            let mut live: Vec<Fact> = Vec::new();
+            let mut terms: Vec<TermId> = Vec::new();
+            for _ in 0..rng.range(3, 8) {
+                for _ in 0..rng.range(0, 25) {
+                    let fact = random_fact(rng, &preds);
+                    for &t in &fact.args {
+                        if !terms.contains(&t) {
+                            terms.push(t);
+                        }
+                    }
+                    if inst.insert(fact.clone()).is_some() {
+                        live.push(fact);
+                    }
+                }
+                assert_matches_rebuild(&inst, &live, &preds, &terms);
+
+                let n = live.len();
+                let k = rng.range(1, 4).min(n.max(1));
+                let mut picked: Vec<Fact> = match (n, rng.below(5)) {
+                    (0, _) => Vec::new(),
+                    (_, 0) => live[..k].to_vec(),
+                    (_, 1) => {
+                        let at = rng.below(n + 1 - k);
+                        live[at..at + k].to_vec()
+                    }
+                    (_, 2) => live[n - k..].to_vec(),
+                    (_, 3) => live.clone(),
+                    _ => (0..k).map(|_| rng.pick(&live).clone()).collect(),
+                };
+                if rng.bool() && !picked.is_empty() {
+                    picked.push(picked[0].clone());
+                }
+                for _ in 0..rng.below(3) {
+                    let absent = random_fact(rng, &preds);
+                    if !live.contains(&absent) {
+                        picked.insert(rng.below(picked.len() + 1), absent);
+                    }
+                }
+                let expect = live.iter().filter(|f| picked.contains(f)).count() as u64;
+                assert_eq!(inst.retract(&picked), expect);
+                live.retain(|f| !picked.contains(f));
+                assert_matches_rebuild(&inst, &live, &preds, &terms);
+            }
+        },
+    );
+}
