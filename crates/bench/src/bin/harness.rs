@@ -31,7 +31,7 @@
 //! absorbed by `qr_chase::IncrementalChase` on the E11-scale TC
 //! instances, against a full-re-chase baseline — and, with `--json`,
 //! records them in `BENCH_chase.json`'s `incr_runs` array. `--shard` (or
-//! a bulk workload id: `bulk-tc`, `bulk-shallow`, `bulk-bridge`) chases
+//! a bulk workload id: `bulk-tc`, `bulk-shallow`) chases
 //! the bulk-instance workloads through `qr_chase::chase_sharded` on
 //! pinned 1-thread (monolithic) and 4-thread (sharded) pools and, with
 //! `--json`, records the speedup pairs in `BENCH_chase.json`'s
@@ -65,7 +65,7 @@ fn usage() -> ! {
          \n\
          IDs select experiments (e01 ...), serve workloads (serve-mixed,\n\
          serve-churn; naming one implies --serve) and/or bulk workloads\n\
-         (bulk-tc, bulk-shallow, bulk-bridge; naming one implies --shard);\n\
+         (bulk-tc, bulk-shallow; naming one implies --shard);\n\
          the chase-incr id implies --incr; with no IDs, all experiments\n\
          run in order"
     );
@@ -225,8 +225,7 @@ fn main() {
         for r in &runs {
             println!(
                 "{}: {} facts in {:.1} ms [{}] — {} components, {} shards, \
-                 partition {:.1} ms / shard {:.1} ms / merge {:.1} ms, \
-                 {} certs exchanged ({} checked, {} rejected, {} kernel searches)",
+                 partition {:.1} ms / shard {:.1} ms / merge {:.1} ms",
                 r.workload,
                 r.facts_out,
                 r.wall_ms,
@@ -236,10 +235,6 @@ fn main() {
                 r.partition_ms,
                 r.shard_ms,
                 r.merge_ms,
-                r.certs_exchanged,
-                r.certs_checked,
-                r.certs_rejected,
-                r.kernel_searches,
             );
         }
         runs

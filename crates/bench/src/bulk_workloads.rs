@@ -4,13 +4,13 @@
 //!
 //! Each workload is a deterministic seeded generator producing a bulk
 //! instance of many disconnected Gaifman components, chased twice through
-//! [`qr_chase::chase_sharded_opts`]: once on a 1-thread pool (which
+//! [`qr_chase::chase_sharded`]: once on a 1-thread pool (which
 //! bypasses to the monolithic engine — the `"chase"` rows) and once on a
 //! 4-thread pool (the `"sharded"` rows). The pool widths are pinned
 //! inside this module, not taken from the harness's `--threads`, because
 //! the pair *is* the measurement: same instance, same counters
 //! (byte-identity is the sharded engine's contract), different wall
-//! clock. Three pinned classes:
+//! clock. Two pinned classes:
 //!
 //! * `bulk-tc` — thousands of disconnected transitive-closure graphs
 //!   (~1M facts after the chase). The monolithic engine drags a
@@ -18,22 +18,15 @@
 //!   chases each cache-resident component alone and splices the results.
 //! * `bulk-shallow` — an OWL 2 QL-style shallow chase (class chain,
 //!   role existential, range) over ~10^5 single-individual components.
-//! * `bulk-bridge` — a `dom`-guarded theory whose rules span shards, so
-//!   the run exercises the certified frontier exchange: every absorbed
-//!   fact travels with a [`qr_chase::ChaseCert`] replayed through
-//!   [`qr_check::check_frontier`], with zero homomorphism searches.
 //!
 //! Everything but the `*_ms` fields is deterministic and drift-gated by
 //! `bench_diff`: the chase counters because sharding is byte-identical,
-//! the exchange counters because partition, packing and shard order are
+//! the partition counters because component analysis and packing are
 //! deterministic functions of the instance.
 
 use std::time::Instant;
 
-use qr_chase::{
-    chase_sharded_opts, Chase, ChaseBudget, ChaseCertBundle, CrossShardPolicy, FrontierRejection,
-    ShardOpts,
-};
+use qr_chase::{chase_sharded, Chase, ChaseBudget};
 use qr_exec::Executor;
 use qr_syntax::{parse_theory, Fact, Instance, Pred, Symbol, TermId, Theory};
 
@@ -49,11 +42,6 @@ const TC_CHORDS: usize = 1;
 
 /// `bulk-shallow` scale: individuals, each its own Gaifman component.
 const SHALLOW_INDIVIDUALS: usize = 120_000;
-
-/// `bulk-bridge` scale: kept small — the `dom` sweep is quadratic in
-/// (edges × domain), and the workload measures the exchange protocol,
-/// not bulk throughput.
-const BRIDGE_COMPONENTS: usize = 60;
 
 fn bulk_budget() -> ChaseBudget {
     ChaseBudget {
@@ -132,47 +120,10 @@ pub fn bulk_shallow_theory() -> Theory {
         .expect("parses")
 }
 
-/// `components` two-constant components for the exchange workload.
-pub fn bulk_bridge_instance(components: usize) -> Instance {
-    let e = Pred::new("e", 2);
-    let mut inst = Instance::new();
-    for c in 0..components {
-        inst.insert(edge(e, format!("u{c}"), format!("w{c}")));
-    }
-    inst
-}
-
-/// The `bulk-bridge` theory: the `dom` guard makes every rule span
-/// shards, forcing [`qr_chase::ShardMode::Exchange`] under the exchange
-/// policy.
-pub fn bulk_bridge_theory() -> Theory {
-    parse_theory("e(X,Y), dom(Z) -> t(X,Z).").expect("parses")
-}
-
-/// The production frontier verifier: replay the shard's certificate
-/// bundle through `qr-check` before absorbing a single fact.
-fn checked_frontier(
-    theory: &Theory,
-    base: &Instance,
-    frontier: &[Fact],
-    bundle: &ChaseCertBundle,
-) -> Result<usize, FrontierRejection> {
-    qr_check::check_frontier(theory, base, frontier, bundle).map_err(|e| FrontierRejection {
-        cert: e.cert,
-        detail: e.to_string(),
-    })
-}
-
 fn run_one(label: &str, theory: &Theory, db: &Instance, threads: usize) -> (Chase, ShardRun) {
     let exec = Executor::with_threads(threads);
-    let opts = ShardOpts {
-        cross_shard: CrossShardPolicy::Exchange {
-            verify: &checked_frontier,
-        },
-        ..ShardOpts::default()
-    };
     let t0 = Instant::now();
-    let (ch, stats) = chase_sharded_opts(theory, db, bulk_budget(), &exec, &opts);
+    let (ch, stats) = chase_sharded(theory, db, bulk_budget(), &exec);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let engine = if threads <= 1 { "chase" } else { "sharded" };
     let dur_ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
@@ -183,11 +134,6 @@ fn run_one(label: &str, theory: &Theory, db: &Instance, threads: usize) -> (Chas
         mode: stats.mode.as_str().to_owned(),
         components: stats.components,
         shards: stats.shards,
-        frontier_rounds: stats.frontier_rounds,
-        certs_exchanged: stats.certs_exchanged,
-        certs_checked: stats.certs_checked,
-        certs_rejected: stats.certs_rejected,
-        kernel_searches: stats.kernel_searches,
         wall_ms,
         partition_ms: dur_ms(stats.partition_wall),
         shard_ms: dur_ms(stats.shard_wall),
@@ -208,7 +154,7 @@ fn run_one(label: &str, theory: &Theory, db: &Instance, threads: usize) -> (Chas
 pub fn stats_runs(filters: &[String]) -> Vec<ShardRun> {
     let mut out = Vec::new();
     type Gen = fn() -> (Theory, Instance);
-    let workloads: [(&str, Gen); 3] = [
+    let workloads: [(&str, Gen); 2] = [
         ("bulk-tc", || {
             (
                 bulk_tc_theory(),
@@ -221,12 +167,6 @@ pub fn stats_runs(filters: &[String]) -> Vec<ShardRun> {
                 bulk_shallow_instance(SHALLOW_INDIVIDUALS),
             )
         }),
-        ("bulk-bridge", || {
-            (
-                bulk_bridge_theory(),
-                bulk_bridge_instance(BRIDGE_COMPONENTS),
-            )
-        }),
     ];
     for (label, gen) in workloads {
         if !filters.is_empty() && !filters.iter().any(|f| f == label) {
@@ -237,25 +177,21 @@ pub fn stats_runs(filters: &[String]) -> Vec<ShardRun> {
         let (mono, mono_run) = run_one(label, theory, db, 1);
         let (shard, shard_run) = run_one(label, theory, db, 4);
         // The sharded engine's contract, asserted before anything is
-        // written: byte-identical merges (set-equal for the exchange).
-        if shard_run.mode == "exchange" {
-            assert_eq!(shard.instance, mono.instance, "{label}: exchange set");
-        } else {
-            assert_eq!(
-                shard
-                    .instance
-                    .iter()
-                    .map(|f| f.to_fact())
-                    .collect::<Vec<_>>(),
-                mono.instance
-                    .iter()
-                    .map(|f| f.to_fact())
-                    .collect::<Vec<_>>(),
-                "{label}: sharded fact stream"
-            );
-            assert_eq!(shard.round_of, mono.round_of, "{label}: rounds");
-            assert_eq!(shard_run.triggers, mono_run.triggers, "{label}: triggers");
-        }
+        // written: byte-identical merges.
+        assert_eq!(
+            shard
+                .instance
+                .iter()
+                .map(|f| f.to_fact())
+                .collect::<Vec<_>>(),
+            mono.instance
+                .iter()
+                .map(|f| f.to_fact())
+                .collect::<Vec<_>>(),
+            "{label}: sharded fact stream"
+        );
+        assert_eq!(shard.round_of, mono.round_of, "{label}: rounds");
+        assert_eq!(shard_run.triggers, mono_run.triggers, "{label}: triggers");
         out.push(mono_run);
         out.push(shard_run);
     }
@@ -264,13 +200,13 @@ pub fn stats_runs(filters: &[String]) -> Vec<ShardRun> {
 
 /// The workload ids `--shard` accepts (and `--list` prints).
 pub fn workload_labels() -> Vec<&'static str> {
-    vec!["bulk-tc", "bulk-shallow", "bulk-bridge"]
+    vec!["bulk-tc", "bulk-shallow"]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr_chase::{chase_with, ShardMode};
+    use qr_chase::chase_with;
 
     // The pinned scales chase ~10^6 facts — release-harness territory.
     // The tests pin the same properties at toy scale instead.
@@ -282,13 +218,8 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, bulk_tc_instance(8, 6, 14, 43));
         assert_eq!(bulk_shallow_instance(30), bulk_shallow_instance(30));
-        assert_eq!(bulk_bridge_instance(5), bulk_bridge_instance(5));
         // Namespaced constants: one Gaifman component per graph.
         assert_eq!(qr_syntax::gaifman::components_of(&a).len(), 8);
-        assert_eq!(
-            qr_syntax::gaifman::components_of(&bulk_bridge_instance(5)).len(),
-            5
-        );
     }
 
     #[test]
@@ -318,20 +249,6 @@ mod tests {
         assert_eq!(ch.instance, reference.instance);
         assert_eq!(ch.round_of, reference.round_of);
         assert_eq!(run.triggers, reference.stats.triggers());
-    }
-
-    #[test]
-    fn small_bulk_bridge_exchanges_checked_certs() {
-        let t = bulk_bridge_theory();
-        let db = bulk_bridge_instance(6);
-        let (ch, run) = run_one("bulk-bridge", &t, &db, 4);
-        assert_eq!(run.mode, ShardMode::Exchange.as_str());
-        assert!(run.certs_exchanged > 0);
-        assert_eq!(run.certs_checked, run.certs_exchanged);
-        assert_eq!(run.certs_rejected, 0);
-        assert_eq!(run.kernel_searches, 0, "replay must not search");
-        let reference = chase_with(&t, &db, bulk_budget(), &Executor::sequential());
-        assert_eq!(ch.instance, reference.instance, "exchange set-equality");
     }
 
     #[test]

@@ -528,7 +528,7 @@ pub struct ServeRun {
 }
 
 /// One measured bulk-sharding run (the harness's `--shard` mode): a bulk
-/// workload chased through [`qr_chase::chase_sharded_opts`] on a pinned
+/// workload chased through [`qr_chase::chase_sharded`] on a pinned
 /// worker-pool width. Each workload appears twice — once on a 1-thread
 /// pool (`engine: "chase"`, the monolithic bypass) and once on a 4-thread
 /// pool (`engine: "sharded"`) — so `BENCH_chase.json` records the speedup
@@ -544,30 +544,19 @@ pub struct ShardRun {
     /// Pinned worker-pool width of this run.
     pub threads: usize,
     /// [`ShardMode`](qr_chase::ShardMode) the run resolved to, as a
-    /// string (`"bypass"` / `"gaifman"` / `"pred-group"` / `"fallback"` /
-    /// `"exchange"`).
+    /// string (`"bypass"` / `"gaifman"` / `"fallback"`).
     pub mode: String,
-    /// Partition units found (Gaifman components or predicate groups).
+    /// Gaifman components found (0 when partitioning was skipped).
     pub components: usize,
     /// Shards actually chased (0 on bypass).
     pub shards: usize,
-    /// Frontier-exchange iterations (exchange mode only).
-    pub frontier_rounds: usize,
-    /// Certificates shipped across the merge boundary.
-    pub certs_exchanged: u64,
-    /// Certificates replayed successfully before absorption.
-    pub certs_checked: u64,
-    /// Certificates in rejected bundles.
-    pub certs_rejected: u64,
-    /// `HomKernel` searches during frontier verification — pinned 0.
-    pub kernel_searches: u64,
     /// End-to-end wall time, ms.
     pub wall_ms: f64,
     /// Wall time partitioning the base, ms.
     pub partition_ms: f64,
     /// Wall time chasing the shards, ms.
     pub shard_ms: f64,
-    /// Wall time merging (or verifying + catch-up), ms.
+    /// Wall time merging the shard results, ms.
     pub merge_ms: f64,
     /// Facts in the final merged instance.
     pub facts_out: usize,
@@ -873,13 +862,6 @@ impl ToJson for ShardRun {
             "rounds_run" => self.rounds_run,
             "triggers" => self.triggers,
             "candidates" => self.candidates,
-            "exchange" => Json::Obj(fields! {
-                "frontier_rounds" => self.frontier_rounds,
-                "certs_exchanged" => self.certs_exchanged,
-                "certs_checked" => self.certs_checked,
-                "certs_rejected" => self.certs_rejected,
-                "kernel_searches" => self.kernel_searches,
-            }),
         })
     }
 }

@@ -32,10 +32,7 @@ pub use incremental::{
 };
 pub use model::is_model;
 pub use provenance::{minimal_subset, minimal_support, Provenance};
-pub use sharded::{
-    chase_sharded, chase_sharded_opts, CrossShardPolicy, FrontierRejection, FrontierVerify,
-    ShardMode, ShardOpts, ShardStats,
-};
+pub use sharded::{chase_sharded, ShardMode, ShardStats};
 pub use skolem::SkolemizedRule;
 pub use stats::{ChaseStats, RoundStats};
 

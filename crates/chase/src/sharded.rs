@@ -15,11 +15,8 @@
 //! 1. **Partition.** Compute the connected components of the base
 //!    instance's Gaifman graph ([`gaifman::components_of`], straight off
 //!    the columnar postings) and bin-pack them deterministically into at
-//!    most `exec.threads() × shards_per_thread` shards (largest first,
-//!    least-loaded bin, all ties by index). When the theory is not
-//!    term-local (see below) but every rule is still `dom`-free, fall
-//!    back to a coarser partition by *predicate group* (union-find over
-//!    each rule's body ∪ head predicates).
+//!    most `exec.threads() × SHARDS_PER_THREAD` shards (largest first,
+//!    least-loaded bin, all ties by index).
 //! 2. **Chase.** Run the existing sequential engine on each shard,
 //!    scheduling whole shards on the executor's workers
 //!    ([`qr_exec::Executor::map_weighted`], largest shard first).
@@ -34,13 +31,13 @@
 //! Byte-identity holds because the engine visits round work in a fixed
 //! order (rules in theory order; per rule, regular body atoms in body
 //! order; per atom, the delta posting list in fact-index order) and
-//! merges task outputs in submission order. Under the safety predicates
+//! merges task outputs in submission order. Under the safety predicate
 //! below, every complete body match lives inside one shard, so the
 //! global round-`r` fresh sequence is exactly the shard round-`r` fresh
 //! sequences stably sorted by `(rule, canonical path atom, global index
 //! of the forced delta fact)` — the same key the sequential engine
 //! enumerates by. Engine counters (`triggers`, `candidates`, …) are
-//! posting-local under the same predicates and therefore sum exactly.
+//! posting-local under the same predicate and therefore sum exactly.
 //!
 //! **Term-local theories** (mode [`ShardMode::Gaifman`]): every rule has
 //! a nonempty, variable-connected body, no `dom` atoms, and every body
@@ -50,42 +47,28 @@
 //! component (directly or inside a Skolem term), and components never
 //! collide.
 //!
-//! **Pred-local theories** (mode [`ShardMode::PredGroup`]): every rule
-//! has a nonempty `dom`-free body and a `dom`-free head (constants and
-//! disconnected bodies are fine). All facts of one predicate live in
-//! one shard, so per-predicate probes — including the matcher's
-//! no-bound-position fallback scan — remain shard-local.
-//!
-//! **Cross-shard theories.** Anything else (a `dom` atom ranges over the
-//! whole active domain; an empty body fires everywhere) cannot be
-//! chased shard-locally. The default is a transparent fallback to the
-//! monolithic engine ([`ShardMode::Fallback`]). Opting into
-//! [`CrossShardPolicy::Exchange`] instead runs a *certified frontier
-//! exchange*: each shard is chased independently, ships its derived
-//! facts with [`ChaseCert`](crate::cert::ChaseCert) witnesses, and the
-//! merging side replays the certificates through an independent checker
-//! (`qr-check`, injected as a callback to keep the crate graph acyclic)
-//! before absorbing the facts into the base; a final global chase
-//! closes the cross-shard consequences. Soundness never depends on
-//! scheduling: a bundle that fails verification is simply not absorbed
-//! (the global catch-up re-derives whatever was legitimate), and by the
-//! paper's Observation 8 (`Ch(T,F) = Ch(T,D)` for `D ⊆ F ⊆ Ch(T,D)`)
-//! the absorbed run computes the same set — the exchange only changes
-//! *when* facts arrive, so the result is set-equal (not byte-identical)
-//! to the unsharded chase whenever the chase terminates within budget.
+//! **Every other theory** (a `dom` atom ranges over the whole active
+//! domain; an empty body fires everywhere; a head constant or a
+//! disconnected body joins components) cannot be chased
+//! component-locally, and runs on the monolithic engine unchanged
+//! ([`ShardMode::Fallback`]). So every mode is byte-identical to
+//! [`chase_with`].
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::time::{Duration, Instant};
 
 use qr_exec::Executor;
 use qr_syntax::gaifman;
 use qr_syntax::query::{QAtom, QTerm, Var};
-use qr_syntax::{Fact, FactIdx, Instance, Pred, TermId, Theory};
+use qr_syntax::{FactIdx, Instance, TermId, Theory};
 
-use crate::cert::{emit_chase_certs, ChaseCertBundle};
 use crate::engine::{chase_with, Chase, ChaseBudget, ChaseOutcome, Derivation};
 use crate::stats::{ChaseStats, RoundStats};
+
+/// Bin-packing target: at most `exec.threads() × SHARDS_PER_THREAD`
+/// shards. More shards than threads keeps workers busy when component
+/// sizes are skewed.
+const SHARDS_PER_THREAD: usize = 4;
 
 /// How the sharded entry point actually ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -96,14 +79,9 @@ pub enum ShardMode {
     Bypass,
     /// Term-local theory, partitioned by Gaifman component.
     Gaifman,
-    /// Pred-local theory, partitioned by predicate group.
-    PredGroup,
-    /// Cross-shard theory under [`CrossShardPolicy::Fallback`]: ran the
-    /// monolithic engine.
+    /// Theory not term-local (or a base with nulls): ran the monolithic
+    /// engine.
     Fallback,
-    /// Cross-shard theory under [`CrossShardPolicy::Exchange`]: certified
-    /// frontier exchange plus a global catch-up chase.
-    Exchange,
 }
 
 impl ShardMode {
@@ -112,71 +90,7 @@ impl ShardMode {
         match self {
             ShardMode::Bypass => "bypass",
             ShardMode::Gaifman => "gaifman",
-            ShardMode::PredGroup => "pred-group",
             ShardMode::Fallback => "fallback",
-            ShardMode::Exchange => "exchange",
-        }
-    }
-}
-
-/// A located rejection of one shard's frontier bundle: which certificate
-/// failed replay, and the checker's message. Produced by the injected
-/// verifier (see [`CrossShardPolicy::Exchange`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FrontierRejection {
-    /// Index of the offending certificate within the shard's bundle.
-    pub cert: usize,
-    /// The checker's rendered error.
-    pub detail: String,
-}
-
-impl fmt::Display for FrontierRejection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "certificate {}: {}", self.cert, self.detail)
-    }
-}
-
-/// Independent verifier for one shard's frontier: given the theory, the
-/// shard's *base* instance, the frontier facts (the shard's derived
-/// facts in derivation order) and their certificate bundle, replay every
-/// certificate and return how many were checked — or the first located
-/// failure. `qr-check::check_frontier` has exactly this shape; it is
-/// injected as a callback because `qr-check` depends on `qr-chase`.
-pub type FrontierVerify<'a> = dyn Fn(&Theory, &Instance, &[Fact], &ChaseCertBundle) -> Result<usize, FrontierRejection>
-    + Sync
-    + 'a;
-
-/// What to do when the theory's rules span shards.
-pub enum CrossShardPolicy<'a> {
-    /// Run the monolithic engine (byte-identical by construction).
-    Fallback,
-    /// Chase shards independently anyway and absorb their frontiers at
-    /// the merge point, gated on certificate replay by `verify`; a final
-    /// global chase closes cross-shard consequences. Set-equal to the
-    /// unsharded chase on terminating runs; never absorbs an unverified
-    /// fact.
-    Exchange {
-        /// The certificate replayer (typically `qr-check`'s
-        /// `check_frontier`, adapted to [`FrontierRejection`]).
-        verify: &'a FrontierVerify<'a>,
-    },
-}
-
-/// Tuning knobs for [`chase_sharded_opts`].
-pub struct ShardOpts<'a> {
-    /// Bin-packing target: at most `exec.threads() × shards_per_thread`
-    /// shards. More shards than threads keeps workers busy when
-    /// component sizes are skewed; the default is 4.
-    pub shards_per_thread: usize,
-    /// Policy for theories whose rules span shards.
-    pub cross_shard: CrossShardPolicy<'a>,
-}
-
-impl Default for ShardOpts<'static> {
-    fn default() -> Self {
-        ShardOpts {
-            shards_per_thread: 4,
-            cross_shard: CrossShardPolicy::Fallback,
         }
     }
 }
@@ -186,59 +100,30 @@ impl Default for ShardOpts<'static> {
 pub struct ShardStats {
     /// How the run was actually executed.
     pub mode: ShardMode,
-    /// Partition units found: Gaifman components ([`ShardMode::Gaifman`]
-    /// and [`ShardMode::Exchange`]) or predicate groups
-    /// ([`ShardMode::PredGroup`]). 0 when partitioning was skipped.
+    /// Gaifman components found (the nullary-fact pen excluded). 0 when
+    /// partitioning was skipped.
     pub components: usize,
     /// Shards actually chased (0 on bypass/fallback).
     pub shards: usize,
-    /// Frontier-exchange iterations performed (exchange mode: 1 if any
-    /// bundle was absorbed, else 0; deeper iterated exchange is a
-    /// ROADMAP follow-on).
-    pub frontier_rounds: usize,
-    /// Certificates shipped across the merge boundary.
-    pub certs_exchanged: u64,
-    /// Certificates that replayed successfully.
-    pub certs_checked: u64,
-    /// Certificates in rejected bundles (a bundle is absorbed atomically,
-    /// so one bad certificate rejects its whole shard's frontier).
-    pub certs_rejected: u64,
-    /// `HomKernel` searches observed while verifying frontiers — pinned
-    /// at 0: certificate replay is linear-time and search-free.
-    pub kernel_searches: u64,
-    /// Located verification failures: `(shard, rejection)`.
-    pub rejections: Vec<(usize, FrontierRejection)>,
     /// Wall time partitioning the base (component analysis + packing +
     /// splitting).
     pub partition_wall: Duration,
     /// Wall time chasing the shards (the parallel region).
     pub shard_wall: Duration,
-    /// Wall time merging shard results (or verifying + catch-up chasing
-    /// in exchange mode).
+    /// Wall time merging shard results.
     pub merge_wall: Duration,
 }
 
-/// Sharded chase with default options (cross-shard theories fall back to
-/// the monolithic engine). The returned [`Chase`] is byte-identical —
-/// fact stream, domain order, round snapshots, provenance, drift-gated
-/// counters — to `chase_with(theory, db, budget, exec)`.
+/// Sharded chase: Gaifman-partitioned when the theory is term-local on a
+/// constants-only base, the monolithic engine otherwise. The returned
+/// [`Chase`] is byte-identical — fact stream, domain order, round
+/// snapshots, provenance, drift-gated counters — to
+/// `chase_with(theory, db, budget, exec)` in every mode.
 pub fn chase_sharded(
     theory: &Theory,
     db: &Instance,
     budget: ChaseBudget,
     exec: &Executor,
-) -> (Chase, ShardStats) {
-    chase_sharded_opts(theory, db, budget, exec, &ShardOpts::default())
-}
-
-/// Sharded chase with explicit [`ShardOpts`]. See the module docs for
-/// the partition modes and the exchange protocol.
-pub fn chase_sharded_opts(
-    theory: &Theory,
-    db: &Instance,
-    budget: ChaseBudget,
-    exec: &Executor,
-    opts: &ShardOpts<'_>,
 ) -> (Chase, ShardStats) {
     let t0 = Instant::now();
     let mut stats = ShardStats::default();
@@ -246,51 +131,47 @@ pub fn chase_sharded_opts(
         stats.partition_wall = t0.elapsed();
         return (chase_with(theory, db, budget, exec), stats);
     }
-    let bins_max = exec.threads().saturating_mul(opts.shards_per_thread).max(1);
+    if !term_safe(theory) || !db.domain().iter().all(|t| t.is_const()) {
+        stats.mode = ShardMode::Fallback;
+        stats.partition_wall = t0.elapsed();
+        return (chase_with(theory, db, budget, exec), stats);
+    }
 
-    if term_safe(theory) && db.domain().iter().all(|t| t.is_const()) {
-        let (unit_of_fact, units) = gaifman_units(db);
-        stats.components = units.saturating_sub(1); // minus the nullary pen
-        return run_partitioned(
-            theory,
-            db,
-            budget,
-            exec,
-            ShardMode::Gaifman,
-            unit_of_fact,
-            units,
-            bins_max,
-            t0,
-            stats,
-        );
+    let (unit_of_fact, units) = gaifman_units(db);
+    stats.components = units - 1; // minus the nullary pen
+    let mut size = vec![0usize; units];
+    for &u in &unit_of_fact {
+        size[u] += 1;
     }
-    if pred_safe(theory) {
-        let (group_of, groups) = pred_groups(theory, db);
-        stats.components = groups;
-        let unit_of_fact: Vec<usize> = (0..db.len()).map(|i| group_of[&db.fact(i).pred]).collect();
-        return run_partitioned(
-            theory,
-            db,
-            budget,
-            exec,
-            ShardMode::PredGroup,
-            unit_of_fact,
-            groups,
-            bins_max,
-            t0,
-            stats,
-        );
+    if size.iter().filter(|&&s| s > 0).count() <= 1 {
+        // Single-component base: sharding buys nothing.
+        stats.partition_wall = t0.elapsed();
+        return (chase_with(theory, db, budget, exec), stats);
     }
-    match opts.cross_shard {
-        CrossShardPolicy::Fallback => {
-            stats.mode = ShardMode::Fallback;
-            stats.partition_wall = t0.elapsed();
-            (chase_with(theory, db, budget, exec), stats)
-        }
-        CrossShardPolicy::Exchange { verify } => {
-            chase_exchange(theory, db, budget, exec, verify, bins_max, t0, stats)
-        }
+    let bins_max = exec.threads().saturating_mul(SHARDS_PER_THREAD);
+    let (bin_of_unit, bins) = pack(&size, bins_max);
+    stats.mode = ShardMode::Gaifman;
+    stats.shards = bins;
+    let shard_of: Vec<usize> = unit_of_fact.iter().map(|&u| bin_of_unit[u]).collect();
+    let parts = db.split_by(&shard_of, bins);
+    let mut loc2glob: Vec<Vec<FactIdx>> = vec![Vec::new(); bins];
+    for (i, &s) in shard_of.iter().enumerate() {
+        loc2glob[s].push(i);
     }
+    stats.partition_wall = t0.elapsed();
+
+    let t1 = Instant::now();
+    let shard_chases: Vec<Chase> = exec.map_weighted(
+        &parts,
+        |p| p.len() as u64,
+        |p| chase_with(theory, p, budget, &Executor::sequential()),
+    );
+    stats.shard_wall = t1.elapsed();
+
+    let t2 = Instant::now();
+    let merged = merge_shards(db, budget, exec.threads(), &shard_chases, &mut loc2glob);
+    stats.merge_wall = t2.elapsed();
+    (merged, stats)
 }
 
 /// `true` iff every rule confines its matches and its derived facts to
@@ -319,21 +200,6 @@ fn term_safe(theory: &Theory) -> bool {
     })
 }
 
-/// `true` iff every rule's matches stay inside one predicate group:
-/// nonempty body, no `dom` atoms in body or head. Constants, nullary
-/// atoms and disconnected bodies are all fine — every fact of a
-/// predicate lives in its group's shard, and the matcher only ever scans
-/// per-predicate postings.
-fn pred_safe(theory: &Theory) -> bool {
-    theory.rules().iter().all(|r| {
-        !r.body().is_empty()
-            && r.body()
-                .iter()
-                .chain(r.head().iter())
-                .all(|a| !a.pred.is_dom())
-    })
-}
-
 /// Partition units for term-local theories: one unit per Gaifman
 /// component (numbered in first-occurrence domain order), plus a final
 /// pen for nullary facts (inert under term-local rules — no atom of
@@ -354,71 +220,6 @@ fn gaifman_units(db: &Instance) -> (Vec<usize>, usize) {
     (unit_of_fact, nullary + 1)
 }
 
-/// Path-halving union-find lookup.
-fn find(parent: &mut [usize], mut x: usize) -> usize {
-    while parent[x] != x {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-    }
-    x
-}
-
-/// Interns a predicate into the union-find, in first-occurrence order.
-fn intern(p: Pred, id: &mut HashMap<Pred, usize>, parent: &mut Vec<usize>) -> usize {
-    if let Some(&i) = id.get(&p) {
-        return i;
-    }
-    let i = parent.len();
-    parent.push(i);
-    id.insert(p, i);
-    i
-}
-
-/// Predicate groups for pred-local theories: union-find over each rule's
-/// body ∪ head predicates; instance predicates mentioned by no rule get
-/// singleton groups. Group numbers are assigned in predicate
-/// first-occurrence order (rules first, then the instance), so the
-/// partition is deterministic. Returns `(group per pred, group count)`.
-fn pred_groups(theory: &Theory, db: &Instance) -> (HashMap<Pred, usize>, usize) {
-    let mut id: HashMap<Pred, usize> = HashMap::new();
-    let mut parent: Vec<usize> = Vec::new();
-    for r in theory.rules() {
-        let mut root: Option<usize> = None;
-        for a in r.body().iter().chain(r.head().iter()) {
-            let i = intern(a.pred, &mut id, &mut parent);
-            let ri = find(&mut parent, i);
-            root = Some(match root {
-                None => ri,
-                Some(r0) => {
-                    let r0 = find(&mut parent, r0);
-                    if r0 == ri {
-                        r0
-                    } else {
-                        let (lo, hi) = if r0 < ri { (r0, ri) } else { (ri, r0) };
-                        parent[hi] = lo;
-                        lo
-                    }
-                }
-            });
-        }
-    }
-    for p in db.preds() {
-        intern(p, &mut id, &mut parent);
-    }
-    let mut by_intern: Vec<(usize, Pred)> = id.iter().map(|(&p, &i)| (i, p)).collect();
-    by_intern.sort_by_key(|&(i, _)| i);
-    let mut group_no: HashMap<usize, usize> = HashMap::new();
-    let mut group_of: HashMap<Pred, usize> = HashMap::new();
-    for (i, p) in by_intern {
-        let root = find(&mut parent, i);
-        let next = group_no.len();
-        let g = *group_no.entry(root).or_insert(next);
-        group_of.insert(p, g);
-    }
-    let n = group_no.len();
-    (group_of, n)
-}
-
 /// Deterministic bin-packing of partition units into at most `bins_max`
 /// shards: units sorted by (size desc, unit id asc), each assigned to
 /// the least-loaded bin (ties to the lowest bin index). Zero-size units
@@ -437,55 +238,6 @@ fn pack(size: &[usize], bins_max: usize) -> (Vec<usize>, usize) {
         load[b] += size[u];
     }
     (bin_of, bins)
-}
-
-/// The shard-local path: split, chase each shard sequentially on the
-/// worker pool, splice the results back together byte-identically.
-#[allow(clippy::too_many_arguments)]
-fn run_partitioned(
-    theory: &Theory,
-    db: &Instance,
-    budget: ChaseBudget,
-    exec: &Executor,
-    mode: ShardMode,
-    unit_of_fact: Vec<usize>,
-    units: usize,
-    bins_max: usize,
-    t0: Instant,
-    mut stats: ShardStats,
-) -> (Chase, ShardStats) {
-    let mut size = vec![0usize; units];
-    for &u in &unit_of_fact {
-        size[u] += 1;
-    }
-    if size.iter().filter(|&&s| s > 0).count() <= 1 {
-        // Single-component / single-group base: sharding buys nothing.
-        stats.partition_wall = t0.elapsed();
-        return (chase_with(theory, db, budget, exec), stats);
-    }
-    let (bin_of_unit, bins) = pack(&size, bins_max);
-    stats.mode = mode;
-    stats.shards = bins;
-    let shard_of: Vec<usize> = unit_of_fact.iter().map(|&u| bin_of_unit[u]).collect();
-    let parts = db.split_by(&shard_of, bins);
-    let mut loc2glob: Vec<Vec<FactIdx>> = vec![Vec::new(); bins];
-    for (i, &s) in shard_of.iter().enumerate() {
-        loc2glob[s].push(i);
-    }
-    stats.partition_wall = t0.elapsed();
-
-    let t1 = Instant::now();
-    let shard_chases: Vec<Chase> = exec.map_weighted(
-        &parts,
-        |p| p.len() as u64,
-        |p| chase_with(theory, p, budget, &Executor::sequential()),
-    );
-    stats.shard_wall = t1.elapsed();
-
-    let t2 = Instant::now();
-    let merged = merge_shards(db, budget, exec.threads(), &shard_chases, &mut loc2glob);
-    stats.merge_wall = t2.elapsed();
-    (merged, stats)
 }
 
 /// Splices shard chases into the [`Chase`] the monolithic engine would
@@ -618,90 +370,6 @@ fn merge_shards(
     }
 }
 
-/// Certified frontier exchange for cross-shard theories: chase Gaifman
-/// shards independently, absorb each shard's derived facts into the base
-/// only after its [`ChaseCertBundle`] replays through the injected
-/// verifier, then run one global chase over the enriched base. Sound
-/// unconditionally (unverified bundles are dropped, verified facts are
-/// in `Ch(T, shard base) ⊆ Ch(T, base)`); complete — set-equal to the
-/// unsharded chase — whenever the chase terminates within budget, by
-/// Observation 8.
-#[allow(clippy::too_many_arguments)]
-fn chase_exchange(
-    theory: &Theory,
-    db: &Instance,
-    budget: ChaseBudget,
-    exec: &Executor,
-    verify: &FrontierVerify<'_>,
-    bins_max: usize,
-    t0: Instant,
-    mut stats: ShardStats,
-) -> (Chase, ShardStats) {
-    let (unit_of_fact, units) = gaifman_units(db);
-    stats.components = units.saturating_sub(1);
-    let mut size = vec![0usize; units];
-    for &u in &unit_of_fact {
-        size[u] += 1;
-    }
-    if size.iter().filter(|&&s| s > 0).count() <= 1 {
-        stats.partition_wall = t0.elapsed();
-        return (chase_with(theory, db, budget, exec), stats);
-    }
-    let (bin_of_unit, bins) = pack(&size, bins_max);
-    stats.mode = ShardMode::Exchange;
-    stats.shards = bins;
-    let shard_of: Vec<usize> = unit_of_fact.iter().map(|&u| bin_of_unit[u]).collect();
-    let parts = db.split_by(&shard_of, bins);
-    stats.partition_wall = t0.elapsed();
-
-    let t1 = Instant::now();
-    let shard_chases: Vec<Chase> = exec.map_weighted(
-        &parts,
-        |p| p.len() as u64,
-        |p| chase_with(theory, p, budget, &Executor::sequential()),
-    );
-    stats.shard_wall = t1.elapsed();
-
-    let t2 = Instant::now();
-    let kernel_before = qr_hom::global_kernel().stats();
-    let mut merged = db.clone();
-    let mut absorbed = false;
-    for (s, ch) in shard_chases.iter().enumerate() {
-        let base = parts[s].len();
-        if ch.instance.len() == base {
-            continue;
-        }
-        let frontier: Vec<Fact> = (base..ch.instance.len())
-            .map(|i| ch.instance.fact(i).to_fact())
-            .collect();
-        let bundle = emit_chase_certs(theory, ch);
-        stats.certs_exchanged += bundle.len() as u64;
-        match verify(theory, &parts[s], &frontier, &bundle) {
-            Ok(n) => {
-                stats.certs_checked += n as u64;
-                for f in frontier {
-                    merged.insert(f);
-                }
-                absorbed = true;
-            }
-            Err(rejection) => {
-                // Not absorbed; the catch-up chase below re-derives
-                // whatever the shard legitimately proved, so a bad
-                // bundle costs time, never soundness.
-                stats.certs_rejected += bundle.len() as u64;
-                stats.rejections.push((s, rejection));
-            }
-        }
-    }
-    let kernel_after = qr_hom::global_kernel().stats();
-    stats.kernel_searches = (kernel_after.searches - kernel_before.searches)
-        + (kernel_after.core_searches - kernel_before.core_searches);
-    stats.frontier_rounds = usize::from(absorbed);
-    let result = chase_with(theory, &merged, budget, exec);
-    stats.merge_wall = t2.elapsed();
-    (result, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,23 +419,16 @@ mod tests {
     fn classifies_theories() {
         let term = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z). h(X) -> m(X,Y).").unwrap();
         assert!(term_safe(&term));
-        assert!(pred_safe(&term));
-        // Constant in the head: term-unsafe, still pred-safe.
-        let with_const = parse_theory("e(X,Y) -> p(X,a).").unwrap();
-        assert!(!term_safe(&with_const));
-        assert!(pred_safe(&with_const));
-        // Disconnected body: term-unsafe, still pred-safe.
-        let cross = parse_theory("p(X), q(Y) -> r(X,Y).").unwrap();
-        assert!(!term_safe(&cross));
-        assert!(pred_safe(&cross));
-        // dom atom: neither.
-        let dom = parse_theory("e(X,Y), dom(Z) -> t(X,Z).").unwrap();
-        assert!(!term_safe(&dom));
-        assert!(!pred_safe(&dom));
+        // Constant in the head.
+        assert!(!term_safe(&parse_theory("e(X,Y) -> p(X,a).").unwrap()));
+        // Disconnected body.
+        assert!(!term_safe(&parse_theory("p(X), q(Y) -> r(X,Y).").unwrap()));
+        // dom atom.
+        assert!(!term_safe(
+            &parse_theory("e(X,Y), dom(Z) -> t(X,Z).").unwrap()
+        ));
         // No frontier (head shares no variable with the body).
-        let detached = parse_theory("p(X) -> q(Y).").unwrap();
-        assert!(!term_safe(&detached));
-        assert!(pred_safe(&detached));
+        assert!(!term_safe(&parse_theory("p(X) -> q(Y).").unwrap()));
     }
 
     #[test]
@@ -804,17 +465,17 @@ mod tests {
     }
 
     #[test]
-    fn pred_group_mode_is_byte_identical() {
-        // Term-unsafe (constant in a head; disconnected body) but
-        // pred-safe; groups: {e,p} ∪ {q,r,s} with u a singleton.
+    fn term_unsafe_theory_falls_back_byte_identically() {
+        // Term-unsafe (constant in a head; disconnected body): the
+        // components would share triggers, so the monolithic engine runs.
         let t = parse_theory("e(X,Y) -> p(X,a). q(X), r(Y) -> s(X,Y).").unwrap();
         let d = parse_instance("e(m,n). e(n,o). q(h). r(k). u(z).").unwrap();
         let budget = ChaseBudget::default();
         let reference = chase_with(&t, &d, budget, &Executor::sequential());
         let exec = Executor::with_threads(4);
         let (sharded, stats) = chase_sharded(&t, &d, budget, &exec);
-        assert_eq!(stats.mode, ShardMode::PredGroup);
-        assert_eq!(stats.components, 3, "two rule groups plus singleton u");
+        assert_eq!(stats.mode, ShardMode::Fallback);
+        assert_eq!((stats.components, stats.shards), (0, 0));
         assert_identical(&sharded, &reference);
     }
 
@@ -831,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_theory_falls_back_by_default() {
+    fn dom_theory_falls_back() {
         let t = parse_theory("e(X,Y), dom(Z) -> t(X,Z).").unwrap();
         let d = parse_instance("e(a,b). e(c,d).").unwrap();
         let exec = Executor::with_threads(4);
@@ -839,65 +500,6 @@ mod tests {
         assert_eq!(stats.mode, ShardMode::Fallback);
         let reference = chase_with(&t, &d, ChaseBudget::default(), &exec);
         assert_identical(&sharded, &reference);
-    }
-
-    #[test]
-    fn exchange_mode_absorbs_verified_frontiers() {
-        // dom forces cross-shard triggers; the exchange pre-derives the
-        // shard-local t-facts and the catch-up closes the rest.
-        let t = parse_theory("e(X,Y), dom(Z) -> t(X,Z).").unwrap();
-        let d = parse_instance("e(a,b). e(c,d).").unwrap();
-        let budget = ChaseBudget::default();
-        let exec = Executor::with_threads(4);
-        // Trusting verifier: accepts every bundle without replay (the
-        // real qr-check verifier is exercised in the integration tests).
-        let verify =
-            |_: &Theory, _: &Instance, frontier: &[Fact], _: &ChaseCertBundle| Ok(frontier.len());
-        let opts = ShardOpts {
-            cross_shard: CrossShardPolicy::Exchange { verify: &verify },
-            ..ShardOpts::default()
-        };
-        let (sharded, stats) = chase_sharded_opts(&t, &d, budget, &exec, &opts);
-        assert_eq!(stats.mode, ShardMode::Exchange);
-        assert_eq!(stats.components, 2);
-        assert!(stats.certs_exchanged > 0);
-        assert_eq!(stats.certs_checked, stats.certs_exchanged);
-        assert_eq!(stats.certs_rejected, 0);
-        assert_eq!(stats.frontier_rounds, 1);
-        assert_eq!(stats.kernel_searches, 0, "replay is search-free");
-        // Set-equal (never byte-identical: absorbed facts arrive early).
-        let reference = chase_with(&t, &d, budget, &Executor::sequential());
-        assert!(reference.terminated() && sharded.terminated());
-        assert_eq!(sharded.instance, reference.instance, "same fact set");
-    }
-
-    #[test]
-    fn exchange_mode_survives_rejected_bundles() {
-        let t = parse_theory("e(X,Y), dom(Z) -> t(X,Z).").unwrap();
-        let d = parse_instance("e(a,b). e(c,d).").unwrap();
-        let exec = Executor::with_threads(4);
-        // Paranoid verifier: rejects everything; the catch-up chase must
-        // still produce the full model.
-        let verify = |_: &Theory, _: &Instance, _: &[Fact], _: &ChaseCertBundle| {
-            Err(FrontierRejection {
-                cert: 0,
-                detail: "rejected by test verifier".into(),
-            })
-        };
-        let opts = ShardOpts {
-            cross_shard: CrossShardPolicy::Exchange { verify: &verify },
-            ..ShardOpts::default()
-        };
-        let (sharded, stats) = chase_sharded_opts(&t, &d, ChaseBudget::default(), &exec, &opts);
-        assert_eq!(stats.certs_checked, 0);
-        assert!(stats.certs_rejected > 0);
-        assert_eq!(stats.frontier_rounds, 0);
-        assert_eq!(stats.rejections.len(), stats.shards.min(2));
-        let reference = chase_with(&t, &d, ChaseBudget::default(), &Executor::sequential());
-        assert_eq!(
-            sharded.instance, reference.instance,
-            "soundness without absorption"
-        );
     }
 
     #[test]

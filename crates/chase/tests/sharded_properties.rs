@@ -2,16 +2,13 @@
 //!
 //! The in-crate unit tests pin byte-identity on fixtures; here we drive
 //! randomized theories and instances through `chase_sharded` at 1/2/4
-//! threads, and wire the exchange protocol to the *real* certificate
-//! replayer (`qr_check::check_frontier`) — including a forged bundle
-//! that must be rejected with a located [`qr_check::CheckError`].
+//! threads and pin both byte-identity with `chase_with` and the exact
+//! mode each run resolves to: Gaifman sharding for term-local theories,
+//! the monolithic fallback for every other theory.
 
-use qr_chase::{
-    chase_sharded, chase_sharded_opts, chase_with, Chase, ChaseBudget, ChaseCertBundle,
-    CrossShardPolicy, FrontierRejection, ShardMode, ShardOpts,
-};
+use qr_chase::{chase_sharded, chase_with, Chase, ChaseBudget, ShardMode};
 use qr_exec::Executor;
-use qr_syntax::{parse_instance, parse_theory, Fact, Instance, Theory};
+use qr_syntax::{parse_instance, parse_theory, Instance, Theory};
 use qr_testkit::Rng;
 
 /// Field-by-field byte-identity of two chase runs (walls excluded: they
@@ -47,17 +44,20 @@ fn assert_identical(a: &Chase, b: &Chase) {
     }
 }
 
-/// A random theory from a pool of shardable rules: always at least one
-/// term-safe rule, sometimes a term-unsafe (but pred-safe) one, so the
-/// property exercises both the Gaifman and the predicate-group modes.
-fn random_theory(rng: &mut Rng) -> Theory {
+/// A random theory from a pool of rules: always at least one term-local
+/// rule, sometimes a term-unsafe one (a disconnected body or a head
+/// constant), so the property exercises both the Gaifman and the
+/// fallback modes. Returns the theory and whether a term-unsafe rule was
+/// drawn.
+fn random_theory(rng: &mut Rng) -> (Theory, bool) {
     let term_safe_pool = [
         "e(X,Y), e(Y,Z) -> e(X,Z).",
         "e(X,Y) -> e(Y,X).",
         "e(X,Y) -> n(X,W).",
         "n(X,W) -> p(X).",
+        "q(X) -> r(X).",
     ];
-    let pred_safe_pool = ["q(X), r(Y) -> s(X,Y).", "q(X) -> r(X)."];
+    let term_unsafe_pool = ["q(X), r(Y) -> s(X,Y).", "q(X) -> s(X,a)."];
     let mut src = String::new();
     src.push_str(term_safe_pool[rng.below(term_safe_pool.len())]);
     for rule in &term_safe_pool {
@@ -65,10 +65,11 @@ fn random_theory(rng: &mut Rng) -> Theory {
             src.push_str(rule);
         }
     }
-    if rng.bool() {
-        src.push_str(pred_safe_pool[rng.below(pred_safe_pool.len())]);
+    let unsafe_drawn = rng.bool();
+    if unsafe_drawn {
+        src.push_str(term_unsafe_pool[rng.below(term_unsafe_pool.len())]);
     }
-    parse_theory(&src).unwrap()
+    (parse_theory(&src).unwrap(), unsafe_drawn)
 }
 
 /// A random instance of `comps` disconnected components, each a sprinkle
@@ -96,7 +97,7 @@ fn random_instance(rng: &mut Rng, comps: usize) -> Instance {
 #[test]
 fn sharded_chase_is_byte_identical_across_thread_counts() {
     qr_testkit::check("sharded_byte_identity", 30, |rng: &mut Rng| {
-        let theory = random_theory(rng);
+        let (theory, unsafe_drawn) = random_theory(rng);
         let comps = rng.range(2, 7);
         let db = random_instance(rng, comps);
         let budget = if rng.bool() {
@@ -108,11 +109,17 @@ fn sharded_chase_is_byte_identical_across_thread_counts() {
         for threads in [1, 2, 4] {
             let exec = Executor::with_threads(threads);
             let (sharded, stats) = chase_sharded(&theory, &db, budget, &exec);
-            assert_ne!(
-                stats.mode,
-                ShardMode::Exchange,
-                "shardable theories never need the exchange"
-            );
+            let expected = if threads == 1 {
+                ShardMode::Bypass
+            } else if unsafe_drawn {
+                ShardMode::Fallback
+            } else {
+                ShardMode::Gaifman
+            };
+            assert_eq!(stats.mode, expected, "{threads} threads");
+            if expected == ShardMode::Gaifman {
+                assert!(stats.shards >= 2, "{} shards", stats.shards);
+            }
             assert_identical(&sharded, &reference);
         }
     });
@@ -137,86 +144,4 @@ fn connected_instances_bypass_sharding() {
         let reference = chase_with(&theory, &db, ChaseBudget::default(), &exec);
         assert_identical(&sharded, &reference);
     });
-}
-
-/// The production verifier: replay the peer's bundle through `qr-check`.
-fn replaying_verifier(
-    theory: &Theory,
-    base: &Instance,
-    frontier: &[Fact],
-    bundle: &ChaseCertBundle,
-) -> Result<usize, FrontierRejection> {
-    qr_check::check_frontier(theory, base, frontier, bundle).map_err(|e| FrontierRejection {
-        cert: e.cert,
-        detail: e.to_string(),
-    })
-}
-
-#[test]
-fn exchange_absorbs_frontiers_through_the_real_checker() {
-    // `dom(Z)` makes every rule cross-shard; the exchange ships each
-    // shard's derived facts with certificates, replayed by qr-check.
-    let theory = parse_theory("e(X,Y), dom(Z) -> t(X,Z).").unwrap();
-    let db = parse_instance("e(a,b). e(c,d). e(g,h).").unwrap();
-    let budget = ChaseBudget::default();
-    let opts = ShardOpts {
-        cross_shard: CrossShardPolicy::Exchange {
-            verify: &replaying_verifier,
-        },
-        ..ShardOpts::default()
-    };
-    let (sharded, stats) =
-        chase_sharded_opts(&theory, &db, budget, &Executor::with_threads(4), &opts);
-    assert_eq!(stats.mode, ShardMode::Exchange);
-    assert!(stats.certs_exchanged > 0);
-    assert_eq!(stats.certs_checked, stats.certs_exchanged);
-    assert_eq!(stats.certs_rejected, 0);
-    assert_eq!(
-        stats.kernel_searches, 0,
-        "certificate replay must not touch the hom kernel"
-    );
-    let reference = chase_with(&theory, &db, budget, &Executor::sequential());
-    assert!(reference.terminated() && sharded.terminated());
-    assert_eq!(sharded.instance, reference.instance, "same fact set");
-}
-
-#[test]
-fn forged_frontier_certificates_are_rejected_at_the_merge() {
-    let theory = parse_theory("e(X,Y), dom(Z) -> t(X,Z).").unwrap();
-    let db = parse_instance("e(a,b). e(c,d).").unwrap();
-    let budget = ChaseBudget::default();
-    // A man-in-the-middle: certificate 0 of every bundle is rewired to
-    // reference the fact it certifies (circular), then replayed through
-    // the real checker — which must reject it with a located error.
-    let forge = |theory: &Theory, base: &Instance, frontier: &[Fact], bundle: &ChaseCertBundle| {
-        let mut forged = bundle.clone();
-        forged.certs[0].trigger[0] = forged.certs[0].fact;
-        replaying_verifier(theory, base, frontier, &forged)
-    };
-    let opts = ShardOpts {
-        cross_shard: CrossShardPolicy::Exchange { verify: &forge },
-        ..ShardOpts::default()
-    };
-    let (sharded, stats) =
-        chase_sharded_opts(&theory, &db, budget, &Executor::with_threads(4), &opts);
-    assert_eq!(stats.certs_checked, 0, "no forged bundle may be absorbed");
-    assert!(stats.certs_rejected > 0);
-    let (_, rejection) = &stats.rejections[0];
-    assert_eq!(
-        rejection.cert, 0,
-        "rejection locates the forged certificate"
-    );
-    assert!(
-        rejection.detail.contains("certificate 0"),
-        "located detail: {}",
-        rejection.detail
-    );
-    assert!(
-        rejection.detail.contains("not earlier"),
-        "names the violation: {}",
-        rejection.detail
-    );
-    // Soundness: nothing was absorbed, the catch-up still closes the gap.
-    let reference = chase_with(&theory, &db, budget, &Executor::sequential());
-    assert_eq!(sharded.instance, reference.instance);
 }

@@ -14,60 +14,9 @@
 use std::collections::HashMap;
 
 use qr_chase::{ChaseCertBundle, SkolemizedRule};
-use qr_syntax::{Fact, Instance, QTerm, TermId, Theory, Var};
+use qr_syntax::{Instance, QTerm, TermId, Theory, Var};
 
 use crate::error::{CheckError, CheckErrorKind};
-
-/// Verifies a shard's exported frontier before it is absorbed: `frontier`
-/// claims to be facts derivable from `base`, and `bundle` must certify
-/// exactly those facts (one certificate per frontier fact, in order, with
-/// `bundle.base == base.len()`). The frontier facts are appended to a
-/// copy of `base` and the bundle is replayed with [`check_chase`] — no
-/// homomorphism search, pure linear replay. Returns the number of
-/// certificates replayed.
-///
-/// This is the verification gate of the sharded chase's frontier
-/// exchange (`qr_chase::sharded`): a receiving shard never trusts a
-/// peer's derived facts, only their certificates.
-pub fn check_frontier(
-    theory: &Theory,
-    base: &Instance,
-    frontier: &[Fact],
-    bundle: &ChaseCertBundle,
-) -> Result<usize, CheckError> {
-    if bundle.base as usize != base.len() {
-        return Err(CheckError::at(
-            0,
-            CheckErrorKind::BaseMismatch {
-                base: bundle.base,
-                facts: base.len(),
-            },
-        ));
-    }
-    if bundle.certs.len() != frontier.len() {
-        return Err(CheckError::at(
-            0,
-            CheckErrorKind::CertCount {
-                expected: frontier.len(),
-                got: bundle.certs.len(),
-            },
-        ));
-    }
-    let mut inst = base.clone();
-    for (k, fact) in frontier.iter().enumerate() {
-        if inst.insert(fact.clone()).is_none() {
-            // Already present: certificate indices cannot line up.
-            let index = inst.index_of(fact).expect("duplicate fact has an index");
-            return Err(CheckError::at(
-                k,
-                CheckErrorKind::FrontierDuplicate {
-                    index: index as u32,
-                },
-            ));
-        }
-    }
-    check_chase(theory, &inst, bundle)
-}
 
 /// Replays a chase certificate bundle against the theory and the chased
 /// instance. On success, every fact beyond the bundle's base has been
@@ -287,65 +236,22 @@ mod tests {
         ));
     }
 
-    /// A shard's export: its base, its derived facts, and their bundle.
-    fn frontier_of(t: &str, db: &str) -> (Theory, Instance, Vec<Fact>, ChaseCertBundle) {
-        let theory = parse_theory(t).unwrap();
-        let d = parse_instance(db).unwrap();
-        let c = chase(&theory, &d, ChaseBudget::default());
-        let bundle = emit_chase_certs(&theory, &c);
-        let frontier: Vec<Fact> = (d.len()..c.instance.len())
-            .map(|i| c.instance.fact(i).to_fact())
-            .collect();
-        (theory, d, frontier, bundle)
-    }
-
     #[test]
-    fn frontier_replay_accepts_a_shard_export() {
-        let (t, base, frontier, b) = frontier_of("e(X,Y), e(Y,Z) -> e(X,Z).", "e(a,b). e(b,c).");
-        assert_eq!(frontier.len(), 1); // e(a,c)
-        assert_eq!(check_frontier(&t, &base, &frontier, &b).unwrap(), 1);
-    }
-
-    #[test]
-    fn frontier_rejects_a_forged_fact_with_location() {
-        let (t, base, mut frontier, b) =
-            frontier_of("e(X,Y), e(Y,Z) -> e(X,Z).", "e(a,b). e(b,c). e(c,d).");
-        // Smuggle an underivable fact in place of a certified one: the
-        // replay of its certificate must fail, locating the forgery.
-        let k = frontier.len() - 1;
-        frontier[k] = parse_instance("e(z,z).").unwrap().fact(0).to_fact();
-        let e = check_frontier(&t, &base, &frontier, &b).unwrap_err();
-        assert_eq!(e.cert, k);
-        assert!(matches!(e.kind, CheckErrorKind::FactNotInHead));
-    }
-
-    #[test]
-    fn frontier_rejects_base_and_count_mismatches() {
-        let (t, base, frontier, b) = frontier_of("e(X,Y), e(Y,Z) -> e(X,Z).", "e(a,b). e(b,c).");
-        let mut small = Instance::new();
-        small.insert(base.fact(0).to_fact());
-        let e = check_frontier(&t, &small, &frontier, &b).unwrap_err();
+    fn rejects_base_and_count_mismatches() {
+        let (t, inst, b) = certified("e(X,Y), e(Y,Z) -> e(X,Z).", "e(a,b). e(b,c).");
+        let mut past_end = b.clone();
+        past_end.base = inst.len() as u32 + 1;
+        let e = check_chase(&t, &inst, &past_end).unwrap_err();
         assert!(matches!(e.kind, CheckErrorKind::BaseMismatch { .. }));
-        let e = check_frontier(&t, &base, &[], &b).unwrap_err();
+        let mut short = b;
+        short.certs.clear();
+        let e = check_chase(&t, &inst, &short).unwrap_err();
         assert!(matches!(
             e.kind,
             CheckErrorKind::CertCount {
-                expected: 0,
-                got: 1
+                expected: 1,
+                got: 0
             }
-        ));
-    }
-
-    #[test]
-    fn frontier_rejects_a_duplicate_of_a_base_fact() {
-        let (t, base, mut frontier, b) =
-            frontier_of("e(X,Y), e(Y,Z) -> e(X,Z).", "e(a,b). e(b,c).");
-        frontier[0] = base.fact(0).to_fact();
-        let e = check_frontier(&t, &base, &frontier, &b).unwrap_err();
-        assert_eq!(e.cert, 0);
-        assert!(matches!(
-            e.kind,
-            CheckErrorKind::FrontierDuplicate { index: 0 }
         ));
     }
 }

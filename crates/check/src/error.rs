@@ -48,9 +48,6 @@ pub enum CheckErrorKind {
     /// A chase certificate out of fact order (`certs[k].fact` must be
     /// `base + k`).
     FactIndexMismatch { expected: u32, got: u32 },
-    /// A frontier fact already present in the instance it extends — the
-    /// certificate indices cannot align.
-    FrontierDuplicate { index: u32 },
     /// Wrong number of trigger facts for the rule's regular body atoms.
     TriggerCount { expected: usize, got: usize },
     /// A trigger fact index not strictly below the derived fact —
@@ -117,9 +114,6 @@ impl fmt::Display for CheckErrorKind {
                     f,
                     "certificate for fact {got} where fact {expected} was expected"
                 )
-            }
-            FrontierDuplicate { index } => {
-                write!(f, "frontier fact already present at fact {index}")
             }
             TriggerCount { expected, got } => {
                 write!(f, "{got} trigger facts for {expected} regular body atoms")

@@ -14,9 +14,6 @@
 //! * [`check_chase`] re-derives every chased fact from strictly earlier
 //!   facts by re-unifying recorded triggers and re-applying the
 //!   Skolemized head ([`qr_chase::SkolemizedRule::apply_with_frontier`]).
-//! * [`check_frontier`] gates the sharded chase's frontier exchange: a
-//!   peer shard's exported facts are appended to the local base and
-//!   their certificate bundle replayed before any of them is absorbed.
 //!
 //! Neither touches a `HomKernel`, so no drift-gated counter moves.
 //! Failures are structured and located ([`CheckError`]); the versioned
@@ -29,7 +26,7 @@ pub mod codec;
 pub mod error;
 pub mod rewrite;
 
-pub use chase::{check_chase, check_frontier};
+pub use chase::check_chase;
 pub use codec::{
     decode_chase_certs, decode_rewrite_certs, encode_chase_certs, encode_rewrite_certs, QRCC_MAGIC,
     QRRC_MAGIC,

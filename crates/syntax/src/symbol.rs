@@ -2,7 +2,8 @@
 //!
 //! Symbols are cheap (`u32`) copies; the backing strings are leaked once and
 //! live for the duration of the process, so [`Symbol::as_str`] can hand out
-//! `&'static str` without locking on the read path.
+//! `&'static str`. Every call — [`Symbol::as_str`] included — takes the
+//! interner mutex; only the returned string outlives the lock.
 
 use std::collections::HashMap;
 use std::fmt;
