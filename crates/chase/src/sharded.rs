@@ -442,7 +442,7 @@ mod tests {
             load[b] += [10, 1, 1, 1, 1, 10, 0, 4][u];
         }
         assert_eq!(load.iter().sum::<usize>(), 28);
-        assert!(load.iter().all(|&l| l >= 14 - 2 && l <= 14 + 2), "{load:?}");
+        assert!(load.iter().all(|l| (12..=16).contains(l)), "{load:?}");
         // Re-running gives the same assignment.
         assert_eq!(pack(&[10, 1, 1, 1, 1, 10, 0, 4], 2), (bin_of, bins));
     }

@@ -3,7 +3,7 @@ fn probe_retract_vanishing_dom_var_sweep() {
     use qr_chase::engine::chase_with;
     use qr_chase::{chase_incremental, ChaseBudget, WriteBatch};
     use qr_exec::Executor;
-    use qr_syntax::{parse_instance, parse_theory, Fact, Instance, Symbol, TermId};
+    use qr_syntax::{parse_instance, parse_theory, Fact, Symbol, TermId};
     let t = parse_theory("s, dom(Y) -> q.").unwrap();
     let d = parse_instance("s. r(z).").unwrap();
     let exec = Executor::sequential();

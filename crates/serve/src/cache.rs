@@ -168,26 +168,6 @@ impl RewriteCache {
         evicted
     }
 
-    /// Drops every entry belonging to `tenant`, returning how many were
-    /// removed. Called at the ordered merge point when a [`FactWrite`]
-    /// lands, so the eviction stream stays deterministic; entries of other
-    /// tenants keep their residency and LRU position.
-    ///
-    /// [`FactWrite`]: crate::FactWrite
-    pub(crate) fn invalidate_tenant(&mut self, tenant: u32) -> u64 {
-        let victims: Vec<CacheKey> = self
-            .slots
-            .keys()
-            .filter(|k| k.tenant == tenant)
-            .cloned()
-            .collect();
-        for key in &victims {
-            let slot = self.slots.remove(key).expect("victim is resident");
-            self.bytes -= slot.entry.bytes;
-        }
-        victims.len() as u64
-    }
-
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }

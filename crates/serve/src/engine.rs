@@ -66,10 +66,11 @@ pub struct CqRequest {
 }
 
 /// A base-fact write against one tenant's instance. Writes ride the same
-/// ordered request stream as queries: the batch is applied (and the
-/// tenant's cache entries invalidated) at the merge point, in submission
-/// order, so every later query sees the updated instance and every counter
-/// stays deterministic at any worker-pool width.
+/// ordered request stream as queries: the batch is applied at the merge
+/// point, in submission order, so every later query sees the updated
+/// instance and every counter stays deterministic at any worker-pool width.
+/// Rewritings are pure in (theory, query) and survive writes: a cached
+/// entry's plans run on the post-write instance at each request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FactWrite {
     /// Which registered theory's instance to write.
@@ -148,9 +149,6 @@ pub enum ResponseStatus {
         /// Base facts actually removed (absent retractions are not
         /// counted).
         retracted: u64,
-        /// Rewriting-cache entries dropped by the per-tenant
-        /// invalidation; 0 when the write changed nothing.
-        invalidated: u64,
     },
     /// The request never reached a rewriting.
     Rejected {
@@ -198,10 +196,9 @@ impl Response {
             ResponseStatus::Written {
                 inserted,
                 retracted,
-                invalidated,
             } => format!(
-                "[{}] {} write inserted={} retracted={} invalidated={}",
-                self.seq, self.theory, inserted, retracted, invalidated
+                "[{}] {} write inserted={} retracted={}",
+                self.seq, self.theory, inserted, retracted
             ),
             ResponseStatus::Answered {
                 tier,
@@ -539,7 +536,7 @@ fn finish(
     stats.counters.requests += 1;
     let theory_id = req.theory().to_owned();
     let status = match (req, prep.query) {
-        (Request::Write(w), _) => finish_write(tenants, cache, stats, &w),
+        (Request::Write(w), _) => finish_write(tenants, stats, &w),
         (Request::Query(_), None) => unreachable!("queries prepare a parse outcome"),
         (Request::Query(_), Some(Err(reason))) => {
             stats.counters.rejected += 1;
@@ -604,17 +601,11 @@ fn finish(
     }
 }
 
-/// Write-side merge stage: apply the batch to the tenant instance and, if
-/// anything changed, drop that tenant's cache entries. Rewritings are pure
-/// in (theory, query) — the invalidation is not about their soundness but
-/// keeps residency a function of the request stream alone, so counters and
-/// traces stay pinned.
-fn finish_write(
-    tenants: &[Tenant],
-    cache: &Mutex<RewriteCache>,
-    stats: &mut ServeStats,
-    write: &FactWrite,
-) -> ResponseStatus {
+/// Write-side merge stage: apply the batch to the tenant instance. The
+/// cache is not touched: rewritings are pure in (theory, query) and survive
+/// writes, and a later hit runs its cached plans on the post-write
+/// instance, which is exact because plans are evaluated per request.
+fn finish_write(tenants: &[Tenant], stats: &mut ServeStats, write: &FactWrite) -> ResponseStatus {
     let Some(tenant) = tenants.iter().position(|t| t.id == write.theory) else {
         stats.counters.rejected += 1;
         return ResponseStatus::Rejected {
@@ -624,26 +615,12 @@ fn finish_write(
     let mut data = tenants[tenant].data.lock().expect("tenant data poisoned");
     let (inserted, retracted) = apply_write(&mut data, &write.batch);
     drop(data);
-    let invalidated = if inserted + retracted > 0 {
-        cache
-            .lock()
-            .expect("serve cache poisoned")
-            .invalidate_tenant(tenant as u32)
-    } else {
-        0
-    };
-    let c = cache.lock().expect("serve cache poisoned");
-    stats.counters.cache_bytes = c.bytes() as u64;
-    stats.counters.peak_cache_bytes = c.peak_bytes() as u64;
-    drop(c);
     stats.counters.writes += 1;
     stats.counters.facts_inserted += inserted;
     stats.counters.facts_retracted += retracted;
-    stats.counters.cache_invalidations += invalidated;
     ResponseStatus::Written {
         inserted,
         retracted,
-        invalidated,
     }
 }
 
@@ -861,19 +838,17 @@ mod tests {
         let ResponseStatus::Written {
             inserted,
             retracted,
-            invalidated,
         } = w.status
         else {
             panic!("written expected, got {:?}", w.status);
         };
         assert_eq!((inserted, retracted), (1, 0));
-        assert_eq!(invalidated, 1, "the boolean query's entry was resident");
 
         let after = e.submit(req("path", "? :- e(q,r)."));
         let ResponseStatus::Answered { tier, answers, .. } = &after.status else {
             panic!("answered expected");
         };
-        assert_eq!(*tier, Tier::Miss, "write dropped the cached rewriting");
+        assert_eq!(*tier, Tier::Hit, "the rewriting survived the write");
         assert_eq!(answers.len(), 1, "the inserted edge is now certain");
 
         let r = e.submit_write(FactWrite {
@@ -883,21 +858,21 @@ mod tests {
         let ResponseStatus::Written {
             inserted,
             retracted,
-            ..
         } = r.status
         else {
             panic!("written expected");
         };
         assert_eq!((inserted, retracted), (0, 1));
         let gone = e.submit(req("path", "? :- e(q,r)."));
-        let ResponseStatus::Answered { answers, .. } = &gone.status else {
+        let ResponseStatus::Answered { tier, answers, .. } = &gone.status else {
             panic!("answered expected");
         };
+        assert_eq!(*tier, Tier::Hit, "the rewriting survived the retract");
         assert!(answers.is_empty(), "retraction undoes the insert");
     }
 
     #[test]
-    fn writes_invalidate_only_the_written_tenant() {
+    fn writes_keep_every_tenant_resident() {
         let mut e = Engine::new(EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -908,48 +883,45 @@ mod tests {
         e.submit(req("path", "?(A) :- e(A,B)."));
         e.submit(req("family", "?(P) :- person(P)."));
         assert_eq!(e.cached_rewritings(), 2);
+        let bytes = e.stats().counters.cache_bytes;
 
-        let w = e.submit_write(FactWrite {
+        // A changing write, then a no-op one: an insert of a present fact
+        // and a retract of an absent one.
+        let changing = e.submit_write(FactWrite {
             theory: "path".into(),
             batch: WriteBatch::insert(facts("e(b,c).")),
         });
-        let ResponseStatus::Written { invalidated, .. } = w.status else {
-            panic!("written expected");
-        };
-        assert_eq!(invalidated, 1, "only path's entry is dropped");
-        assert_eq!(e.cached_rewritings(), 1);
-
-        let warm = e.submit(req("family", "?(Q) :- person(Q)."));
-        assert!(warm.is_hit(), "family's cache survived path's write");
-        assert_eq!(e.stats().counters.cache_invalidations, 1);
-    }
-
-    #[test]
-    fn noop_writes_leave_the_cache_resident() {
-        let mut e = path_engine(1);
-        e.submit(req("path", "?(A) :- e(A,B)."));
-        assert_eq!(e.cached_rewritings(), 1);
-        // Insert an already-present fact, retract an absent one: the
-        // instance is unchanged, so nothing is invalidated.
-        let w = e.submit_write(FactWrite {
+        let noop = e.submit_write(FactWrite {
             theory: "path".into(),
             batch: WriteBatch {
                 inserts: facts("e(a,b)."),
                 retracts: facts("e(zz,ww)."),
             },
         });
-        let ResponseStatus::Written {
-            inserted,
-            retracted,
-            invalidated,
-        } = w.status
-        else {
-            panic!("written expected");
+        let counts: Vec<(u64, u64)> = [changing, noop]
+            .iter()
+            .map(|w| match w.status {
+                ResponseStatus::Written {
+                    inserted,
+                    retracted,
+                } => (inserted, retracted),
+                _ => panic!("written expected, got {:?}", w.status),
+            })
+            .collect();
+        assert_eq!(counts, [(1, 0), (0, 0)]);
+        assert_eq!(e.cached_rewritings(), 2, "writes drop no rewriting");
+        assert_eq!(e.stats().counters.cache_bytes, bytes);
+        assert_eq!(e.stats().counters.cache_invalidations, 0);
+
+        let path = e.submit(req("path", "?(Z) :- e(Z,W)."));
+        let family = e.submit(req("family", "?(Q) :- person(Q)."));
+        assert!(path.is_hit(), "the written tenant stays resident");
+        assert!(family.is_hit(), "the other tenant stays resident");
+        let ResponseStatus::Answered { answers, .. } = &path.status else {
+            panic!("answered expected");
         };
-        assert_eq!((inserted, retracted, invalidated), (0, 0, 0));
-        assert_eq!(e.cached_rewritings(), 1);
-        let warm = e.submit(req("path", "?(Z) :- e(Z,W)."));
-        assert!(warm.is_hit(), "no-op write keeps residency");
+        let flat: Vec<&str> = answers.iter().map(|t| t[0].as_str()).collect();
+        assert_eq!(flat, ["a", "b", "c"], "the hit sees the inserted e(b,c)");
     }
 
     #[test]
@@ -1074,23 +1046,20 @@ mod tests {
     #[test]
     fn mixed_batches_pin_byte_identically_at_any_width() {
         let batch = || -> Vec<Request> {
-            let mut v: Vec<Request> = Vec::new();
-            v.push(Request::Query(req("path", "?(A) :- e(A,B), e(B,C).")));
-            v.push(Request::Write(FactWrite {
-                theory: "path".into(),
-                batch: WriteBatch::insert(facts("e(y,z). e(z,a).")),
-            }));
-            v.push(Request::Query(req("path", "?(A) :- e(A,B), e(B,C).")));
-            v.push(Request::Write(FactWrite {
-                theory: "path".into(),
-                batch: WriteBatch::retract(facts("e(x,y).")),
-            }));
-            v.push(Request::Query(req(
-                "path",
-                "?(Src) :- e(Mid,Last), e(Src,Mid).",
-            )));
-            v.push(Request::Query(req("path", "? :- e(z,a).")));
-            v
+            vec![
+                Request::Query(req("path", "?(A) :- e(A,B), e(B,C).")),
+                Request::Write(FactWrite {
+                    theory: "path".into(),
+                    batch: WriteBatch::insert(facts("e(y,z). e(z,a).")),
+                }),
+                Request::Query(req("path", "?(A) :- e(A,B), e(B,C).")),
+                Request::Write(FactWrite {
+                    theory: "path".into(),
+                    batch: WriteBatch::retract(facts("e(x,y).")),
+                }),
+                Request::Query(req("path", "?(Src) :- e(Mid,Last), e(Src,Mid).")),
+                Request::Query(req("path", "? :- e(z,a).")),
+            ]
         };
         let mut reference: Option<(String, ServeCounters)> = None;
         for threads in [1, 2, 4] {

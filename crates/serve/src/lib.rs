@@ -27,10 +27,9 @@
 //! retracts base facts for one tenant, applied at the same ordered merge
 //! point as every cache decision, so later queries in the stream see the
 //! post-write instance regardless of worker-pool width. Rewritings are
-//! pure functions of (theory, query) — never of the data — so a write
-//! cannot make a cached rewriting unsound; the engine still drops the
-//! written tenant's cache entries so residency stays a function of the
-//! request stream alone, keeping counters and traces pinned.
+//! pure functions of (theory, query) — never of the data — so they survive
+//! writes: a write changes the tenant instance and nothing else, and a
+//! later cache hit runs its compiled plans on the post-write instance.
 //!
 //! The worker-pool width comes exclusively from [`EngineConfig::threads`]
 //! (plumbed into [`qr_exec::Executor::with_threads`]); the crate never

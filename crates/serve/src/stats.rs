@@ -57,8 +57,9 @@ pub struct ServeCounters {
     /// Base facts actually removed by writes (retractions of absent
     /// facts do not count).
     pub facts_retracted: u64,
-    /// Cache entries dropped by per-tenant invalidation when a write
-    /// changed that tenant's instance.
+    /// Cache entries dropped by writes. Always 0: rewritings are pure in
+    /// (theory, query) and survive writes. Only a future cache of
+    /// *answers*, which depend on the data, would count here.
     pub cache_invalidations: u64,
 }
 
