@@ -29,7 +29,7 @@ use qr_check::{
 };
 use qr_exec::Executor;
 use qr_hom::global_kernel;
-use qr_rewrite::{rewrite_certified, RewriteBudget, SaturationMode};
+use qr_rewrite::{rewrite_certified, RewriteBudget};
 use qr_syntax::{parse_query, parse_theory};
 
 use crate::experiments::e11_chase_engine::random_graph;
@@ -48,8 +48,7 @@ fn rewrite_check(
 ) -> CheckRun {
     let theory = parse_theory(theory_src).expect("fixture theory parses");
     let query = parse_query(query_src).expect("fixture query parses");
-    let (r, bundle) = rewrite_certified(&theory, &query, budget, exec, SaturationMode::Pipelined)
-        .expect("no builtin bodies");
+    let (r, bundle) = rewrite_certified(&theory, &query, budget, exec).expect("no builtin bodies");
     let bytes = encode_rewrite_certs(&bundle);
 
     let before = global_kernel().stats();

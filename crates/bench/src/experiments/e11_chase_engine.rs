@@ -59,6 +59,7 @@ fn measured_run(
         wall_ms,
         facts_out: ch.instance.len(),
         rounds_run: ch.rounds,
+        memory: ch.instance.stats(),
         stats: ch.stats,
     }
 }

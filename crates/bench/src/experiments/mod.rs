@@ -43,8 +43,3 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
         ("e14", e14_exercises::table),
     ]
 }
-
-/// Runs every experiment, returning the tables in order.
-pub fn run_all(exec: &Executor) -> Vec<Table> {
-    all().into_iter().map(|(_, f)| f(exec)).collect()
-}

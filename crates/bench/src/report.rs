@@ -15,6 +15,7 @@ use std::time::Duration;
 use qr_chase::{ChaseStats, IncrementalStats, RoundStats};
 use qr_hom::HomStats;
 use qr_rewrite::{RewriteStats, WindowStats};
+use qr_syntax::StorageStats;
 
 /// Schema tag shared by every `BENCH_*.json` dump.
 pub const SCHEMA: &str = "qr-bench/v6";
@@ -395,6 +396,8 @@ pub struct ChaseRun {
     pub rounds_run: usize,
     /// Per-round engine counters.
     pub stats: ChaseStats,
+    /// Storage footprint of the final instance.
+    pub memory: StorageStats,
 }
 
 /// One measured incremental-maintenance run (the harness's `--incr`
@@ -454,9 +457,8 @@ pub struct HomReport {
 }
 
 /// One measured rewrite run. Saturation fixtures (`engine: "saturation"`)
-/// carry the engine's per-window [`RewriteStats`] plus a barrier-mode
-/// reference wall time; marked-process runs (`engine: "marked"`) carry the
-/// process counters instead.
+/// carry the engine's per-window [`RewriteStats`]; marked-process runs
+/// (`engine: "marked"`) carry the process counters instead.
 pub struct RewriteRun {
     /// Workload label (theory + query + budget shape).
     pub workload: String,
@@ -464,10 +466,8 @@ pub struct RewriteRun {
     pub engine: &'static str,
     /// Worker-pool size the run used.
     pub threads: usize,
-    /// End-to-end wall time (pipelined mode for saturation runs), ms.
+    /// End-to-end wall time, ms.
     pub wall_ms: f64,
-    /// Wall time of the barrier-mode re-run, saturation runs only.
-    pub barrier_wall_ms: Option<f64>,
     /// `RewriteOutcome` as a string (`"Complete"`, `"AtomCapped"`, ...).
     pub outcome: String,
     /// Disjuncts in the returned UCQ.
@@ -646,10 +646,10 @@ impl ToJson for ChaseRun {
             "facts_out" => self.facts_out,
             "rounds_run" => self.rounds_run,
             "memory" => Json::Obj(fields! {
-                "peak_facts" => s.peak_facts,
-                "bytes_facts" => s.bytes_facts,
-                "bytes_index" => s.bytes_index,
-                "bytes_tuples" => s.bytes_tuples,
+                "peak_facts" => self.memory.peak_facts,
+                "bytes_facts" => self.memory.bytes_facts,
+                "bytes_index" => self.memory.bytes_index,
+                "bytes_tuples" => self.memory.bytes_tuples,
             }),
             "totals" => Json::Obj(round_counters(&totals)),
             "rounds" => rounds.collect::<Vec<_>>(),
@@ -726,18 +726,13 @@ impl ToJson for RewriteRun {
             "engine" => self.engine,
             "threads" => self.threads,
             "wall_ms" => Json::ms(self.wall_ms),
-        };
-        if let Some(b) = self.barrier_wall_ms {
-            f.extend(fields! { "barrier_wall_ms" => Json::ms(b) });
-        }
-        f.extend(fields! {
             "outcome" => self.outcome.as_str(),
             "disjuncts" => self.disjuncts,
             "rs" => self.rs,
             "generated" => self.generated,
             "oversized_discarded" => self.oversized_discarded,
             "depth" => self.depth,
-        });
+        };
         if let Some(s) = &self.stats {
             let totals = WindowStats {
                 merged: s.merged(),

@@ -5,9 +5,8 @@
 //! * **Saturation fixtures** — the (theory, query, budget) triples pinned
 //!   by `qr-rewrite`'s engine tests, plus a wider transitive-closure run
 //!   whose BFS windows are broad enough for the pipelined engine to
-//!   overlap generation with merging. Each fixture runs once in barrier
-//!   mode (the reference wall time) and once pipelined (the reported run,
-//!   whose [`qr_rewrite::RewriteStats`] counters are thread-invariant).
+//!   overlap generation with merging. The reported run's
+//!   [`qr_rewrite::RewriteStats`] counters are thread-invariant.
 //! * **Marked-query runs** — `rewrite_td` on the paper's `φ_R^n` queries,
 //!   reporting the frontier counters of the marked process.
 
@@ -18,7 +17,7 @@ use qr_core::marked::rewrite_td;
 use qr_core::theories::phi_r_n;
 use qr_exec::Executor;
 use qr_hom::kernel::{HomKernel, QueryEntry};
-use qr_rewrite::{rewrite_with_mode, RewriteBudget, SaturationMode};
+use qr_rewrite::{rewrite_with, RewriteBudget};
 use qr_syntax::{parse_query, parse_theory, ConjunctiveQuery};
 
 use crate::report::{HomReport, MarkedCounters, RewriteRun};
@@ -87,9 +86,7 @@ pub fn fixtures() -> Vec<(&'static str, &'static str, &'static str, RewriteBudge
     ]
 }
 
-/// Runs one saturation fixture in both engine modes and reports the
-/// pipelined run (counters are identical either way; the barrier wall is
-/// kept as the overlap reference).
+/// Runs one saturation fixture and reports its counters and wall time.
 fn saturation_run(
     label: &str,
     theory_src: &str,
@@ -99,39 +96,21 @@ fn saturation_run(
 ) -> RewriteRun {
     let theory = parse_theory(theory_src).expect("fixture theory parses");
     let query = parse_query(query_src).expect("fixture query parses");
-    // Two timed runs per mode, keeping the faster wall: single samples on
-    // a shared box swing more than the barrier/pipelined gap being
-    // compared (counters are run-invariant, so only the walls need the
-    // second sample; the first barrier run doubles as process warmup).
-    let time_mode = |mode: SaturationMode| {
-        let t0 = Instant::now();
-        let first =
-            rewrite_with_mode(&theory, &query, budget, exec, mode).expect("no builtin bodies");
-        let first_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let r = rewrite_with_mode(&theory, &query, budget, exec, mode).expect("no builtin bodies");
-        let wall_ms = (t1.elapsed().as_secs_f64() * 1e3).min(first_ms);
-        assert_eq!(first.outcome, r.outcome, "{label}: reruns disagree");
-        (r, wall_ms)
-    };
-    let (barrier, barrier_ms) = time_mode(SaturationMode::Barrier);
-    let (r, wall_ms) = time_mode(SaturationMode::Pipelined);
-    assert_eq!(barrier.outcome, r.outcome, "{label}: modes disagree");
-    // Regression guard on the speculation machinery: the pipelined engine
-    // must never generate more candidates than the barrier engine on the
-    // same fixture (they are identical by construction).
-    assert!(
-        r.generated <= barrier.generated,
-        "{label}: pipelined generated {} > barrier {}",
-        r.generated,
-        barrier.generated
-    );
+    // Two timed runs, keeping the faster wall: single samples on a shared
+    // box swing widely (counters are run-invariant, so only the wall needs
+    // the second sample; the first run doubles as process warmup).
+    let t0 = Instant::now();
+    let first = rewrite_with(&theory, &query, budget, exec).expect("no builtin bodies");
+    let first_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = Instant::now();
+    let r = rewrite_with(&theory, &query, budget, exec).expect("no builtin bodies");
+    let wall_ms = (t1.elapsed().as_secs_f64() * 1e3).min(first_ms);
+    assert_eq!(first.outcome, r.outcome, "{label}: reruns disagree");
     RewriteRun {
         workload: label.to_owned(),
         engine: "saturation",
         threads: exec.threads(),
         wall_ms,
-        barrier_wall_ms: Some(barrier_ms),
         outcome: format!("{:?}", r.outcome),
         disjuncts: r.ucq.len(),
         rs: r.rs(),
@@ -178,7 +157,6 @@ fn marked_run(n: usize) -> RewriteRun {
         engine: "marked",
         threads: 1,
         wall_ms,
-        barrier_wall_ms: None,
         outcome: "Complete".into(),
         disjuncts: mr.disjuncts.len(),
         rs: mr.max_disjunct_size(),
@@ -254,7 +232,6 @@ pub fn hom_microbench() -> RewriteRun {
         engine: "hom",
         threads: 1,
         wall_ms,
-        barrier_wall_ms: None,
         outcome: "Complete".into(),
         disjuncts: kept.len(),
         rs: CHAIN_MAX,

@@ -95,7 +95,10 @@ pub struct Derivation {
 }
 
 /// The result of a chase run: the instance `Ch_rounds(T,D)` with per-fact
-/// round and provenance information.
+/// round and provenance information. Every chase path — the engine, the
+/// sharded merge, the incremental fast paths — builds it through one
+/// crate-private writer, so all of them fill it the same way. Storage
+/// footprint is not copied here: read `instance.stats()`.
 #[derive(Clone, Debug)]
 pub struct Chase {
     /// All facts derived (a superset of the input instance).
@@ -108,13 +111,6 @@ pub struct Chase {
     pub outcome: ChaseOutcome,
     /// For each fact index, its first derivation (`None` for input facts).
     pub derivations: Vec<Option<Derivation>>,
-    /// With [`chase_all`], **every** distinct derivation of each fact:
-    /// semi-naive evaluation visits each trigger in exactly one round via
-    /// exactly one enumeration path, and assignments that collapse to the
-    /// same `(rule, trigger, frontier)` are deduplicated within the round,
-    /// so each distinct derivation appears exactly once. Empty in normal
-    /// mode.
-    pub all_derivations: Vec<Vec<Derivation>>,
     /// Per-round engine counters (triggers, matcher work, growth, time).
     pub stats: ChaseStats,
     /// O(1) instance snapshots taken after the input load (index 0) and
@@ -178,6 +174,117 @@ impl Chase {
         }
         debug_assert_eq!(lo, domain.len(), "snapshots cover the whole domain");
         out
+    }
+}
+
+/// A run of [`chase_all`]: the chase itself, identical to [`chase_with`]'s
+/// on the same input, plus **every** distinct derivation of each fact —
+/// what the adversarial ancestor functions of Appendix A quantify over
+/// (Example 66; see [`crate::provenance::adversarial_ancestors`]).
+#[derive(Clone, Debug)]
+pub struct ChaseAll {
+    /// The chase, equal to the normal-mode run.
+    pub chase: Chase,
+    /// For each fact index, every distinct derivation of the fact, its
+    /// first derivation first (input facts may collect re-derivations):
+    /// semi-naive evaluation visits each trigger in exactly one round via
+    /// exactly one enumeration path, and assignments that collapse to the
+    /// same `(rule, trigger, frontier)` are deduplicated within the round,
+    /// so each distinct derivation appears exactly once.
+    pub all_derivations: Vec<Vec<Derivation>>,
+}
+
+/// The one writer of a [`Chase`]. It owns the instance and the per-fact
+/// and per-round records; a chase path loads the base, appends each
+/// round's facts with their first derivations, and closes the round with
+/// its engine counters. Round numbers, growth counters, snapshots, the
+/// round count and the outcome are all derived here, the same way for
+/// every path.
+pub(crate) struct ChaseLog {
+    instance: Instance,
+    round_of: Vec<usize>,
+    derivations: Vec<Option<Derivation>>,
+    round_snapshots: Vec<InstanceSnapshot>,
+    stats: ChaseStats,
+    outcome: ChaseOutcome,
+}
+
+impl ChaseLog {
+    /// Starts a run whose round 0 is `base`, reporting `threads` workers.
+    pub(crate) fn new(base: Instance, threads: usize) -> ChaseLog {
+        let n = base.len();
+        ChaseLog {
+            round_snapshots: vec![base.snapshot()],
+            instance: base,
+            round_of: vec![0; n],
+            derivations: vec![None; n],
+            stats: ChaseStats {
+                threads,
+                rounds: Vec::new(),
+            },
+            outcome: ChaseOutcome::Exhausted,
+        }
+    }
+
+    /// The instance built so far.
+    pub(crate) fn instance(&self) -> &Instance {
+        &self.instance
+    }
+
+    /// The round of each fact built so far.
+    pub(crate) fn round_of(&self) -> &[usize] {
+        &self.round_of
+    }
+
+    /// Appends `fact`, first derived by `deriv` in the open round. Returns
+    /// its index, or `None` (recording nothing) if it is already present.
+    pub(crate) fn push(&mut self, fact: Fact, deriv: Derivation) -> Option<FactIdx> {
+        debug_assert_eq!(deriv.round, self.round_snapshots.len(), "open round");
+        let idx = self.instance.insert(fact)?;
+        self.round_of.push(deriv.round);
+        self.derivations.push(Some(deriv));
+        Some(idx)
+    }
+
+    /// Closes the open round with its engine counters; `facts_added` and
+    /// `terms_added` are measured here. A round that added facts is
+    /// snapshotted and `true` is returned. A round that added nothing is
+    /// the fixpoint probe: its row is kept, the outcome becomes
+    /// [`ChaseOutcome::Fixpoint`], and `false` is returned.
+    pub(crate) fn close_round(&mut self, mut row: RoundStats) -> bool {
+        debug_assert_eq!(
+            self.outcome,
+            ChaseOutcome::Exhausted,
+            "closed after fixpoint"
+        );
+        debug_assert_eq!(row.round, self.round_snapshots.len(), "rows follow rounds");
+        let open = self
+            .round_snapshots
+            .last()
+            .expect("snapshot 0 marks the base");
+        row.facts_added = self.instance.len() - open.facts();
+        row.terms_added = self.instance.domain_len() - open.terms();
+        let grew = row.facts_added > 0;
+        self.stats.rounds.push(row);
+        if grew {
+            self.round_snapshots.push(self.instance.snapshot());
+        } else {
+            self.outcome = ChaseOutcome::Fixpoint;
+        }
+        grew
+    }
+
+    /// The finished chase: every round closed so far.
+    pub(crate) fn finish(self) -> Chase {
+        Chase {
+            rounds: self.round_snapshots.len() - 1,
+            instance: self.instance,
+            round_of: self.round_of,
+            outcome: self.outcome,
+            derivations: self.derivations,
+            stats: self.stats,
+            round_snapshots: self.round_snapshots,
+        }
     }
 }
 
@@ -328,7 +435,7 @@ pub fn chase(theory: &Theory, db: &Instance, budget: ChaseBudget) -> Chase {
 /// result is identical to [`chase`] for every thread count — parallelism
 /// only changes wall time, never output.
 pub fn chase_with(theory: &Theory, db: &Instance, budget: ChaseBudget, exec: &Executor) -> Chase {
-    run_chase(theory, db, budget, true, false, exec)
+    run_chase(theory, db, budget, true, false, exec).0
 }
 
 /// Runs the naive chase (re-enumerates all triggers each round). Used to
@@ -344,13 +451,13 @@ pub fn chase_naive_with(
     budget: ChaseBudget,
     exec: &Executor,
 ) -> Chase {
-    run_chase(theory, db, budget, false, false, exec)
+    run_chase(theory, db, budget, false, false, exec).0
 }
 
 /// Runs the semi-naive chase recording **all** derivations of every fact
 /// (needed to quantify over the paper's ancestor functions, Appendix A —
 /// e.g. the worst-case ancestor sets of Example 66).
-pub fn chase_all(theory: &Theory, db: &Instance, budget: ChaseBudget) -> Chase {
+pub fn chase_all(theory: &Theory, db: &Instance, budget: ChaseBudget) -> ChaseAll {
     chase_all_with(theory, db, budget, &Executor::sequential())
 }
 
@@ -360,8 +467,12 @@ pub fn chase_all_with(
     db: &Instance,
     budget: ChaseBudget,
     exec: &Executor,
-) -> Chase {
-    run_chase(theory, db, budget, true, true, exec)
+) -> ChaseAll {
+    let (chase, all_derivations) = run_chase(theory, db, budget, true, true, exec);
+    ChaseAll {
+        chase,
+        all_derivations,
+    }
 }
 
 /// Which semi-naive enumeration path produced a body match. Paths are
@@ -771,21 +882,15 @@ fn run_chase(
     semi_naive: bool,
     record_all: bool,
     exec: &Executor,
-) -> Chase {
+) -> (Chase, Vec<Vec<Derivation>>) {
     let plans = plans(theory);
-    let mut instance = db.clone();
-    let mut round_of: Vec<usize> = vec![0; instance.len()];
-    let mut derivations: Vec<Option<Derivation>> = vec![None; instance.len()];
-    let mut all_derivations: Vec<Vec<Derivation>> = vec![Vec::new(); instance.len()];
-    let mut outcome = ChaseOutcome::Exhausted;
-    let mut rounds = 0;
-    let mut stats = ChaseStats {
-        threads: exec.threads(),
-        ..ChaseStats::default()
+    let mut log = ChaseLog::new(db.clone(), exec.threads());
+    // `record_all` only: every derivation of each fact (empty otherwise).
+    let mut all_derivations: Vec<Vec<Derivation>> = if record_all {
+        vec![Vec::new(); db.len()]
+    } else {
+        Vec::new()
     };
-    // Snapshot 0 marks the loaded input; one more is taken after each
-    // completed round so `prefix(n)` can truncate instead of re-indexing.
-    let mut round_snapshots = vec![instance.snapshot()];
     // Build the dom-sweep locality index only when some dom variable also
     // occurs in a regular body atom.
     let use_occ = plans
@@ -794,11 +899,12 @@ fn run_chase(
 
     // The delta of the previous round, as contiguous index ranges (facts
     // and domain terms are append-only, so each round owns a dense slice).
-    let mut delta_facts: Range<FactIdx> = 0..instance.len();
-    let mut delta_term_range: Range<usize> = 0..instance.domain_len();
+    let mut delta_facts: Range<FactIdx> = 0..db.len();
+    let mut delta_term_range: Range<usize> = 0..db.domain_len();
 
     for round in 1..=budget.max_rounds {
         let t0 = Instant::now();
+        let instance = log.instance();
         let outs = {
             // Per-round delta indexes and the task list, in sequential
             // visit order.
@@ -875,7 +981,7 @@ fn run_chase(
             }
             let ctx = RoundCtx {
                 plans: &plans,
-                instance: &instance,
+                instance,
                 delta: &delta,
                 delta_by_pred: &delta_by_pred,
                 delta_terms,
@@ -886,86 +992,51 @@ fn run_chase(
         };
         let enum_wall = t0.elapsed();
         let t1 = Instant::now();
-        let mut m = merge_task_outputs(outs, round, record_all);
+        let m = merge_task_outputs(outs, round, record_all);
 
-        if m.fresh.is_empty() {
-            stats.rounds.push(RoundStats {
-                round,
-                triggers: m.triggers,
-                candidates: m.candidates,
-                dom_sweeps: m.dom_sweeps,
-                dom_pruned: m.dom_pruned,
-                facts_added: 0,
-                terms_added: 0,
-                enum_wall,
-                merge_wall: t1.elapsed(),
-                wall: t0.elapsed(),
-            });
-            outcome = ChaseOutcome::Fixpoint;
-            break;
-        }
-
-        let facts_before = instance.len();
-        let terms_before = instance.domain_len();
-        for (fact, deriv) in m.fresh.drain(..) {
-            if instance.insert(fact).is_some() {
-                round_of.push(round);
-                all_derivations.push(vec![deriv.clone()]);
-                derivations.push(Some(deriv));
+        let facts_before = log.instance().len();
+        let terms_before = log.instance().domain_len();
+        for (fact, deriv) in m.fresh {
+            if record_all {
+                if log.push(fact, deriv.clone()).is_some() {
+                    all_derivations.push(vec![deriv]);
+                }
+            } else {
+                log.push(fact, deriv);
             }
         }
-        if record_all {
-            for (idx, deriv) in m.existing_extra.drain(..) {
-                all_derivations[idx].push(deriv);
-            }
-            for (fact, deriv) in m.fresh_extra.drain(..) {
-                let idx = instance
-                    .index_of(&fact)
-                    .expect("fresh facts were just inserted");
-                all_derivations[idx].push(deriv);
-            }
-        }
-        delta_facts = facts_before..instance.len();
-        delta_term_range = terms_before..instance.domain_len();
-        stats.rounds.push(RoundStats {
+        let row = RoundStats {
             round,
             triggers: m.triggers,
             candidates: m.candidates,
             dom_sweeps: m.dom_sweeps,
             dom_pruned: m.dom_pruned,
-            facts_added: instance.len() - facts_before,
-            terms_added: instance.domain_len() - terms_before,
             enum_wall,
             merge_wall: t1.elapsed(),
             wall: t0.elapsed(),
-        });
-        rounds = round;
-        round_snapshots.push(instance.snapshot());
-        if instance.len() > budget.max_facts {
+            ..RoundStats::default()
+        };
+        if !log.close_round(row) {
+            // The fixpoint probe: its re-derivations are not recorded.
+            break;
+        }
+        for (idx, deriv) in m.existing_extra {
+            all_derivations[idx].push(deriv);
+        }
+        for (fact, deriv) in m.fresh_extra {
+            let idx = log
+                .instance()
+                .index_of(&fact)
+                .expect("fresh facts were just inserted");
+            all_derivations[idx].push(deriv);
+        }
+        delta_facts = facts_before..log.instance().len();
+        delta_term_range = terms_before..log.instance().domain_len();
+        if log.instance().len() > budget.max_facts {
             break;
         }
     }
-
-    if !record_all {
-        for d in &mut all_derivations {
-            d.clear();
-        }
-    }
-    let mem = instance.stats();
-    stats.peak_facts = mem.peak_facts;
-    stats.bytes_facts = mem.bytes_facts;
-    stats.bytes_index = mem.bytes_index;
-    stats.bytes_tuples = mem.bytes_tuples;
-    Chase {
-        instance,
-        round_of,
-        rounds,
-        outcome,
-        derivations,
-        all_derivations,
-        stats,
-        round_snapshots,
-    }
+    (log.finish(), all_derivations)
 }
 
 #[cfg(test)]
@@ -1190,14 +1261,14 @@ mod tests {
         // forced atom); the hashed dedup must keep exactly one derivation.
         let t = parse_theory("e(X,Y), e(Y,Z) -> f(X,Z).").unwrap();
         let d = parse_instance("e(a,b). e(b,c).").unwrap();
-        let ch = chase_all(&t, &d, ChaseBudget::default());
+        let run = chase_all(&t, &d, ChaseBudget::default());
         let fact = Fact::new(qr_syntax::Pred::new("f", 2), vec![c("a"), c("c")]);
-        let idx = ch.instance.index_of(&fact).expect("derived");
+        let idx = run.chase.instance.index_of(&fact).expect("derived");
         assert_eq!(
-            ch.all_derivations[idx].len(),
+            run.all_derivations[idx].len(),
             1,
             "one trigger, one derivation: {:?}",
-            ch.all_derivations[idx]
+            run.all_derivations[idx]
         );
     }
 
@@ -1242,11 +1313,7 @@ mod tests {
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.derivations, b.derivations);
-        assert_eq!(a.all_derivations, b.all_derivations);
-        assert_eq!(a.stats.peak_facts, b.stats.peak_facts);
-        assert_eq!(a.stats.bytes_facts, b.stats.bytes_facts);
-        assert_eq!(a.stats.bytes_index, b.stats.bytes_index);
-        assert_eq!(a.stats.bytes_tuples, b.stats.bytes_tuples);
+        assert_eq!(a.instance.stats(), b.instance.stats());
         assert_eq!(a.stats.rounds.len(), b.stats.rounds.len());
         for (ra, rb) in a.stats.rounds.iter().zip(&b.stats.rounds) {
             assert_eq!(ra.triggers, rb.triggers);
@@ -1283,7 +1350,8 @@ mod tests {
             let seq_all = chase_all(&t, &d, ChaseBudget::rounds(5));
             let par_all =
                 chase_all_with(&t, &d, ChaseBudget::rounds(5), &Executor::with_threads(3));
-            assert_same_chase(&seq_all, &par_all);
+            assert_same_chase(&seq_all.chase, &par_all.chase);
+            assert_eq!(seq_all.all_derivations, par_all.all_derivations);
         }
     }
 

@@ -41,9 +41,9 @@ use qr_syntax::query::{QTerm, Var};
 use qr_syntax::{Fact, FactIdx, Instance, Pred, TermId, Theory};
 
 use crate::engine::{
-    chase_with, plans, unify_atom_fact, Chase, ChaseBudget, ChaseOutcome, Derivation, RulePlan,
+    chase_with, plans, unify_atom_fact, Chase, ChaseBudget, ChaseLog, Derivation, RulePlan,
 };
-use crate::stats::{ChaseStats, RoundStats};
+use crate::stats::RoundStats;
 
 /// A batch of base-fact writes. Retractions are applied before inserts, so
 /// a fact both retracted and inserted ends up present (at the end of the
@@ -365,8 +365,8 @@ pub fn chase_incremental(
         return (prev.clone(), BatchStats::of(BatchMode::Noop));
     }
     // The fast paths replay recorded first derivations, so they need a
-    // terminated, normal-mode (not `chase_all`) previous run.
-    let fast_ok = prev.terminated() && prev.all_derivations.iter().all(|d| d.is_empty());
+    // terminated previous run.
+    let fast_ok = prev.terminated();
     if fast_ok && retracted_idx.is_empty() {
         if let Some(res) = seeded_insert(theory, prev, &inserts, budget, exec) {
             return res;
@@ -541,65 +541,40 @@ fn truncate_retract(
         }
     }
     // Replay the surviving fact log in order, rebuilding indices, round
-    // boundaries and remapped trails.
-    let mut inst = Instance::new();
+    // boundaries and remapped trails; each round keeps its recorded
+    // engine counters, and the probe row closes the run at the fixpoint.
     let mut old_to_new: Vec<Option<FactIdx>> = vec![None; prev_len];
-    let mut round_of: Vec<usize> = Vec::new();
-    let mut derivations: Vec<Option<Derivation>> = Vec::new();
-    let mut round_snapshots = Vec::with_capacity(prev.round_snapshots.len());
-    let mut lo = 0;
-    for (r, snap) in prev.round_snapshots.iter().enumerate() {
-        for i in lo..snap.facts() {
-            if retracted.contains(&i) {
-                continue;
-            }
-            let idx = inst
-                .insert(prev.instance.fact(i).to_fact())
-                .expect("the previous chase holds no duplicates");
-            old_to_new[i] = Some(idx);
-            round_of.push(r);
-            derivations.push(prev.derivations[i].as_ref().map(|d| {
-                Derivation {
-                    rule: d.rule,
-                    trigger: d
-                        .trigger
-                        .iter()
-                        .map(|&t| old_to_new[t].expect("cone is empty, triggers survive"))
-                        .collect(),
-                    frontier: d.frontier.clone(),
-                    round: d.round,
-                }
-            }));
-        }
-        lo = snap.facts();
-        round_snapshots.push(inst.snapshot());
-    }
-    let mut stats = prev.stats.clone();
-    stats.threads = exec.threads();
-    for rs in &mut stats.rounds {
-        if rs.round < round_snapshots.len() {
-            rs.facts_added =
-                round_snapshots[rs.round].facts() - round_snapshots[rs.round - 1].facts();
-            rs.terms_added =
-                round_snapshots[rs.round].terms() - round_snapshots[rs.round - 1].terms();
+    let mut base = Instance::new();
+    for (i, slot) in old_to_new.iter_mut().enumerate().take(base_len) {
+        if !retracted.contains(&i) {
+            *slot = Some(
+                base.insert(prev.instance.fact(i).to_fact())
+                    .expect("the previous chase holds no duplicates"),
+            );
         }
     }
-    let mem = inst.stats();
-    stats.peak_facts = mem.peak_facts;
-    stats.bytes_facts = mem.bytes_facts;
-    stats.bytes_index = mem.bytes_index;
-    stats.bytes_tuples = mem.bytes_tuples;
-    let n = inst.len();
-    Some(Chase {
-        instance: inst,
-        round_of,
-        rounds: prev.rounds,
-        outcome: ChaseOutcome::Fixpoint,
-        derivations,
-        all_derivations: vec![Vec::new(); n],
-        stats,
-        round_snapshots,
-    })
+    let mut log = ChaseLog::new(base, exec.threads());
+    for row in &prev.stats.rounds {
+        for i in prev.delta_range(row.round).unwrap_or_default() {
+            let d = prev.derivations[i].as_ref().expect("checked in (4)");
+            let deriv = Derivation {
+                rule: d.rule,
+                trigger: d
+                    .trigger
+                    .iter()
+                    .map(|&t| old_to_new[t].expect("cone is empty, triggers survive"))
+                    .collect(),
+                frontier: d.frontier.clone(),
+                round: d.round,
+            };
+            old_to_new[i] = Some(
+                log.push(prev.instance.fact(i).to_fact(), deriv)
+                    .expect("the previous chase holds no duplicates"),
+            );
+        }
+        log.close_round(row.clone());
+    }
+    Some(log.finish())
 }
 
 /// Per-rule metadata for firing-round and sort-key computation.
@@ -1011,21 +986,17 @@ fn seeded_insert(
         }
     }
 
-    // The cold state under construction.
-    let mut inst = Instance::new();
-    let mut round_of: Vec<usize> = Vec::new();
-    let mut derivations: Vec<Option<Derivation>> = Vec::new();
+    // The cold base: the previous base, then the batch.
+    let mut base = Instance::new();
     let mut old_to_cold: Vec<Option<FactIdx>> = vec![None; prev_len];
     let mut term_rank: HashMap<TermId, u32> = HashMap::new();
     let mut cold_term_round: HashMap<TermId, usize> = HashMap::new();
 
     for (i, slot) in old_to_cold.iter_mut().enumerate().take(base_len) {
-        let idx = inst
+        let idx = base
             .insert(prev.instance.fact(i).to_fact())
             .expect("the previous chase holds no duplicates");
         *slot = Some(idx);
-        round_of.push(0);
-        derivations.push(None);
     }
     // The working instance W = prev ++ batch ++ (cone facts as they are
     // derived): discovery joins run against it. Extra W facts carry their
@@ -1034,35 +1005,28 @@ fn seeded_insert(
     let mut w_extra: Vec<(FactIdx, usize)> = Vec::new();
     let mut delta_facts: Vec<usize> = Vec::new();
     for f in inserts {
-        let idx = inst.insert(f.clone()).expect("effective inserts are new");
-        round_of.push(0);
-        derivations.push(None);
+        let idx = base.insert(f.clone()).expect("effective inserts are new");
         let wi = w.insert(f.clone()).expect("not in prev");
         debug_assert_eq!(wi, prev_len + w_extra.len());
         w_extra.push((idx, 0));
         delta_facts.push(wi);
     }
+    // The cold state under construction.
+    let mut log = ChaseLog::new(base, exec.threads());
     let mut delta_terms: Vec<TermId> = Vec::new();
-    for (r, &t) in inst.domain().iter().enumerate() {
+    for (r, &t) in log.instance().domain().iter().enumerate() {
         term_rank.insert(t, r as u32);
         cold_term_round.insert(t, 0);
         if !old_term_round.contains_key(&t) {
             delta_terms.push(t);
         }
     }
-    let mut ranked = inst.domain_len();
+    let mut ranked = log.instance().domain_len();
     let mut min_term_round = if ranked > 0 { Some(0) } else { None };
     // Cold terms first appearing at each round; `terms_at[r] > 0` ⇔ the
     // round-`r+1` delta contains terms, which drives dom-sweep paths.
     let mut terms_at: Vec<usize> = vec![ranked];
 
-    let mut round_snapshots = vec![inst.snapshot()];
-    let mut stats = ChaseStats {
-        threads: exec.threads(),
-        ..ChaseStats::default()
-    };
-    let mut outcome = ChaseOutcome::Exhausted;
-    let mut rounds = 0usize;
     let mut seen: HashSet<(usize, Vec<usize>, Vec<TermId>)> = HashSet::new();
     let mut buckets: Vec<Vec<PendingEvent>> = Vec::new();
     buckets.resize_with(budget.max_rounds + 2, Vec::new);
@@ -1161,7 +1125,7 @@ fn seeded_insert(
                 &trigger,
                 &ev.frontier,
                 round,
-                &round_of,
+                log.round_of(),
                 &term_rank,
                 &old_term_round,
                 &cold_term_round,
@@ -1171,8 +1135,7 @@ fn seeded_insert(
         }
         todo.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let facts_before = inst.len();
-        let terms_before = inst.domain_len();
+        let terms_before = log.instance().domain_len();
         let mut next_delta_facts: Vec<usize> = Vec::new();
         for (_key, ridx, trigger, frontier) in todo {
             let plan = &rule_plans[ridx];
@@ -1184,7 +1147,7 @@ fn seeded_insert(
                 .apply_with_frontier(plan.rule, &frontier, lookup);
             let mut deriv: Option<Derivation> = None;
             for fact in facts {
-                if inst.contains(&fact) {
+                if log.instance().contains(&fact) {
                     continue;
                 }
                 let old_idx = prev.instance.index_of(&fact);
@@ -1203,9 +1166,7 @@ fn seeded_insert(
                         round,
                     })
                     .clone();
-                let idx = inst.insert(fact.clone()).expect("checked fresh");
-                round_of.push(round);
-                derivations.push(Some(d));
+                let idx = log.push(fact.clone(), d).expect("checked fresh");
                 match old_idx {
                     Some(oi) => {
                         old_to_cold[oi] = Some(idx);
@@ -1225,7 +1186,7 @@ fn seeded_insert(
         // Rank the round's new terms; an old-chase term may only re-enter
         // the domain at its original round.
         let mut next_delta_terms: Vec<TermId> = Vec::new();
-        for (r, &t) in inst.domain().iter().enumerate().skip(ranked) {
+        for (r, &t) in log.instance().domain().iter().enumerate().skip(ranked) {
             term_rank.insert(t, r as u32);
             cold_term_round.insert(t, round);
             match old_term_round.get(&t) {
@@ -1235,67 +1196,33 @@ fn seeded_insert(
             }
             min_term_round.get_or_insert(round);
         }
-        ranked = inst.domain_len();
-        terms_at.push(inst.domain_len() - terms_before);
+        ranked = log.instance().domain_len();
+        terms_at.push(ranked - terms_before);
 
-        let facts_added = inst.len() - facts_before;
-        let merge_wall = t1.elapsed();
-        if facts_added == 0 {
-            stats.rounds.push(RoundStats {
-                round,
-                triggers: disc_triggers,
-                candidates: counters.candidates,
-                dom_sweeps,
-                dom_pruned: 0,
-                facts_added: 0,
-                terms_added: 0,
-                enum_wall,
-                merge_wall,
-                wall: t0.elapsed(),
-            });
-            outcome = ChaseOutcome::Fixpoint;
-            debug_assert!(buckets.iter().all(|b| b.is_empty()));
-            debug_assert!(old_events.iter().all(|e| e.is_empty()));
-            break;
-        }
-        stats.rounds.push(RoundStats {
+        let row = RoundStats {
             round,
             triggers: disc_triggers,
             candidates: counters.candidates,
             dom_sweeps,
-            dom_pruned: 0,
-            facts_added,
-            terms_added: inst.domain_len() - terms_before,
             enum_wall,
-            merge_wall,
+            merge_wall: t1.elapsed(),
             wall: t0.elapsed(),
-        });
-        rounds = round;
-        round_snapshots.push(inst.snapshot());
+            ..RoundStats::default()
+        };
+        if !log.close_round(row) {
+            debug_assert!(buckets.iter().all(|b| b.is_empty()));
+            debug_assert!(old_events.iter().all(|e| e.is_empty()));
+            break;
+        }
         delta_facts = next_delta_facts;
         delta_terms = next_delta_terms;
-        if inst.len() > budget.max_facts {
+        if log.instance().len() > budget.max_facts {
             break;
         }
     }
 
-    let mem = inst.stats();
-    stats.peak_facts = mem.peak_facts;
-    stats.bytes_facts = mem.bytes_facts;
-    stats.bytes_index = mem.bytes_index;
-    stats.bytes_tuples = mem.bytes_tuples;
-    let n = inst.len();
     Some((
-        Chase {
-            instance: inst,
-            round_of,
-            rounds,
-            outcome,
-            derivations,
-            all_derivations: vec![Vec::new(); n],
-            stats,
-            round_snapshots,
-        },
+        log.finish(),
         BatchStats {
             mode: BatchMode::SeededInsert,
             replayed_facts: replayed,
@@ -1330,17 +1257,17 @@ mod tests {
         assert_eq!(incr.rounds, cold.rounds);
         assert_eq!(incr.outcome, cold.outcome);
         assert_eq!(incr.derivations, cold.derivations);
-        assert_eq!(incr.all_derivations, cold.all_derivations);
         assert_eq!(incr.round_snapshots.len(), cold.round_snapshots.len());
         for (a, b) in incr.round_snapshots.iter().zip(&cold.round_snapshots) {
             assert_eq!(a.facts(), b.facts());
             assert_eq!(a.terms(), b.terms());
         }
         assert_eq!(incr.stats.threads, cold.stats.threads);
-        assert_eq!(incr.stats.peak_facts, cold.stats.peak_facts);
-        assert_eq!(incr.stats.bytes_facts, cold.stats.bytes_facts);
-        assert_eq!(incr.stats.bytes_index, cold.stats.bytes_index);
-        assert_eq!(incr.stats.bytes_tuples, cold.stats.bytes_tuples);
+        let memory = |c: &Chase| {
+            let m = c.instance.stats();
+            (m.peak_facts, m.bytes_facts, m.bytes_index, m.bytes_tuples)
+        };
+        assert_eq!(memory(incr), memory(cold));
         assert_eq!(incr.stats.rounds.len(), cold.stats.rounds.len());
         for (ra, rb) in incr.stats.rounds.iter().zip(&cold.stats.rounds) {
             assert_eq!(ra.round, rb.round);

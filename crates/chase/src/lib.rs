@@ -24,14 +24,14 @@ pub use core_term::{
     all_instances_termination, core_of, core_termination, CoreTermBudget, CoreTermination,
 };
 pub use engine::{
-    chase, chase_all, chase_all_with, chase_naive, chase_naive_with, chase_with, Chase,
+    chase, chase_all, chase_all_with, chase_naive, chase_naive_with, chase_with, Chase, ChaseAll,
     ChaseBudget, ChaseOutcome, Derivation,
 };
 pub use incremental::{
     chase_incremental, BatchMode, BatchStats, IncrementalChase, IncrementalStats, WriteBatch,
 };
 pub use model::is_model;
-pub use provenance::{minimal_subset, minimal_support, Provenance};
+pub use provenance::{adversarial_ancestors, minimal_subset, minimal_support, Provenance};
 pub use sharded::{chase_sharded, ShardMode, ShardStats};
 pub use skolem::SkolemizedRule;
 pub use stats::{ChaseStats, RoundStats};

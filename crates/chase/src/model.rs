@@ -6,7 +6,7 @@
 //! Definition 20 of core termination.
 
 use qr_hom::matcher::{exists_match, for_each_match};
-use qr_syntax::query::{QTerm, Var};
+use qr_syntax::query::Var;
 use qr_syntax::{Instance, TermId, Tgd, Theory};
 
 /// `true` iff every rule of `theory` is satisfied in `inst`.
@@ -62,25 +62,6 @@ pub fn count_violations(inst: &Instance, theory: &Theory, limit: usize) -> usize
         }
     }
     count
-}
-
-/// `true` iff the (ground) head of a Datalog trigger is present — a special
-/// case of [`rule_satisfied`] exposed for clarity in tests.
-pub fn datalog_trigger_satisfied(inst: &Instance, r: &Tgd, asg: &[Option<TermId>]) -> bool {
-    debug_assert!(r.is_datalog());
-    r.head().iter().all(|a| {
-        let fact = qr_syntax::Fact::new(
-            a.pred,
-            a.args
-                .iter()
-                .map(|t| match t {
-                    QTerm::Var(v) => asg[v.index()].expect("datalog head vars are frontier"),
-                    QTerm::Const(c) => TermId::constant(*c),
-                })
-                .collect::<Vec<_>>(),
-        );
-        inst.contains(&fact)
-    })
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 
 use qr_syntax::{ConjunctiveQuery, Fact, Instance, TermId, Theory};
 
-use crate::engine::{chase, Chase, ChaseBudget};
+use crate::engine::{chase, Chase, ChaseAll, ChaseBudget};
 
 /// Read-only provenance views over a finished chase.
 pub struct Provenance<'a> {
@@ -82,68 +82,6 @@ impl<'a> Provenance<'a> {
         out
     }
 
-    /// The **adversarial** ancestor set: among all ancestor functions (one
-    /// parent-derivation choice per fact; requires a chase built with
-    /// [`crate::engine::chase_all`]), greedily picks, per fact in
-    /// derivation order, the derivation maximizing the resulting ancestor
-    /// set. This witnesses the paper's point (Example 66) that ancestor
-    /// sets of the raw theory can be made unboundedly large. When
-    /// `connected_only` is set, nullary parent facts are skipped — the
-    /// *connected ancestors* `canc` of Appendix A.
-    pub fn adversarial_ancestors(&self, fact_idx: usize, connected_only: bool) -> HashSet<usize> {
-        let mut table = self.adversarial_table(connected_only);
-        table.swap_remove(fact_idx)
-    }
-
-    /// `anc[i]` for every fact, computed bottom-up (triggers reference
-    /// strictly earlier rounds, and facts are stored in round order).
-    fn adversarial_table(&self, connected_only: bool) -> Vec<HashSet<usize>> {
-        let n = self.chase.instance.len();
-        assert!(
-            self.chase
-                .all_derivations
-                .iter()
-                .take(n)
-                .zip(&self.chase.derivations)
-                .all(|(all, first)| first.is_none() || !all.is_empty()),
-            "adversarial ancestors require a chase_all run"
-        );
-        let mut anc: Vec<HashSet<usize>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if self.chase.derivations[i].is_none() {
-                let mut s = HashSet::new();
-                s.insert(i);
-                anc.push(s);
-                continue;
-            }
-            let mut best: HashSet<usize> = HashSet::new();
-            for d in &self.chase.all_derivations[i] {
-                let mut s = HashSet::new();
-                for &p in &d.trigger {
-                    if connected_only && self.chase.instance.fact(p).pred.arity() == 0 {
-                        continue;
-                    }
-                    s.extend(anc[p].iter().copied());
-                }
-                if s.len() > best.len() {
-                    best = s;
-                }
-            }
-            anc.push(best);
-        }
-        anc
-    }
-
-    /// The largest adversarial ancestor set over all derived facts.
-    pub fn max_adversarial_ancestors(&self, connected_only: bool) -> usize {
-        let table = self.adversarial_table(connected_only);
-        (0..self.chase.instance.len())
-            .filter(|&i| self.chase.derivations[i].is_some())
-            .map(|i| table[i].len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The ancestor set as an instance.
     pub fn ancestor_instance(&self, fact_idx: usize) -> Instance {
         Instance::from_facts(
@@ -152,6 +90,44 @@ impl<'a> Provenance<'a> {
                 .map(|i| self.chase.instance.fact(i).to_fact()),
         )
     }
+}
+
+/// The **adversarial** ancestor set of every fact of a [`chase_all`] run:
+/// among all ancestor functions (one parent-derivation choice per fact),
+/// greedily picks, per fact in derivation order, the derivation maximizing
+/// the resulting ancestor set. This witnesses the paper's point (Example
+/// 66) that ancestor sets of the raw theory can be made unboundedly
+/// large. When `connected_only` is set, nullary parent facts are skipped —
+/// the *connected ancestors* `canc` of Appendix A. Computed bottom-up:
+/// triggers reference strictly earlier rounds, and facts are stored in
+/// round order.
+///
+/// [`chase_all`]: crate::engine::chase_all
+pub fn adversarial_ancestors(run: &ChaseAll, connected_only: bool) -> Vec<HashSet<usize>> {
+    let ch = &run.chase;
+    let n = ch.instance.len();
+    let mut anc: Vec<HashSet<usize>> = Vec::with_capacity(n);
+    for i in 0..n {
+        if ch.derivations[i].is_none() {
+            anc.push(HashSet::from([i]));
+            continue;
+        }
+        let mut best: HashSet<usize> = HashSet::new();
+        for d in &run.all_derivations[i] {
+            let mut s = HashSet::new();
+            for &p in &d.trigger {
+                if connected_only && ch.instance.fact(p).pred.arity() == 0 {
+                    continue;
+                }
+                s.extend(anc[p].iter().copied());
+            }
+            if s.len() > best.len() {
+                best = s;
+            }
+        }
+        anc.push(best);
+    }
+    anc
 }
 
 /// Greedily shrinks `base` to an inclusion-minimal subset still satisfying

@@ -62,8 +62,8 @@ use qr_syntax::gaifman;
 use qr_syntax::query::{QAtom, QTerm, Var};
 use qr_syntax::{FactIdx, Instance, TermId, Theory};
 
-use crate::engine::{chase_with, Chase, ChaseBudget, ChaseOutcome, Derivation};
-use crate::stats::{ChaseStats, RoundStats};
+use crate::engine::{chase_with, Chase, ChaseBudget, ChaseLog, Derivation};
+use crate::stats::RoundStats;
 
 /// Bin-packing target: at most `exec.threads() × SHARDS_PER_THREAD`
 /// shards. More shards than threads keeps workers busy when component
@@ -253,8 +253,9 @@ fn pack(size: &[usize], bins_max: usize) -> (Vec<usize>, usize) {
 /// order), so intra-shard relative order — which the key does not
 /// discriminate — is already global order, and a stable sort suffices.
 /// Counters sum; fact/term growth and the round/outcome bookkeeping are
-/// re-measured on the merged instance, replaying the engine's loop
-/// (fixpoint probe row, budget break after the round's snapshot).
+/// re-measured on the merged instance by the same [`ChaseLog`] the engine
+/// writes through (fixpoint probe row, budget break after the round's
+/// snapshot).
 fn merge_shards(
     db: &Instance,
     budget: ChaseBudget,
@@ -262,16 +263,7 @@ fn merge_shards(
     shard_chases: &[Chase],
     loc2glob: &mut [Vec<FactIdx>],
 ) -> Chase {
-    let mut instance = db.clone();
-    let mut round_of: Vec<usize> = vec![0; instance.len()];
-    let mut derivations: Vec<Option<Derivation>> = vec![None; instance.len()];
-    let mut outcome = ChaseOutcome::Exhausted;
-    let mut rounds = 0;
-    let mut stats = ChaseStats {
-        threads,
-        ..ChaseStats::default()
-    };
-    let mut round_snapshots = vec![instance.snapshot()];
+    let mut log = ChaseLog::new(db.clone(), threads);
 
     for round in 1..=budget.max_rounds {
         // Shard events of this round, keyed for the global emission order.
@@ -314,65 +306,38 @@ fn merge_shards(
         }
         row.wall = row.enum_wall + row.merge_wall;
 
-        if events.is_empty() {
-            // Every still-active shard ran its fixpoint probe this round;
-            // the summed row is the global probe row.
-            stats.rounds.push(row);
-            outcome = ChaseOutcome::Fixpoint;
-            break;
-        }
-
-        events.sort_by_key(|&(key, _, _)| key); // stable: intra-shard order survives
-        let facts_before = instance.len();
-        let terms_before = instance.domain_len();
+        // Stable sort: intra-shard order survives. With no events, every
+        // still-active shard ran its fixpoint probe this round and the
+        // summed row is the global probe row.
+        events.sort_by_key(|&(key, _, _)| key);
         for &(_, s, i) in &events {
-            let gi = instance
-                .insert(shard_chases[s].instance.fact(i).to_fact())
-                .expect("shards stage disjoint fresh facts");
-            debug_assert_eq!(loc2glob[s].len(), i, "shard facts merge in local order");
-            loc2glob[s].push(gi);
+            // Triggers point at earlier rounds, already mapped.
             let d = shard_chases[s].derivations[i]
                 .as_ref()
                 .expect("checked above");
-            derivations.push(Some(Derivation {
+            let deriv = Derivation {
                 rule: d.rule,
                 trigger: d.trigger.iter().map(|&fi| loc2glob[s][fi]).collect(),
                 frontier: d.frontier.clone(),
                 round,
-            }));
-            round_of.push(round);
+            };
+            let gi = log
+                .push(shard_chases[s].instance.fact(i).to_fact(), deriv)
+                .expect("shards stage disjoint fresh facts");
+            debug_assert_eq!(loc2glob[s].len(), i, "shard facts merge in local order");
+            loc2glob[s].push(gi);
         }
-        row.facts_added = instance.len() - facts_before;
-        row.terms_added = instance.domain_len() - terms_before;
-        stats.rounds.push(row);
-        rounds = round;
-        round_snapshots.push(instance.snapshot());
-        if instance.len() > budget.max_facts {
+        if !log.close_round(row) || log.instance().len() > budget.max_facts {
             break;
         }
     }
-
-    let len = instance.len();
-    let mem = instance.stats();
-    stats.peak_facts = mem.peak_facts;
-    stats.bytes_facts = mem.bytes_facts;
-    stats.bytes_index = mem.bytes_index;
-    stats.bytes_tuples = mem.bytes_tuples;
-    Chase {
-        instance,
-        round_of,
-        rounds,
-        outcome,
-        derivations,
-        all_derivations: vec![Vec::new(); len],
-        stats,
-        round_snapshots,
-    }
+    log.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ChaseOutcome;
     use qr_syntax::{parse_instance, parse_theory};
 
     /// Field-by-field byte-identity of two chase runs (walls excluded:
@@ -409,10 +374,7 @@ mod tests {
             assert_eq!(ra.facts_added, rb.facts_added, "round {} facts", ra.round);
             assert_eq!(ra.terms_added, rb.terms_added, "round {} terms", ra.round);
         }
-        assert_eq!(a.stats.peak_facts, b.stats.peak_facts);
-        assert_eq!(a.stats.bytes_facts, b.stats.bytes_facts);
-        assert_eq!(a.stats.bytes_index, b.stats.bytes_index);
-        assert_eq!(a.stats.bytes_tuples, b.stats.bytes_tuples);
+        assert_eq!(a.instance.stats(), b.instance.stats(), "storage");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! were enumerated, how much raw matcher work was done, what the round
 //! produced, and how long it took. The bench harness serializes these
 //! counters to `BENCH_chase.json` so the repo's perf trajectory is
-//! recorded as data, not anecdotes.
+//! recorded as data, not anecdotes. The storage footprint of a run is not
+//! copied here; it is the chased instance's own `Instance::stats()`.
 
 use std::time::Duration;
 
@@ -48,18 +49,6 @@ pub struct ChaseStats {
     /// Per-round counters. The final entry may describe a round that added
     /// nothing (the fixpoint probe).
     pub rounds: Vec<RoundStats>,
-    /// High-water mark of the instance's fact count over the run (sourced
-    /// from `StorageStats`; equals the final fact count, since the chase
-    /// only appends).
-    pub peak_facts: usize,
-    /// Logical bytes of the final instance's fact log (see
-    /// `qr_syntax::StorageStats::bytes_facts`). Deterministic across
-    /// platforms and thread counts, so `bench_diff` gates on it.
-    pub bytes_facts: usize,
-    /// Logical bytes of the final instance's join indexes.
-    pub bytes_index: usize,
-    /// Logical bytes of the final instance's interned tuple arena.
-    pub bytes_tuples: usize,
 }
 
 impl ChaseStats {
@@ -107,12 +96,6 @@ impl ChaseStats {
     pub fn merge_wall(&self) -> Duration {
         self.rounds.iter().map(|r| r.merge_wall).sum()
     }
-
-    /// Total measured fact-store bytes of the final instance
-    /// (`bytes_facts + bytes_index + bytes_tuples`).
-    pub fn bytes_total(&self) -> usize {
-        self.bytes_facts + self.bytes_index + self.bytes_tuples
-    }
 }
 
 #[cfg(test)]
@@ -149,10 +132,6 @@ mod tests {
                     wall: Duration::from_micros(7),
                 },
             ],
-            peak_facts: 6,
-            bytes_facts: 48,
-            bytes_index: 100,
-            bytes_tuples: 52,
         };
         assert_eq!(stats.triggers(), 7);
         assert_eq!(stats.candidates(), 30);
@@ -163,6 +142,5 @@ mod tests {
         assert_eq!(stats.enum_wall(), Duration::from_micros(7));
         assert_eq!(stats.merge_wall(), Duration::from_micros(3));
         assert_eq!(stats.wall(), Duration::from_micros(12));
-        assert_eq!(stats.bytes_total(), 200);
     }
 }

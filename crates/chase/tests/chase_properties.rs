@@ -2,8 +2,12 @@
 //! ≡ naive, determinism (Skolem naming), complete derivation recording,
 //! and prefix monotonicity.
 
-use qr_chase::{chase, chase_all, chase_naive, ChaseBudget, Provenance};
-use qr_syntax::{parse_instance, parse_theory, Instance, Theory};
+use qr_chase::{
+    adversarial_ancestors, chase, chase_all, chase_all_with, chase_naive, chase_with, Chase,
+    ChaseBudget, Provenance,
+};
+use qr_exec::Executor;
+use qr_syntax::{parse_instance, parse_theory, Fact, Instance, Theory};
 use qr_testkit::{check, Rng};
 
 fn edge_instance(rng: &mut Rng) -> Instance {
@@ -105,6 +109,49 @@ fn prefixes_are_monotone() {
     });
 }
 
+/// Equality of two runs on everything but wall times: fact stream,
+/// domain order, `round_of`, provenance, round snapshots, round count,
+/// outcome and every `RoundStats` counter.
+fn assert_same_run(a: &Chase, b: &Chase, ctx: &str) {
+    let facts = |c: &Chase| {
+        c.instance
+            .iter()
+            .map(|f| f.to_fact())
+            .collect::<Vec<Fact>>()
+    };
+    assert_eq!(facts(a), facts(b), "fact stream: {ctx}");
+    assert_eq!(a.instance.domain(), b.instance.domain(), "domain: {ctx}");
+    assert_eq!(a.round_of, b.round_of, "round_of: {ctx}");
+    assert_eq!(a.derivations, b.derivations, "derivations: {ctx}");
+    assert_eq!((a.rounds, a.outcome), (b.rounds, b.outcome), "{ctx}");
+    let snaps = |c: &Chase| {
+        c.round_snapshots
+            .iter()
+            .map(|s| (s.facts(), s.terms()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(snaps(a), snaps(b), "snapshots: {ctx}");
+    let counters = |c: &Chase| {
+        c.stats
+            .rounds
+            .iter()
+            .map(|r| {
+                (
+                    r.round,
+                    r.triggers,
+                    r.candidates,
+                    r.dom_sweeps,
+                    r.dom_pruned,
+                    r.facts_added,
+                    r.terms_added,
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(counters(a), counters(b), "round counters: {ctx}");
+    assert_eq!(a.stats.threads, b.stats.threads, "{ctx}");
+}
+
 #[test]
 fn all_derivations_extend_first() {
     check("all_derivations_extend_first", 40, |rng| {
@@ -114,30 +161,31 @@ fn all_derivations_extend_first() {
             max_rounds: 3,
             max_facts: 20_000,
         };
-        let full = chase_all(&theory, &db, budget);
-        assert_eq!(full.all_derivations.len(), full.instance.len());
-        for (i, first) in full.derivations.iter().enumerate() {
-            // Input facts (first = None) may still be *re*-derived by rules
-            // and collect derivations; derived facts must list their first
-            // derivation among all derivations.
-            if let Some(d) = first {
-                assert!(full.all_derivations[i].contains(d));
+        for threads in [1, 2, 4] {
+            let exec = Executor::with_threads(threads);
+            let ctx = format!("{threads} threads, theory {}\ndb {}", theory.render(), db);
+            let full = chase_all_with(&theory, &db, budget, &exec);
+            // Recording every derivation leaves the chase itself untouched.
+            assert_same_run(&full.chase, &chase_with(&theory, &db, budget, &exec), &ctx);
+            assert_eq!(full.all_derivations.len(), full.chase.instance.len());
+            for (i, first) in full.chase.derivations.iter().enumerate() {
+                // Input facts (first = None) may still be *re*-derived by
+                // rules and collect derivations; derived facts list their
+                // first derivation first.
+                if let Some(d) = first {
+                    assert_eq!(full.all_derivations[i].first(), Some(d), "{ctx}");
+                }
+            }
+            // Every recorded derivation list is duplicate-free.
+            for derivs in &full.all_derivations {
+                for (i, d) in derivs.iter().enumerate() {
+                    assert!(
+                        !derivs[i + 1..].contains(d),
+                        "duplicate derivation recorded: {ctx}"
+                    );
+                }
             }
         }
-        // Every recorded derivation list is duplicate-free.
-        for derivs in &full.all_derivations {
-            for (i, d) in derivs.iter().enumerate() {
-                assert!(
-                    !derivs[i + 1..].contains(d),
-                    "duplicate derivation recorded: theory {}\ndb {}",
-                    theory.render(),
-                    db
-                );
-            }
-        }
-        // And the instances agree with the plain run.
-        let plain = chase(&theory, &db, budget);
-        assert_eq!(plain.instance, full.instance);
     });
 }
 
@@ -160,7 +208,7 @@ fn regression_transitive_closure_with_self_loop() {
     // The closure adds exactly e(w4,w1); the self-loop re-derives itself.
     assert_eq!(fast.instance.len(), 4);
     let full = chase_all(&theory, &db, budget);
-    assert_eq!(full.instance, fast.instance);
+    assert_eq!(full.chase.instance, fast.instance);
     for derivs in &full.all_derivations {
         for (i, d) in derivs.iter().enumerate() {
             assert!(!derivs[i + 1..].contains(d), "duplicate derivation");
@@ -178,17 +226,18 @@ fn all_derivations_on_example_66() {
     )
     .unwrap();
     let db = parse_instance("e(a0,a1). p(b1). p(b2). p(b3).").unwrap();
-    let ch = chase_all(&t, &db, ChaseBudget::rounds(3));
-    let chain_fact_idx = ch
+    let run = chase_all(&t, &db, ChaseBudget::rounds(3));
+    let chain_fact_idx = run
+        .chase
         .instance
         .iter()
         .position(|f| f.pred.name().as_str() == "e" && !f.is_original())
         .expect("derived e-fact exists");
-    assert_eq!(ch.all_derivations[chain_fact_idx].len(), 3);
+    assert_eq!(run.all_derivations[chain_fact_idx].len(), 3);
     // Adversarial ancestors can reach beyond any single recorded choice.
-    let prov = Provenance::new(&ch);
+    let prov = Provenance::new(&run.chase);
     let single = prov.ancestors(chain_fact_idx).len();
-    let adversarial = prov.adversarial_ancestors(chain_fact_idx, false).len();
+    let adversarial = adversarial_ancestors(&run, false)[chain_fact_idx].len();
     assert!(adversarial >= single);
 }
 

@@ -36,9 +36,10 @@ fn small_theory(rng: &mut Rng) -> Theory {
     parse_theory(rng.pick::<&str>(&sources)).unwrap()
 }
 
-/// Deep equality of two runs: fact stream (order included), first and full
-/// derivations, rounds, outcome, and the deterministic stats counters
-/// (everything except wall times and the thread count itself).
+/// Deep equality of two runs: fact stream (order included), first
+/// derivations, rounds, outcome, storage footprint and the deterministic
+/// stats counters (everything except wall times and the thread count
+/// itself).
 fn assert_runs_identical(seq: &Chase, par: &Chase, ctx: &str) {
     let sf: Vec<_> = seq.instance.iter().collect();
     let pf: Vec<_> = par.instance.iter().collect();
@@ -51,24 +52,9 @@ fn assert_runs_identical(seq: &Chase, par: &Chase, ctx: &str) {
         "first derivations differ: {ctx}"
     );
     assert_eq!(
-        seq.all_derivations, par.all_derivations,
-        "derivation sets differ: {ctx}"
-    );
-    assert_eq!(
-        seq.stats.peak_facts, par.stats.peak_facts,
-        "peak_facts differs: {ctx}"
-    );
-    assert_eq!(
-        seq.stats.bytes_facts, par.stats.bytes_facts,
-        "bytes_facts differs: {ctx}"
-    );
-    assert_eq!(
-        seq.stats.bytes_index, par.stats.bytes_index,
-        "bytes_index differs: {ctx}"
-    );
-    assert_eq!(
-        seq.stats.bytes_tuples, par.stats.bytes_tuples,
-        "bytes_tuples differs: {ctx}"
+        seq.instance.stats(),
+        par.instance.stats(),
+        "storage stats differ: {ctx}"
     );
     assert_eq!(
         seq.stats.rounds.len(),
@@ -143,10 +129,11 @@ fn parallel_chase_all_records_identical_provenance() {
             let seq = chase_all_with(&theory, &db, budget, &Executor::sequential());
             for threads in [2, 4] {
                 let par = chase_all_with(&theory, &db, budget, &Executor::with_threads(threads));
-                assert_runs_identical(
-                    &seq,
-                    &par,
-                    &format!("{} threads, theory {}\ndb {}", threads, theory.render(), db),
+                let ctx = format!("{} threads, theory {}\ndb {}", threads, theory.render(), db);
+                assert_runs_identical(&seq.chase, &par.chase, &ctx);
+                assert_eq!(
+                    seq.all_derivations, par.all_derivations,
+                    "derivation sets differ: {ctx}"
                 );
             }
         },

@@ -79,7 +79,7 @@ fn snapshot_prefixes_equal_filter_rebuilt_prefixes() {
             // high-water mark, since the chase only grows).
             let full = ch.prefix(ch.rounds);
             assert_eq!(full, ch.instance);
-            assert_eq!(ch.stats.peak_facts, ch.instance.len());
+            assert_eq!(ch.instance.stats().peak_facts, ch.instance.len());
         },
     );
 }
@@ -120,18 +120,11 @@ fn memory_counters_are_thread_invariant() {
             max_facts: 50_000,
         };
         let seq = chase_with(&theory, &db, budget, &Executor::sequential());
-        assert_eq!(seq.stats.peak_facts, seq.instance.len());
-        assert_eq!(
-            seq.stats.bytes_facts + seq.stats.bytes_index + seq.stats.bytes_tuples,
-            seq.stats.bytes_total()
-        );
+        assert_eq!(seq.instance.stats().peak_facts, seq.instance.len());
         for threads in [2, 4] {
             let par = chase_with(&theory, &db, budget, &Executor::with_threads(threads));
             let ctx = format!("{} threads, theory {}", threads, theory.render());
-            assert_eq!(seq.stats.peak_facts, par.stats.peak_facts, "{ctx}");
-            assert_eq!(seq.stats.bytes_facts, par.stats.bytes_facts, "{ctx}");
-            assert_eq!(seq.stats.bytes_index, par.stats.bytes_index, "{ctx}");
-            assert_eq!(seq.stats.bytes_tuples, par.stats.bytes_tuples, "{ctx}");
+            assert_eq!(seq.instance.stats(), par.instance.stats(), "{ctx}");
         }
     });
 }

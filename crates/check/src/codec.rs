@@ -345,7 +345,7 @@ mod tests {
     use super::*;
     use qr_chase::{chase, emit_chase_certs, ChaseBudget};
     use qr_exec::Executor;
-    use qr_rewrite::{rewrite_certified, RewriteBudget, SaturationMode};
+    use qr_rewrite::{rewrite_certified, RewriteBudget};
     use qr_syntax::{parse_instance, parse_query, parse_theory};
 
     fn rewrite_bundle() -> RewriteCertBundle {
@@ -356,7 +356,6 @@ mod tests {
             &query,
             RewriteBudget::default(),
             &Executor::sequential(),
-            SaturationMode::Pipelined,
         )
         .unwrap()
         .1

@@ -158,7 +158,7 @@ pub fn check_rewrite(
 mod tests {
     use super::*;
     use qr_exec::Executor;
-    use qr_rewrite::{rewrite_certified, RewriteBudget, SaturationMode};
+    use qr_rewrite::{rewrite_certified, RewriteBudget};
     use qr_syntax::{parse_query, parse_theory};
 
     fn certified(t: &str, q: &str) -> (Theory, ConjunctiveQuery, Ucq, RewriteCertBundle) {
@@ -169,7 +169,6 @@ mod tests {
             &query,
             RewriteBudget::default(),
             &Executor::sequential(),
-            SaturationMode::Pipelined,
         )
         .unwrap();
         (theory, query, r.ucq, bundle)

@@ -9,7 +9,7 @@ use qr_check::{
     encode_rewrite_certs, CheckErrorKind,
 };
 use qr_exec::Executor;
-use qr_rewrite::{rewrite_certified, RewriteBudget, RewriteCertBundle, SaturationMode};
+use qr_rewrite::{rewrite_certified, RewriteBudget, RewriteCertBundle};
 use qr_syntax::{
     parse_instance, parse_query, parse_theory, ConjunctiveQuery, Instance, Theory, Ucq,
 };
@@ -22,7 +22,6 @@ fn rewrite_fixture() -> (Theory, ConjunctiveQuery, Ucq, RewriteCertBundle) {
         &query,
         RewriteBudget::default(),
         &Executor::sequential(),
-        SaturationMode::Pipelined,
     )
     .unwrap();
     (theory, query, r.ucq, bundle)

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use qr_chase::engine::{chase, chase_all, ChaseBudget};
-use qr_chase::provenance::Provenance;
+use qr_chase::provenance::adversarial_ancestors;
 use qr_rewrite::{rewrite, RewriteBudget, RewriteError};
 use qr_syntax::gaifman;
 use qr_syntax::query::{QAtom, QTerm, Var};
@@ -324,17 +324,17 @@ pub fn existential_ancestor_union(
         max_rounds: depth,
         max_facts: 200_000,
     };
-    let ch = chase_all(theory, db, budget);
-    let prov = Provenance::new(&ch);
+    let run = chase_all(theory, db, budget);
+    let anc = adversarial_ancestors(&run, connected_only);
     let mut union = std::collections::HashSet::new();
-    for i in 0..ch.instance.len() {
-        let Some(d) = &ch.derivations[i] else {
+    for (i, d) in run.chase.derivations.iter().enumerate() {
+        let Some(d) = d else {
             continue;
         };
         if theory.rules()[d.rule].is_datalog() {
             continue;
         }
-        union.extend(prov.adversarial_ancestors(i, connected_only));
+        union.extend(anc[i].iter().copied());
     }
     union.len()
 }

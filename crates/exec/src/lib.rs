@@ -14,14 +14,14 @@
 //!   shared atomic cursor, so load imbalance between items is absorbed
 //!   without any per-item locking;
 //! * **ordered reduction** — [`Executor::map`] returns results in item
-//!   order regardless of which worker computed what, and
-//!   [`Executor::reduce`] folds them in that order, so callers replay the
-//!   exact sequential merge;
+//!   order regardless of which worker computed what, so callers replay
+//!   the exact sequential merge;
 //! * **panic propagation** — a panic on any worker is re-raised on the
 //!   caller with its original payload once all workers have stopped;
-//! * **configuration** — a [`Builder`] sets the thread count explicitly;
-//!   otherwise the `QR_THREADS` environment variable overrides the default
-//!   of [`std::thread::available_parallelism`].
+//! * **configuration** — [`Executor::with_threads`] sets the thread
+//!   count explicitly; [`Executor::from_env`] reads the `QR_THREADS`
+//!   environment variable, falling back to
+//!   [`std::thread::available_parallelism`].
 //!
 //! With one thread every primitive runs inline on the caller — no threads
 //! are spawned, no locks are taken — which is what makes `--threads 1`
@@ -37,32 +37,6 @@ use std::time::{Duration, Instant};
 
 /// Name of the environment variable overriding the default thread count.
 pub const THREADS_ENV: &str = "QR_THREADS";
-
-/// Builds an [`Executor`]. Resolution order for the thread count:
-/// explicit [`threads`](Builder::threads) call, then the `QR_THREADS`
-/// environment variable, then [`std::thread::available_parallelism`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Builder {
-    threads: Option<usize>,
-}
-
-impl Builder {
-    /// Sets the worker count explicitly (clamped to at least 1). This wins
-    /// over `QR_THREADS`.
-    pub fn threads(mut self, n: usize) -> Builder {
-        self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Resolves the configuration into an executor.
-    pub fn build(self) -> Executor {
-        let threads = self
-            .threads
-            .or_else(threads_from_env)
-            .unwrap_or_else(default_parallelism);
-        Executor { threads }
-    }
-}
 
 fn threads_from_env() -> Option<usize> {
     let raw = std::env::var(THREADS_ENV).ok()?;
@@ -93,11 +67,6 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// A builder for explicit configuration.
-    pub fn builder() -> Builder {
-        Builder::default()
-    }
-
     /// An executor that runs everything inline on the caller thread.
     pub fn sequential() -> Executor {
         Executor { threads: 1 }
@@ -106,12 +75,14 @@ impl Executor {
     /// An executor configured from the environment: `QR_THREADS` if set,
     /// otherwise the machine's available parallelism.
     pub fn from_env() -> Executor {
-        Executor::builder().build()
+        Executor {
+            threads: threads_from_env().unwrap_or_else(default_parallelism),
+        }
     }
 
     /// An executor with exactly `n` workers (clamped to at least 1).
     pub fn with_threads(n: usize) -> Executor {
-        Executor::builder().threads(n).build()
+        Executor { threads: n.max(1) }
     }
 
     /// The configured worker count.
@@ -136,7 +107,7 @@ impl Executor {
     }
 
     /// [`map`](Executor::map) with the item index passed to the worker.
-    pub fn map_indexed<T: Sync, R: Send>(
+    fn map_indexed<T: Sync, R: Send>(
         &self,
         items: &[T],
         f: impl Fn(usize, &T) -> R + Sync,
@@ -212,22 +183,6 @@ impl Executor {
         pairs.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Maps all items, then folds the results into `init` **in item
-    /// order** on the caller thread.
-    pub fn reduce<T: Sync, R: Send, A>(
-        &self,
-        items: &[T],
-        f: impl Fn(&T) -> R + Sync,
-        init: A,
-        mut fold: impl FnMut(A, R) -> A,
-    ) -> A {
-        let mut acc = init;
-        for r in self.map(items, f) {
-            acc = fold(acc, r);
-        }
-        acc
-    }
-
     /// `true` iff `pred` holds for some item. The predicate must be pure:
     /// the *result* is deterministic (a disjunction is order-independent),
     /// though which items are inspected after a hit is not — workers stop
@@ -257,11 +212,6 @@ impl Executor {
             }
         });
         found.into_inner()
-    }
-
-    /// `true` iff `pred` holds for every item (dual of [`any`](Self::any)).
-    pub fn all<T: Sync>(&self, items: &[T], pred: impl Fn(&T) -> bool + Sync) -> bool {
-        !self.any(items, |item| !pred(item))
     }
 
     /// Two-stage pipeline with an **ordered merge**: `work` runs on the
@@ -568,9 +518,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_explicit_threads_win() {
-        assert_eq!(Executor::builder().threads(3).build().threads(), 3);
-        assert_eq!(Executor::builder().threads(0).build().threads(), 1);
+    fn explicit_threads_are_clamped_to_one() {
+        assert_eq!(Executor::with_threads(0).threads(), 1);
         assert_eq!(Executor::with_threads(7).threads(), 7);
         assert!(Executor::sequential().is_sequential());
     }
@@ -641,36 +590,13 @@ mod tests {
     }
 
     #[test]
-    fn reduce_folds_in_submission_order() {
-        let items: Vec<usize> = (0..257).collect();
-        for threads in [1, 4] {
-            let exec = Executor::with_threads(threads);
-            let out = exec.reduce(
-                &items,
-                |&x| x.to_string(),
-                String::new(),
-                |mut acc, s| {
-                    acc.push_str(&s);
-                    acc.push(',');
-                    acc
-                },
-            );
-            let expected: String = items.iter().map(|x| format!("{x},")).collect();
-            assert_eq!(out, expected);
-        }
-    }
-
-    #[test]
-    fn any_and_all_are_exact() {
+    fn any_is_exact() {
         let items: Vec<usize> = (0..10_000).collect();
         for threads in [1, 2, 4] {
             let exec = Executor::with_threads(threads);
             assert!(exec.any(&items, |&x| x == 9_999));
             assert!(!exec.any(&items, |&x| x > 9_999));
-            assert!(exec.all(&items, |&x| x < 10_000));
-            assert!(!exec.all(&items, |&x| x != 5_000));
             assert!(!exec.any(&[] as &[usize], |_| true));
-            assert!(exec.all(&[] as &[usize], |_| false));
         }
     }
 

@@ -261,8 +261,8 @@ fn pred_bit(p: &Pred) -> u64 {
 /// The first six (`freezes` through `components`) are incremented only at
 /// entry acquisition and compilation — single-threaded points even in a
 /// parallel saturation run (entries are acquired on the merge thread, in
-/// merge order), so they are identical at every thread count and both
-/// saturation modes. The search and core counters are incremented inside
+/// merge order), so they are identical at every thread count. The search
+/// and core counters are incremented inside
 /// sweeps that may run on the worker pool with an early-exiting `any`, so
 /// they are only deterministic for fully sequential workloads (the `hom`
 /// microbench and the marked pairwise sweep) and are only emitted there.

@@ -14,10 +14,8 @@
 //! FIFO queue enqueues descendants after everything already queued,
 //! generation for BFS window *i+1* starts as soon as its queries are
 //! accepted — overlapping with the merge of the rest of window *i* and
-//! hiding merge latency — without a barrier per window. A barrier variant
-//! ([`SaturationMode::Barrier`]) is kept for benchmarking; both engines
-//! share one merge core, so every counter in [`RewriteStats`] is
-//! identical across modes and thread counts.
+//! hiding merge latency — without a barrier per window. Every counter in
+//! [`RewriteStats`] is identical across thread counts.
 //!
 //! Accepted disjuncts are canonically renamed on acceptance: fresh
 //! variable names minted during unification embed a global counter that
@@ -62,7 +60,7 @@
 //! trailing window's dedup+subsumption hit rate says speculation is
 //! wasted). Outputs, traces, and every gated counter are unchanged.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
@@ -169,7 +167,7 @@ pub struct Rewriting {
     /// Homomorphism-kernel counters for this run (the run uses a private
     /// [`HomKernel`], so the numbers describe exactly this saturation).
     /// The cache/prefilter counters (`freezes` through `components`) are
-    /// deterministic across thread counts and modes; the search and core
+    /// deterministic across thread counts; the search and core
     /// counters depend on scheduling (early-exiting parallel sweeps) and
     /// are only meaningful for sequential runs.
     pub hom: HomStats,
@@ -371,15 +369,14 @@ const SPECULATION_MIN_WINDOW: usize = 64;
 /// (nearly every core would be thrown away), and back on below it.
 const SPECULATION_HIT_PCT: usize = 90;
 
-/// How the saturation loop schedules generation against the merge.
+/// How the saturation loop schedules generation against the merge. The
+/// pipelined engine is the only one; the type and [`rewrite_with_mode`]
+/// stay because the standalone `perfbench` crate names them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SaturationMode {
     /// Speculative pipelining on [`Executor::pipeline_ordered`]: window
-    /// *i+1* generates while window *i* merges. The default.
+    /// *i+1* generates while window *i* merges.
     Pipelined,
-    /// One `Executor::map` per BFS window with a barrier before the merge
-    /// (the pre-pipelining engine, kept for benchmarking the overlap win).
-    Barrier,
 }
 
 /// Computes a UCQ rewriting of `query` under `theory` (see module docs).
@@ -393,7 +390,6 @@ pub fn rewrite(
         query,
         budget,
         &Executor::sequential(),
-        SaturationMode::Pipelined,
         &mut |_, _| {},
         None,
     )
@@ -409,55 +405,36 @@ pub fn rewrite_with(
     budget: RewriteBudget,
     exec: &Executor,
 ) -> Result<Rewriting, RewriteError> {
-    saturate(
-        theory,
-        query,
-        budget,
-        exec,
-        SaturationMode::Pipelined,
-        &mut |_, _| {},
-        None,
-    )
+    saturate(theory, query, budget, exec, &mut |_, _| {}, None)
 }
 
-/// [`rewrite_with`] with an explicit [`SaturationMode`] — the harness uses
-/// this to measure the pipelined engine against the barrier engine on the
-/// same workloads. Counters are mode-independent; only wall splits differ.
+/// [`rewrite_with`] under a [`SaturationMode`]; there is one mode, so this
+/// is [`rewrite_with`]. Kept for the standalone `perfbench` crate.
 pub fn rewrite_with_mode(
     theory: &Theory,
     query: &ConjunctiveQuery,
     budget: RewriteBudget,
     exec: &Executor,
-    mode: SaturationMode,
+    _mode: SaturationMode,
 ) -> Result<Rewriting, RewriteError> {
-    saturate(theory, query, budget, exec, mode, &mut |_, _| {}, None)
+    rewrite_with(theory, query, budget, exec)
 }
 
-/// [`rewrite_with_mode`] with certificate emission: alongside the
-/// rewriting, returns a [`RewriteCertBundle`] holding one replayable
+/// [`rewrite_with`] with certificate emission: alongside the rewriting,
+/// returns a [`RewriteCertBundle`] holding one replayable
 /// [`crate::cert::RewriteCert`] per accepted disjunct (node 0 is the
 /// seed). The rewriting itself — disjuncts, outcome, `generated`, every
 /// drift-gated counter — is byte-identical to the uncertified run at
-/// every thread count and in both modes: recording happens strictly
-/// after each acceptance decision, on the merge thread, with a private
-/// kernel-free matcher.
+/// every thread count: recording happens strictly after each acceptance
+/// decision, on the merge thread, with a private kernel-free matcher.
 pub fn rewrite_certified(
     theory: &Theory,
     query: &ConjunctiveQuery,
     budget: RewriteBudget,
     exec: &Executor,
-    mode: SaturationMode,
 ) -> Result<(Rewriting, RewriteCertBundle), RewriteError> {
     let mut cb = CertBuilder::new();
-    let r = saturate(
-        theory,
-        query,
-        budget,
-        exec,
-        mode,
-        &mut |_, _| {},
-        Some(&mut cb),
-    )?;
+    let r = saturate(theory, query, budget, exec, &mut |_, _| {}, Some(&mut cb))?;
     Ok((r, cb.into_bundle()))
 }
 
@@ -474,7 +451,6 @@ pub fn rewrite_with_trace(
         query,
         budget,
         &Executor::sequential(),
-        SaturationMode::Pipelined,
         &mut trace,
         None,
     )
@@ -490,21 +466,13 @@ pub fn rewrite_with_trace_on(
     exec: &Executor,
     mut trace: impl FnMut(usize, &ConjunctiveQuery),
 ) -> Result<Rewriting, RewriteError> {
-    saturate(
-        theory,
-        query,
-        budget,
-        exec,
-        SaturationMode::Pipelined,
-        &mut trace,
-        None,
-    )
+    saturate(theory, query, budget, exec, &mut trace, None)
 }
 
-/// The merge core shared by both saturation modes: all kept-set decisions
-/// — aliveness, budget accounting, subsumption, eviction, acceptance,
-/// tracing, window bookkeeping — live here, so the pipelined and barrier
-/// engines are identical-by-construction in everything but scheduling.
+/// The saturation merge core: all kept-set decisions — aliveness, budget
+/// accounting, subsumption, eviction, acceptance, tracing, window
+/// bookkeeping — live here, on the merge thread, so they are made in
+/// submission order whatever the schedule.
 struct Merger<'a> {
     budget: RewriteBudget,
     exec: &'a Executor,
@@ -623,8 +591,7 @@ impl<'a> Merger<'a> {
         self.merge_seq += 1;
         if seq > self.window_last_seq {
             // First item of the next BFS window: everything submitted and
-            // not yet merged was queued together, exactly the batch a
-            // barrier engine would drain now.
+            // not yet merged was queued together.
             self.close_window();
             self.cur.window = self.stats.windows.len();
             self.cur.items = self.submitted - seq;
@@ -669,7 +636,7 @@ impl<'a> Merger<'a> {
         // speculative candidates are dropped uncounted, exactly as the
         // historical sequential loop never generated for queries that
         // failed its aliveness check. (Its unifier counters are discarded
-        // with them, keeping those deterministic across modes too.)
+        // with them, keeping those deterministic across schedules too.)
         if !self.set.contains_query(q) {
             self.cur.dead_skipped += 1;
             return ControlFlow::Continue(());
@@ -792,7 +759,6 @@ fn saturate(
     query: &ConjunctiveQuery,
     budget: RewriteBudget,
     exec: &Executor,
-    mode: SaturationMode,
     trace: &mut dyn FnMut(usize, &ConjunctiveQuery),
     mut certs: Option<&mut CertBuilder>,
 ) -> Result<Rewriting, RewriteError> {
@@ -824,8 +790,8 @@ fn saturate(
     // open, cores) of one queued query, a pure per-item function
     // scheduled on the worker pool. `cap` bounds the number of `Generated`
     // the item may still contribute before the run's generation budget is
-    // spent — fixed at submission time, so it is identical across modes
-    // and schedules, and never smaller than what the merge will actually
+    // spent — fixed at submission time, so it is identical across
+    // schedules, and never smaller than what the merge will actually
     // count (generated only grows between submission and merge).
     let generate =
         |q: &ConjunctiveQuery, cap: usize| -> (Vec<Generated>, UnifyCounters, Duration) {
@@ -867,66 +833,28 @@ fn saturate(
             (out, uc, t0.elapsed())
         };
 
-    match mode {
-        SaturationMode::Pipelined => {
-            exec.pipeline_ordered(
-                vec![(seed, 0usize, budget.max_generated.saturating_add(1), 0u32)],
-                |(q, _, cap, _)| generate(q, *cap),
-                |(q, depth, _, node), (gens, uc, gen_wall), ctx| {
-                    let mut out = Vec::new();
-                    let flow = merger.merge_item(
-                        &q,
-                        depth,
-                        node,
-                        &gens,
-                        uc,
-                        gen_wall,
-                        ctx.waited(),
-                        ctx.helped(),
-                        &mut out,
-                    );
-                    for item in out {
-                        ctx.submit(item);
-                    }
-                    flow
-                },
+    exec.pipeline_ordered(
+        vec![(seed, 0usize, budget.max_generated.saturating_add(1), 0u32)],
+        |(q, _, cap, _)| generate(q, *cap),
+        |(q, depth, _, node), (gens, uc, gen_wall), ctx| {
+            let mut out = Vec::new();
+            let flow = merger.merge_item(
+                &q,
+                depth,
+                node,
+                &gens,
+                uc,
+                gen_wall,
+                ctx.waited(),
+                ctx.helped(),
+                &mut out,
             );
-        }
-        SaturationMode::Barrier => {
-            let mut queue: VecDeque<Item> = VecDeque::new();
-            queue.push_back((seed, 0, budget.max_generated.saturating_add(1), 0));
-            'outer: while !queue.is_empty() {
-                let batch: Vec<Item> = queue.drain(..).collect();
-                let t0 = Instant::now();
-                let gens = exec.map(&batch, |(q, _, cap, _)| generate(q, *cap));
-                let gen_phase = t0.elapsed();
-                // `Executor::map` runs single-item batches inline on this
-                // thread; that generation phase is then inline work, not a
-                // stall (mirrors the map's own inline condition).
-                let inline_map = batch.len() <= 1;
-                for (i, ((q, depth, _, node), (g, uc, gen_wall))) in
-                    batch.iter().zip(&gens).enumerate()
-                {
-                    // The merge sat out the whole generation phase before
-                    // its first item; charge that stall to the window.
-                    let waited = if i == 0 { gen_phase } else { Duration::ZERO };
-                    let helped = if i == 0 && inline_map {
-                        gen_phase
-                    } else {
-                        Duration::ZERO
-                    };
-                    let mut out = Vec::new();
-                    let flow = merger.merge_item(
-                        q, *depth, *node, g, *uc, *gen_wall, waited, helped, &mut out,
-                    );
-                    queue.extend(out);
-                    if flow.is_break() {
-                        break 'outer;
-                    }
-                }
+            for item in out {
+                ctx.submit(item);
             }
-        }
-    }
+            flow
+        },
+    );
     merger.close_window();
     if let Some(cb) = merger.certs.as_deref_mut() {
         // `into_queries` keeps alive entries in insertion order, so this
@@ -1313,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_counters_identical_across_modes_and_threads() {
+    fn stats_counters_identical_across_threads() {
         for (label, t, q, budget) in fixtures() {
             let budget = if label == "tc-budget" {
                 RewriteBudget {
@@ -1350,14 +1278,12 @@ mod tests {
             let expect = counter_rows(&seq.stats);
             for threads in [1, 2, 4] {
                 let exec = Executor::with_threads(threads);
-                for mode in [SaturationMode::Pipelined, SaturationMode::Barrier] {
-                    let r = rewrite_with_mode(&theory, &query, budget, &exec, mode).unwrap();
-                    assert_eq!(
-                        counter_rows(&r.stats),
-                        expect,
-                        "{label} @{threads} {mode:?}: window counters"
-                    );
-                }
+                let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
+                assert_eq!(
+                    counter_rows(&r.stats),
+                    expect,
+                    "{label} @{threads}: window counters"
+                );
             }
         }
     }
@@ -1420,10 +1346,10 @@ mod tests {
 
     /// The cache/prefilter tier of [`HomStats`] is incremented only at
     /// merge-thread points (entry acquisition, sequential prefilter
-    /// passes), so it must be identical across thread counts and both
-    /// saturation modes — these counters are gated in CI.
+    /// passes), so it must be identical across thread counts — these
+    /// counters are gated in CI.
     #[test]
-    fn hom_cache_counters_identical_across_modes_and_threads() {
+    fn hom_cache_counters_identical_across_threads() {
         fn cache_tier(h: &qr_hom::HomStats) -> (u64, u64, u64, u64, u64, u64) {
             (
                 h.freezes,
@@ -1451,14 +1377,12 @@ mod tests {
             let expect = cache_tier(&seq.hom);
             for threads in [1, 2, 4] {
                 let exec = Executor::with_threads(threads);
-                for mode in [SaturationMode::Pipelined, SaturationMode::Barrier] {
-                    let r = rewrite_with_mode(&theory, &query, budget, &exec, mode).unwrap();
-                    assert_eq!(
-                        cache_tier(&r.hom),
-                        expect,
-                        "{label} @{threads} {mode:?}: hom cache counters"
-                    );
-                }
+                let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
+                assert_eq!(
+                    cache_tier(&r.hom),
+                    expect,
+                    "{label} @{threads}: hom cache counters"
+                );
             }
         }
     }
@@ -1492,19 +1416,17 @@ mod tests {
     /// runs inline on the merge thread, so no window may report a stall
     /// (the old pipeline charged the full inline generation time to
     /// `wait_wall`, making `wait_ms ≈ gen_ms` at one thread) or any
-    /// overlap, in either saturation mode.
+    /// overlap.
     #[test]
     fn inline_generation_reports_zero_wait_and_overlap() {
         let exec = Executor::with_threads(1);
         for (label, t, q, budget) in fixtures() {
             let theory = parse_theory(t).unwrap();
             let query = parse_query(q).unwrap();
-            for mode in [SaturationMode::Pipelined, SaturationMode::Barrier] {
-                let r = rewrite_with_mode(&theory, &query, budget, &exec, mode).unwrap();
-                assert_eq!(r.stats.wait_wall(), Duration::ZERO, "{label} {mode:?}");
-                assert_eq!(r.stats.overlap_wall(), Duration::ZERO, "{label} {mode:?}");
-                assert!(r.stats.gen_wall() > Duration::ZERO, "{label} {mode:?}");
-            }
+            let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
+            assert_eq!(r.stats.wait_wall(), Duration::ZERO, "{label}");
+            assert_eq!(r.stats.overlap_wall(), Duration::ZERO, "{label}");
+            assert!(r.stats.gen_wall() > Duration::ZERO, "{label}");
         }
     }
 
@@ -1519,12 +1441,10 @@ mod tests {
         let query = parse_query(q).unwrap();
         for threads in [1, 2, 4] {
             let exec = Executor::with_threads(threads);
-            for mode in [SaturationMode::Pipelined, SaturationMode::Barrier] {
-                let r = rewrite_with_mode(&theory, &query, budget, &exec, mode).unwrap();
-                assert_eq!(r.stats.dead_skipped(), 1, "@{threads} {mode:?}");
-                assert_eq!(r.stats.evictions(), 1, "@{threads} {mode:?}");
-                assert_eq!(r.stats.accepted(), 2, "@{threads} {mode:?}");
-            }
+            let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
+            assert_eq!(r.stats.dead_skipped(), 1, "@{threads}");
+            assert_eq!(r.stats.evictions(), 1, "@{threads}");
+            assert_eq!(r.stats.accepted(), 2, "@{threads}");
         }
     }
 
@@ -1573,40 +1493,6 @@ mod tests {
         assert!(r.stats.trie_probes() > 0);
     }
 
-    /// The speculation gate never changes what is generated: pipelined
-    /// runs submit exactly the items barrier runs queue, so `generated`
-    /// is identical (the ≤ regression bound of the issue, pinned to
-    /// equality by counter determinism).
-    #[test]
-    fn pipelined_generates_no_more_than_barrier() {
-        for (label, t, q, budget) in fixtures() {
-            let budget = if label == "tc-budget" {
-                RewriteBudget {
-                    max_queries: 24,
-                    max_generated: 300,
-                    max_atoms: 8,
-                }
-            } else {
-                budget
-            };
-            let theory = parse_theory(t).unwrap();
-            let query = parse_query(q).unwrap();
-            for threads in [1, 2, 4] {
-                let exec = Executor::with_threads(threads);
-                let b = rewrite_with_mode(&theory, &query, budget, &exec, SaturationMode::Barrier)
-                    .unwrap();
-                let p =
-                    rewrite_with_mode(&theory, &query, budget, &exec, SaturationMode::Pipelined)
-                        .unwrap();
-                assert!(
-                    p.generated <= b.generated,
-                    "{label} @{threads}: pipelined regenerated more"
-                );
-                assert_eq!(p.generated, b.generated, "{label} @{threads}");
-            }
-        }
-    }
-
     /// A certified run yields a bundle whose finals are exactly the UCQ's
     /// disjuncts (verbatim clones, in disjunct order), whose chains ground
     /// out at the seed, and whose steps replay to the recorded raw forms.
@@ -1617,12 +1503,8 @@ mod tests {
             let theory = parse_theory(t).unwrap();
             let query = parse_query(q).unwrap();
             let exec = Executor::sequential();
-            let plain =
-                rewrite_with_mode(&theory, &query, budget, &exec, SaturationMode::Pipelined)
-                    .unwrap();
-            let (r, bundle) =
-                rewrite_certified(&theory, &query, budget, &exec, SaturationMode::Pipelined)
-                    .unwrap();
+            let plain = rewrite_with(&theory, &query, budget, &exec).unwrap();
+            let (r, bundle) = rewrite_certified(&theory, &query, budget, &exec).unwrap();
             // Certification is invisible to the rewriting itself.
             assert_eq!(r.ucq, plain.ucq, "{label}");
             assert_eq!(r.generated, plain.generated, "{label}");

@@ -2,11 +2,10 @@
 //! `ChaseStats`.
 //!
 //! A *window* is one BFS generation of the saturation loop: the set of
-//! queries that were queued together before any of their descendants (the
-//! batch the barrier engine drains in one `queue.drain(..)`). The
-//! pipelined engine reproduces the same boundaries from submission
-//! sequence numbers, so window counters are identical across engines and
-//! thread counts; only the wall splits vary with the schedule.
+//! queries that were queued together before any of their descendants. The
+//! pipelined engine reconstructs the boundaries from submission sequence
+//! numbers, so window counters are identical across thread counts; only
+//! the wall splits vary with the schedule.
 //!
 //! Wall-split semantics:
 //! * `gen_wall` — worker-side time generating piece rewritings (+

@@ -8,16 +8,14 @@
 //! the generation-side dedup machinery (seen-set, piece-unifier index,
 //! trie-filtered sweeps, core-on-accept, speculation gate) shows up as a
 //! render/counter mismatch on seeded random theories, across 1/2/4
-//! threads and both saturation modes.
+//! threads.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use qr_exec::Executor;
 use qr_hom::kernel::{HomKernel, QueryEntry};
-use qr_rewrite::{
-    piece_rewritings, rewrite_with_mode, RewriteBudget, RewriteOutcome, Rewriting, SaturationMode,
-};
+use qr_rewrite::{piece_rewritings, rewrite_with, RewriteBudget, RewriteOutcome, Rewriting};
 use qr_syntax::{parse_query, parse_theory, ConjunctiveQuery, Symbol, Theory, Var};
 use qr_testkit::{check, Rng};
 
@@ -217,15 +215,13 @@ fn new_engine_matches_reference_on_random_theories() {
         let expect = reference_rewrite(&theory, &query, budget);
         for threads in [1, 2, 4] {
             let exec = Executor::with_threads(threads);
-            for mode in [SaturationMode::Pipelined, SaturationMode::Barrier] {
-                let r = rewrite_with_mode(&theory, &query, budget, &exec, mode)
-                    .expect("no builtin bodies generated");
-                assert_eq!(
-                    Snapshot::of(&r),
-                    expect,
-                    "theory:\n{tsrc}\nquery: {qsrc} @{threads} {mode:?}"
-                );
-            }
+            let r =
+                rewrite_with(&theory, &query, budget, &exec).expect("no builtin bodies generated");
+            assert_eq!(
+                Snapshot::of(&r),
+                expect,
+                "theory:\n{tsrc}\nquery: {qsrc} @{threads}"
+            );
         }
     });
 }

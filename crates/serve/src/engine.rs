@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use qr_chase::WriteBatch;
 use qr_exec::Executor;
 use qr_hom::{canonical_key, MatchCounters};
-use qr_rewrite::{rewrite_with_mode, RewriteBudget, SaturationMode};
+use qr_rewrite::{rewrite_with, RewriteBudget};
 use qr_syntax::{parse_query, ConjunctiveQuery, Instance, TermId, Theory};
 
 use crate::cache::{CacheEntry, CacheKey, RewriteCache};
@@ -448,7 +448,6 @@ impl Engine {
                 &query,
                 self.config.rewrite_budget,
                 &Executor::sequential(),
-                SaturationMode::Pipelined,
             ) {
                 Ok((r, bundle)) => {
                     let bytes = qr_check::encode_rewrite_certs(&bundle);
@@ -509,12 +508,11 @@ fn build_entry(
     query: &ConjunctiveQuery,
     config: &EngineConfig,
 ) -> Arc<CacheEntry> {
-    let r = rewrite_with_mode(
+    let r = rewrite_with(
         theory,
         query,
         config.rewrite_budget,
         &Executor::sequential(),
-        SaturationMode::Pipelined,
     )
     .expect("builtin-body theories are rejected at registration");
     CacheEntry::from_rewriting(r)

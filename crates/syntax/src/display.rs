@@ -4,7 +4,7 @@
 //! names are uppercased on output if needed so the Prolog-style convention
 //! (variables start with an uppercase letter) is preserved.
 
-use crate::query::{ConjunctiveQuery, QAtom, QTerm, Ucq};
+use crate::query::{ConjunctiveQuery, QAtom, QTerm};
 use crate::rule::Tgd;
 use crate::symbol::Symbol;
 
@@ -78,15 +78,6 @@ pub fn render_cq(q: &ConjunctiveQuery) -> String {
         )
     };
     format!("{head} :- {}", render_atom_list(names, q.atoms()))
-}
-
-/// Renders a UCQ as one query per line.
-pub fn render_ucq(u: &Ucq) -> String {
-    u.disjuncts()
-        .iter()
-        .map(render_cq)
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Renders a rule, e.g. `human(X) -> mother(X,Y)`.

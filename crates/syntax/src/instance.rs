@@ -313,24 +313,10 @@ impl Instance {
         )
     }
 
-    /// The facts whose terms are all constants (the "original" part).
-    pub fn original_part(&self) -> Instance {
-        Instance::from_facts(
-            self.iter()
-                .filter(FactRef::is_original)
-                .map(|f| f.to_fact()),
-        )
-    }
-
     /// Removes one fact by value, returning a new instance (used for
     /// minimal-support computation).
     pub fn without_fact(&self, fact: &Fact) -> Instance {
         Instance::from_facts(self.iter().filter(|f| f != fact).map(|f| f.to_fact()))
-    }
-
-    /// Maximum Skolem nesting depth over all facts (0 for original instances).
-    pub fn max_term_depth(&self) -> usize {
-        self.iter().map(|f| f.term_depth()).max().unwrap_or(0)
     }
 
     /// Logical memory footprint of the backing store; see

@@ -183,11 +183,6 @@ impl ConjunctiveQuery {
             .collect()
     }
 
-    /// Atoms that mention `v`.
-    pub fn atoms_with(&self, v: Var) -> impl Iterator<Item = &QAtom> {
-        self.atoms.iter().filter(move |a| a.mentions(v))
-    }
-
     /// Renumbers variables to `0..k` in first-occurrence order (answer
     /// variables first) and sorts atoms; the result is a deterministic
     /// representative used for cheap structural deduplication.

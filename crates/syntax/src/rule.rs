@@ -65,11 +65,6 @@ impl Tgd {
         &self.body
     }
 
-    /// Body atoms excluding the builtin `dom/1` atoms.
-    pub fn proper_body(&self) -> impl Iterator<Item = &QAtom> {
-        self.body.iter().filter(|a| !a.pred.is_dom())
-    }
-
     /// Head atoms.
     pub fn head(&self) -> &[QAtom] {
         &self.head
@@ -207,12 +202,6 @@ impl Theory {
             .map(|p| p.arity())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Maximum number of atoms in a rule body (the constant `h` of the
-    /// paper's Appendix A).
-    pub fn max_body_size(&self) -> usize {
-        self.rules.iter().map(|r| r.body().len()).max().unwrap_or(0)
     }
 
     /// The Datalog rules of the theory (the paper's `T_DL`).

@@ -142,14 +142,6 @@ impl TermId {
         )
     }
 
-    /// The constant's name, if this term is a constant.
-    pub fn as_const(self) -> Option<Symbol> {
-        match self.data() {
-            TermData::Const(s) => Some(s),
-            TermData::Skolem(..) => None,
-        }
-    }
-
     /// Nesting depth: constants have depth 0, `f(t…)` has depth
     /// `1 + max(depth(t…))` (and depth 1 for nullary Skolem functions).
     pub fn depth(self) -> usize {
