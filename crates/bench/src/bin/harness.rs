@@ -199,7 +199,7 @@ fn main() {
             let c = &r.counters;
             println!(
                 "{}: {} batches in {:.1} ms ({:.3} ms/batch amortized, full re-chase {:.3} ms) — \
-                 {} seeded, {} truncated, {} re-chased, {} rederived facts, cone {}, \
+                 {} seeded, {} re-chased, {} rederived facts, cone {}, \
                  candidates {} incr vs {} cold",
                 r.workload,
                 r.batches,
@@ -207,7 +207,6 @@ fn main() {
                 r.batch_ms,
                 r.rechase_ms,
                 c.seeded_inserts,
-                c.truncated_retracts,
                 c.rechases,
                 c.rederived_facts,
                 c.cone_facts,

@@ -10,10 +10,9 @@
 //! fresh node, every derivable fact ends in it, so the batch derives only
 //! genuinely new facts and no recorded first derivation can change. (An
 //! edge *between* existing nodes may instead re-derive an old fact along
-//! an earlier path, which correctly falls back to a re-chase.) Under
-//! transitive closure every base edge unifies with the rule head, so the
-//! final retraction exercises the delete/rederive fallback and its cone
-//! accounting.
+//! an earlier path, which correctly falls back to a re-chase.) The final
+//! retraction is a re-chase of the shrunken base, which also counts the
+//! retracted edge's provenance cone.
 //!
 //! The measured claim is the tentpole's: amortized per-batch maintenance
 //! cost stays below one full re-chase of the final base. Wall times carry
@@ -125,7 +124,7 @@ mod tests {
             assert_eq!(c.noops, 0, "{}", r.workload);
             assert_eq!(
                 c.rechases, 1,
-                "{}: the TC retraction falls back to delete/rederive",
+                "{}: the TC retraction re-chases the surviving base",
                 r.workload
             );
             assert!(

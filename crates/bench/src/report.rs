@@ -672,7 +672,6 @@ impl ToJson for IncrRun {
             "modes" => Json::Obj(fields! {
                 "noops" => c.noops,
                 "seeded_inserts" => c.seeded_inserts,
-                "truncated_retracts" => c.truncated_retracts,
                 "rechases" => c.rechases,
             }),
             "counters" => Json::Obj(fields! {

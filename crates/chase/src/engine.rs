@@ -96,7 +96,7 @@ pub struct Derivation {
 
 /// The result of a chase run: the instance `Ch_rounds(T,D)` with per-fact
 /// round and provenance information. Every chase path — the engine, the
-/// sharded merge, the incremental fast paths — builds it through one
+/// sharded merge, the incremental seeded insert — builds it through one
 /// crate-private writer, so all of them fill it the same way. Storage
 /// footprint is not copied here: read `instance.stats()`.
 #[derive(Clone, Debug)]
@@ -1016,10 +1016,8 @@ fn run_chase(
             wall: t0.elapsed(),
             ..RoundStats::default()
         };
-        if !log.close_round(row) {
-            // The fixpoint probe: its re-derivations are not recorded.
-            break;
-        }
+        // Recorded before the fixpoint check: the probe round adds no fact,
+        // but its triggers are derivations all the same.
         for (idx, deriv) in m.existing_extra {
             all_derivations[idx].push(deriv);
         }
@@ -1029,6 +1027,9 @@ fn run_chase(
                 .index_of(&fact)
                 .expect("fresh facts were just inserted");
             all_derivations[idx].push(deriv);
+        }
+        if !log.close_round(row) {
+            break;
         }
         delta_facts = facts_before..log.instance().len();
         delta_term_range = terms_before..log.instance().domain_len();
@@ -1270,6 +1271,37 @@ mod tests {
             "one trigger, one derivation: {:?}",
             run.all_derivations[idx]
         );
+    }
+
+    #[test]
+    fn chase_all_records_every_trigger_of_a_cycle_closure() {
+        // The closure of a 3-cycle is all 9 edges, each derivable through
+        // each of the 3 middle nodes; the last such triggers are only
+        // enumerated by the fixpoint probe round.
+        let t = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z).").unwrap();
+        let d = parse_instance("e(a,b). e(b,c). e(c,a).").unwrap();
+        let run = chase_all(&t, &d, ChaseBudget::default());
+        let inst = &run.chase.instance;
+        assert_eq!(inst.len(), 9);
+        let mut brute: HashSet<(FactIdx, Vec<FactIdx>)> = HashSet::new();
+        for i in 0..inst.len() {
+            for j in 0..inst.len() {
+                let (x, y) = (inst.fact(i), inst.fact(j));
+                if x.args[1] == y.args[0] {
+                    let head = Fact::new(x.pred, vec![x.args[0], y.args[1]]);
+                    brute.insert((inst.index_of(&head).expect("closed"), vec![i, j]));
+                }
+            }
+        }
+        let recorded: Vec<(FactIdx, Vec<FactIdx>)> = run
+            .all_derivations
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, ds)| ds.iter().map(move |d| (idx, d.trigger.clone())))
+            .collect();
+        assert_eq!(recorded.len(), 27);
+        assert!(run.all_derivations.iter().all(|ds| ds.len() == 3));
+        assert_eq!(recorded.into_iter().collect::<HashSet<_>>(), brute);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! wall times may differ, because skipping that work is the whole point.
 //!
 //! **Inserts** are absorbed by seeding the semi-naive delta with just the
-//! new facts: the recorded match trails of the previous run are replayed
+//! new facts (sound by Observation 8: the old chase already holds every
+//! consequence of the old base, so no trigger that fired needs to fire
+//! again): the recorded match trails of the previous run are replayed
 //! round by round (an event's head facts are a pure function of its rule
 //! and frontier image, so no joins are re-run for old work), while a
 //! discovery pass joins only the *cone* — facts and terms that did not
@@ -20,17 +22,15 @@
 //! cold engine's canonical enumeration order, reconstructed from the
 //! static [`JoinPlan`] execution order.
 //!
-//! **Retractions** run delete/rederive (DRed) over the match-trail
-//! provenance: the affected cone is the set of derived facts whose first
-//! derivations transitively reference a retracted base fact. When the cone
-//! is empty (and no retracted fact is head-unifiable, so nothing needs
-//! rederivation), the fact log is truncated to the base snapshot and
-//! replayed without the retracted entries — O(n) inserts, zero joins.
-//! Otherwise the survivors are rederived by a cold re-chase of the
-//! shrunken base, which is also the general fallback whenever a batch
-//! violates one of the fast-path invariants (each bail is a *detected*
-//! structural change — e.g. a new fact pulling an old fact into an earlier
-//! round — where replaying old trails would be unsound).
+//! **Every other batch** — any batch with a retraction, an insert into a
+//! chase that did not terminate, or an insert batch that violates one of
+//! the seeded path's invariants (each bail is a *detected* structural
+//! change, e.g. a new fact pulling an old fact into an earlier round,
+//! where replaying old trails would be unsound) — is a cold re-chase of
+//! the adjusted base. A retraction first counts its
+//! provenance cone (the derived facts whose first derivations transitively
+//! reference a retracted base fact) for [`BatchStats::cone_facts`]; the
+//! re-chase then recomputes every derived fact, in the cone or not.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -78,115 +78,17 @@ impl WriteBatch {
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.retracts.is_empty()
     }
-
-    /// Coalesces a batch sequence into an equivalent, usually shorter one:
-    /// applying the result batches in order against a base where `in_base`
-    /// answers membership produces the **byte-identical** final base (same
-    /// surviving facts in the same log order) as applying the originals —
-    /// so the maintained chase after [`IncrementalChase::apply_all`] is
-    /// byte-identical too, with fewer dispatches.
-    ///
-    /// Rules, applied left to right over a membership overlay:
-    /// - ineffective writes are dropped (retract of an absent fact,
-    ///   insert of a present one — no-ops by the batch contract);
-    /// - consecutive effectively-pure-insert batches fuse into one, as do
-    ///   consecutive effectively-pure-retract batches;
-    /// - an insert-then-retract of a fact that was absent before the
-    ///   insert cancels outright (the fact never reaches the base, and
-    ///   removing both writes shifts no other fact's log position);
-    /// - batches that stay mixed after the above act as barriers.
-    pub fn coalesce(batches: &[WriteBatch], in_base: impl Fn(&Fact) -> bool) -> Vec<WriteBatch> {
-        let mut overlay: HashMap<Fact, bool> = HashMap::new();
-        let mut out: Vec<WriteBatch> = Vec::new();
-        // Facts in the current pure-insert top that were absent before it
-        // (only those may cancel against a following retract).
-        let mut top_new: HashSet<Fact> = HashSet::new();
-        for batch in batches {
-            let mut r_eff: Vec<Fact> = Vec::new();
-            for fx in &batch.retracts {
-                let present = overlay.get(fx).copied().unwrap_or_else(|| in_base(fx));
-                if present && !r_eff.contains(fx) {
-                    overlay.insert(fx.clone(), false);
-                    r_eff.push(fx.clone());
-                }
-            }
-            let mut i_eff: Vec<Fact> = Vec::new();
-            for fx in &batch.inserts {
-                let present = overlay.get(fx).copied().unwrap_or_else(|| in_base(fx));
-                if !present {
-                    overlay.insert(fx.clone(), true);
-                    i_eff.push(fx.clone());
-                }
-            }
-            match (r_eff.is_empty(), i_eff.is_empty()) {
-                (true, true) => {} // no effective writes
-                (true, false) => {
-                    // Pure insert: fuse with a pure-insert top.
-                    match out.last_mut() {
-                        Some(top) if top.retracts.is_empty() => {
-                            top_new.extend(i_eff.iter().cloned());
-                            top.inserts.extend(i_eff);
-                        }
-                        _ => {
-                            top_new = i_eff.iter().cloned().collect();
-                            out.push(WriteBatch::insert(i_eff));
-                        }
-                    }
-                }
-                (false, true) => {
-                    // Pure retract: cancel against the pure-insert top,
-                    // then fuse with a pure-retract top.
-                    if let Some(top) = out.last_mut() {
-                        if top.retracts.is_empty() {
-                            let cancel: HashSet<Fact> = r_eff
-                                .iter()
-                                .filter(|fx| top_new.contains(*fx))
-                                .cloned()
-                                .collect();
-                            if !cancel.is_empty() {
-                                top.inserts.retain(|fx| !cancel.contains(fx));
-                                r_eff.retain(|fx| !cancel.contains(fx));
-                                if top.inserts.is_empty() {
-                                    out.pop();
-                                }
-                            }
-                        }
-                    }
-                    if r_eff.is_empty() {
-                        continue;
-                    }
-                    top_new.clear();
-                    match out.last_mut() {
-                        Some(top) if top.inserts.is_empty() => top.retracts.extend(r_eff),
-                        _ => out.push(WriteBatch::retract(r_eff)),
-                    }
-                }
-                (false, false) => {
-                    // Mixed batch: a barrier (retracts run before inserts
-                    // within it, so it cannot fuse either way).
-                    top_new.clear();
-                    out.push(WriteBatch {
-                        inserts: i_eff,
-                        retracts: r_eff,
-                    });
-                }
-            }
-        }
-        out
-    }
 }
 
 /// How a batch was absorbed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchMode {
-    /// No effective change: the result is the previous chase.
+    /// No effective change: the chase is kept as it is.
     Noop,
     /// Inserts absorbed by delta seeding plus match-trail replay.
     SeededInsert,
-    /// Retractions absorbed by truncating and replaying the fact log
-    /// (empty delete/rederive cone).
-    TruncatedRetract,
-    /// Fallback: cold re-chase of the adjusted base.
+    /// Cold re-chase of the adjusted base: every batch with a retraction,
+    /// and every insert batch the seeded path bails on.
     Rechase,
 }
 
@@ -196,24 +98,15 @@ pub struct BatchStats {
     /// Which maintenance path absorbed the batch.
     pub mode: BatchMode,
     /// Derived facts carried over from the previous chase without
-    /// re-running their joins (fast paths only).
+    /// re-running their joins (seeded inserts only).
     pub replayed_facts: u64,
     /// Derived facts (re)computed by enumeration: new cone facts on the
     /// insert path, every derived fact on a re-chase.
     pub rederived_facts: u64,
-    /// Derived facts invalidated by retraction (the DRed cone).
+    /// Derived facts whose first derivations transitively reference a
+    /// retracted base fact (the provenance cone). Counted only; the
+    /// re-chase recomputes them along with every other derived fact.
     pub cone_facts: u64,
-}
-
-impl BatchStats {
-    fn of(mode: BatchMode) -> BatchStats {
-        BatchStats {
-            mode,
-            replayed_facts: 0,
-            rederived_facts: 0,
-            cone_facts: 0,
-        }
-    }
 }
 
 /// Cumulative counters over a sequence of batches.
@@ -225,7 +118,8 @@ pub struct IncrementalStats {
     pub noops: u64,
     /// Batches absorbed as [`BatchMode::SeededInsert`].
     pub seeded_inserts: u64,
-    /// Batches absorbed as [`BatchMode::TruncatedRetract`].
+    /// Always 0: no path absorbs a retraction without a re-chase. Kept
+    /// because the `perfbench` maintain workload reports it.
     pub truncated_retracts: u64,
     /// Batches that fell back to [`BatchMode::Rechase`].
     pub rechases: u64,
@@ -233,7 +127,7 @@ pub struct IncrementalStats {
     pub replayed_facts: u64,
     /// Total derived facts (re)computed by enumeration.
     pub rederived_facts: u64,
-    /// Total derived facts invalidated by retraction cones.
+    /// Total derived facts in retraction cones.
     pub cone_facts: u64,
 }
 
@@ -243,7 +137,6 @@ impl IncrementalStats {
         match b.mode {
             BatchMode::Noop => self.noops += 1,
             BatchMode::SeededInsert => self.seeded_inserts += 1,
-            BatchMode::TruncatedRetract => self.truncated_retracts += 1,
             BatchMode::Rechase => self.rechases += 1,
         }
         self.replayed_facts += b.replayed_facts;
@@ -266,7 +159,7 @@ impl IncrementalChase {
     }
 
     /// Wraps an existing chase (it should be terminated and built by the
-    /// semi-naive engine for the fast paths to engage).
+    /// semi-naive engine for seeded inserts to engage).
     pub fn from_chase(chase: Chase) -> Self {
         IncrementalChase {
             chase,
@@ -290,7 +183,9 @@ impl IncrementalChase {
     }
 
     /// Absorbs one write batch; the new state is byte-identical to a cold
-    /// chase of the adjusted base under the same budget.
+    /// chase of the adjusted base under `budget`, which must be the budget
+    /// the current chase was built with for a seeded insert to preserve
+    /// that contract.
     pub fn apply(
         &mut self,
         theory: &Theory,
@@ -299,103 +194,71 @@ impl IncrementalChase {
         exec: &Executor,
     ) -> BatchStats {
         let (next, bs) = chase_incremental(theory, &self.chase, batch, budget, exec);
-        self.chase = next;
+        if let Some(next) = next {
+            self.chase = next;
+        }
         self.stats.absorb(&bs);
         bs
     }
-
-    /// Absorbs a batch sequence, first coalescing it against the current
-    /// base with [`WriteBatch::coalesce`]. The final state is byte-identical
-    /// to [`IncrementalChase::apply`]-ing each batch in turn, usually with
-    /// fewer dispatches (one [`BatchStats`] per dispatched batch).
-    pub fn apply_all(
-        &mut self,
-        theory: &Theory,
-        batches: &[WriteBatch],
-        budget: ChaseBudget,
-        exec: &Executor,
-    ) -> Vec<BatchStats> {
-        let base_len = self.chase.round_snapshots[0].facts();
-        let coalesced = WriteBatch::coalesce(batches, |fx| {
-            self.chase
-                .instance
-                .index_of(fx)
-                .is_some_and(|i| i < base_len)
-        });
-        coalesced
-            .iter()
-            .map(|b| self.apply(theory, b, budget, exec))
-            .collect()
-    }
 }
 
-/// Applies one batch of base-fact writes to a finished chase. The returned
-/// chase is byte-identical (facts, `round_of`, provenance, snapshots,
-/// shared stats counters) to `chase_with` on the adjusted base with the
-/// same `budget` — which must be the budget the previous chase was built
-/// with for the fast paths to preserve that contract.
-pub fn chase_incremental(
+/// Applies one batch of base-fact writes to a finished chase: `None` for a
+/// batch with no effective write (the chase stands), else the chase of the
+/// adjusted base — the previous base minus the retracted facts, then the
+/// inserted facts it lacks.
+fn chase_incremental(
     theory: &Theory,
     prev: &Chase,
     batch: &WriteBatch,
     budget: ChaseBudget,
     exec: &Executor,
-) -> (Chase, BatchStats) {
+) -> (Option<Chase>, BatchStats) {
     let base_len = prev.round_snapshots[0].facts();
-    let retract_set: HashSet<&Fact> = batch.retracts.iter().collect();
-    let mut retracted_idx: Vec<FactIdx> = Vec::new();
-    let mut surviving: Vec<Fact> = Vec::new();
-    let mut present: HashSet<Fact> = HashSet::new();
-    for i in 0..base_len {
-        let f = prev.instance.fact(i).to_fact();
-        if retract_set.contains(&f) {
-            retracted_idx.push(i);
-        } else {
-            present.insert(f.clone());
-            surviving.push(f);
-        }
-    }
-    let mut inserts: Vec<Fact> = Vec::new();
-    for f in &batch.inserts {
-        if present.insert(f.clone()) {
-            inserts.push(f.clone());
-        }
-    }
+    let base_index = |f: &Fact| prev.instance.index_of(f).filter(|&i| i < base_len);
+    let mut retracted_idx: Vec<FactIdx> = batch.retracts.iter().filter_map(base_index).collect();
+    retracted_idx.sort_unstable();
+    retracted_idx.dedup();
+    let mut queued: HashSet<&Fact> = HashSet::new();
+    let inserts: Vec<Fact> = batch
+        .inserts
+        .iter()
+        .filter(|&f| {
+            base_index(f).is_none_or(|i| retracted_idx.binary_search(&i).is_ok())
+                && queued.insert(f)
+        })
+        .cloned()
+        .collect();
     if retracted_idx.is_empty() && inserts.is_empty() {
-        return (prev.clone(), BatchStats::of(BatchMode::Noop));
+        let noop = BatchStats {
+            mode: BatchMode::Noop,
+            replayed_facts: 0,
+            rederived_facts: 0,
+            cone_facts: 0,
+        };
+        return (None, noop);
     }
-    // The fast paths replay recorded first derivations, so they need a
+    // A seeded insert replays recorded first derivations, so it needs a
     // terminated previous run.
-    let fast_ok = prev.terminated();
-    if fast_ok && retracted_idx.is_empty() {
-        if let Some(res) = seeded_insert(theory, prev, &inserts, budget, exec) {
-            return res;
+    if retracted_idx.is_empty() && prev.terminated() {
+        if let Some((chase, bs)) = seeded_insert(theory, prev, &inserts, budget, exec) {
+            return (Some(chase), bs);
         }
     }
-    if fast_ok && inserts.is_empty() {
-        if let Some(chase) = truncate_retract(theory, prev, &retracted_idx, budget, exec) {
-            let replayed = (chase.instance.len() - chase.round_snapshots[0].facts()) as u64;
-            return (
-                chase,
-                BatchStats {
-                    replayed_facts: replayed,
-                    ..BatchStats::of(BatchMode::TruncatedRetract)
-                },
-            );
-        }
-    }
-    // General fallback: delete the cone (implicitly) and rederive all
-    // survivors by a cold chase of the adjusted base.
     let cone = cone_facts(prev, &retracted_idx);
     let mut db = Instance::new();
-    for f in surviving.into_iter().chain(inserts) {
+    for i in 0..base_len {
+        if retracted_idx.binary_search(&i).is_err() {
+            db.insert(prev.instance.fact(i).to_fact());
+        }
+    }
+    for f in inserts {
         db.insert(f);
     }
     let base_n = db.len();
     let chase = chase_with(theory, &db, budget, exec);
     let rederived = (chase.instance.len() - base_n) as u64;
     (
-        chase,
+        Some(chase),
         BatchStats {
             mode: BatchMode::Rechase,
             replayed_facts: 0,
@@ -405,9 +268,9 @@ pub fn chase_incremental(
     )
 }
 
-/// The size of the delete/rederive cone: derived facts whose first
-/// derivations transitively reference a retracted base fact. Trails only
-/// point backwards, so one forward sweep suffices.
+/// The size of the provenance cone: derived facts whose first derivations
+/// transitively reference a retracted base fact. Trails only point
+/// backwards, so one forward sweep suffices.
 fn cone_facts(prev: &Chase, retracted: &[FactIdx]) -> u64 {
     if retracted.is_empty() {
         return 0;
@@ -429,152 +292,6 @@ fn cone_facts(prev: &Chase, retracted: &[FactIdx]) -> u64 {
         }
     }
     n
-}
-
-/// Pure-retraction fast path: when the cone is empty and nothing a
-/// retracted fact carried can change (no rederivation, no term whose first
-/// occurrence or first round moves, no vanished ground-`dom` guard), the
-/// surviving fact log replays verbatim — every recorded winner still wins
-/// at the same round, so the rebuild is byte-identical to a cold chase of
-/// the shrunken base. Returns `None` when any invariant fails.
-fn truncate_retract(
-    theory: &Theory,
-    prev: &Chase,
-    retracted_idx: &[FactIdx],
-    budget: ChaseBudget,
-    exec: &Executor,
-) -> Option<Chase> {
-    let base_len = prev.round_snapshots[0].facts();
-    let prev_len = prev.instance.len();
-    // A different budget could truncate the cold run where the previous one
-    // kept going (or vice versa); only replay under a budget the previous
-    // shape fits strictly inside.
-    if prev.rounds >= budget.max_rounds || prev_len > budget.max_facts {
-        return None;
-    }
-    // (1) No retracted fact may be rederivable. Conservative syntactic
-    // check: bail if it unifies with any rule head atom.
-    let mut scratch = Vec::new();
-    for &i in retracted_idx {
-        let f = prev.instance.fact(i);
-        for rule in theory.rules() {
-            for atom in rule.head() {
-                if atom.pred == f.pred {
-                    scratch.clear();
-                    if unify_atom_fact(atom, f, &mut scratch) {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-    let retracted: HashSet<FactIdx> = retracted_idx.iter().copied().collect();
-    // (2) Every term occurring in a retracted fact must either keep its
-    // first occurrence (an earlier surviving fact introduced it) or vanish
-    // entirely — a moved first occurrence changes domain order and first
-    // rounds, which the replay cannot absorb.
-    let mut first_fact: HashMap<TermId, FactIdx> = HashMap::new();
-    let mut total_occ: HashMap<TermId, u32> = HashMap::new();
-    let mut retract_occ: HashMap<TermId, u32> = HashMap::new();
-    for i in 0..prev_len {
-        let f = prev.instance.fact(i);
-        for &t in f.args {
-            first_fact.entry(t).or_insert(i);
-            *total_occ.entry(t).or_insert(0) += 1;
-            if retracted.contains(&i) {
-                *retract_occ.entry(t).or_insert(0) += 1;
-            }
-        }
-    }
-    let vanishes = |t: TermId| -> bool {
-        retracted.contains(&first_fact[&t]) && retract_occ.get(&t) == total_occ.get(&t)
-    };
-    for (&t, &rc) in &retract_occ {
-        if retracted.contains(&first_fact[&t]) && total_occ[&t] > rc {
-            return None;
-        }
-    }
-    // (3) A vanished term must not be a ground `dom` guard of the theory:
-    // the old run fired that rule, the cold run would not.
-    for rule in theory.rules() {
-        for atom in rule.body() {
-            if atom.pred.is_dom() {
-                if let QTerm::Const(c) = atom.args[0] {
-                    let c = TermId::constant(c);
-                    if first_fact.contains_key(&c) && vanishes(c) {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-    // (3b) A vanished term may have been the binding of a pure dom-var
-    // sweep (a `dom` variable bound by no regular body atom). Such sweeps
-    // leave no trace in the recorded trigger, so the replay cannot tell
-    // whether the event still fires — or still fires in the same round —
-    // without the term (e.g. `s, dom(Y) -> q.` after the last domain
-    // term is retracted). Bail and re-chase.
-    if retract_occ.keys().any(|&t| vanishes(t)) {
-        for rule in theory.rules() {
-            let regular_vars: HashSet<Var> = rule
-                .body()
-                .iter()
-                .filter(|a| !a.pred.is_dom())
-                .flat_map(|a| a.vars())
-                .collect();
-            for atom in rule.body() {
-                if atom.pred.is_dom() {
-                    if let QTerm::Var(v) = atom.args[0] {
-                        if !regular_vars.contains(&v) {
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // (4) The trigger-closure cone must be empty.
-    for i in base_len..prev_len {
-        let d = prev.derivations[i].as_ref()?;
-        if d.trigger.iter().any(|&t| retracted.contains(&t)) {
-            return None;
-        }
-    }
-    // Replay the surviving fact log in order, rebuilding indices, round
-    // boundaries and remapped trails; each round keeps its recorded
-    // engine counters, and the probe row closes the run at the fixpoint.
-    let mut old_to_new: Vec<Option<FactIdx>> = vec![None; prev_len];
-    let mut base = Instance::new();
-    for (i, slot) in old_to_new.iter_mut().enumerate().take(base_len) {
-        if !retracted.contains(&i) {
-            *slot = Some(
-                base.insert(prev.instance.fact(i).to_fact())
-                    .expect("the previous chase holds no duplicates"),
-            );
-        }
-    }
-    let mut log = ChaseLog::new(base, exec.threads());
-    for row in &prev.stats.rounds {
-        for i in prev.delta_range(row.round).unwrap_or_default() {
-            let d = prev.derivations[i].as_ref().expect("checked in (4)");
-            let deriv = Derivation {
-                rule: d.rule,
-                trigger: d
-                    .trigger
-                    .iter()
-                    .map(|&t| old_to_new[t].expect("cone is empty, triggers survive"))
-                    .collect(),
-                frontier: d.frontier.clone(),
-                round: d.round,
-            };
-            old_to_new[i] = Some(
-                log.push(prev.instance.fact(i).to_fact(), deriv)
-                    .expect("the previous chase holds no duplicates"),
-            );
-        }
-        log.close_round(row.clone());
-    }
-    Some(log.finish())
 }
 
 /// Per-rule metadata for firing-round and sort-key computation.
@@ -615,24 +332,13 @@ fn term_round(
     old.get(&t).or_else(|| cold.get(&t)).copied()
 }
 
-/// An event waiting to be applied in some cold round. `Old` triggers are
-/// previous-chase fact indices, `W` triggers index the discovery instance.
-enum TriggerRef {
-    Old(Vec<FactIdx>),
-    W(Vec<usize>),
-}
-
+/// An event waiting to be applied in some cold round: a replayed event of
+/// the previous run or one found by the cone discovery pass. Its trigger
+/// indexes the working instance `W`, which extends the previous instance,
+/// so a previous-run fact keeps its index.
 struct PendingEvent {
     rule: usize,
-    trigger: TriggerRef,
-    frontier: Vec<TermId>,
-}
-
-/// An event found by the cone discovery pass, on discovery-instance
-/// indices.
-struct Discovered {
-    rule: usize,
-    trigger_w: Vec<usize>,
+    trigger: Vec<usize>,
     frontier: Vec<TermId>,
 }
 
@@ -769,7 +475,7 @@ fn record_arrival(
     old_env: bool,
     old_term_round: &HashMap<TermId, usize>,
     seen: &mut HashSet<(usize, Vec<usize>, Vec<TermId>)>,
-    out: &mut Vec<Discovered>,
+    out: &mut Vec<PendingEvent>,
     triggers: &mut u64,
 ) {
     *triggers += 1;
@@ -795,9 +501,9 @@ fn record_arrival(
         return;
     }
     if seen.insert((ridx, trigger.clone(), frontier.clone())) {
-        out.push(Discovered {
+        out.push(PendingEvent {
             rule: ridx,
-            trigger_w: trigger,
+            trigger,
             frontier,
         });
     }
@@ -821,7 +527,7 @@ fn discover(
     counters: &mut MatchCounters,
     triggers: &mut u64,
     dom_sweeps: &mut u64,
-) -> Vec<Discovered> {
+) -> Vec<PendingEvent> {
     let mut out = Vec::new();
     if delta_facts.is_empty() && delta_terms.is_empty() {
         return out;
@@ -925,7 +631,7 @@ fn discover(
     out
 }
 
-/// Pure-insert fast path. Replays the previous run's events at their
+/// The seeded-insert path. Replays the previous run's events at their
 /// recorded rounds and interleaves cone events discovered by semi-naive
 /// joins seeded with only the batch, producing the cold chase of
 /// `prev base ++ inserts` without enumerating any old-only trigger.
@@ -978,7 +684,7 @@ fn seeded_insert(
                 }
                 old_events[d.round].push(PendingEvent {
                     rule: d.rule,
-                    trigger: TriggerRef::Old(d.trigger.clone()),
+                    trigger: d.trigger.clone(),
                     frontier: d.frontier.clone(),
                 });
                 last = Some(d);
@@ -986,31 +692,32 @@ fn seeded_insert(
         }
     }
 
+    // The working instance W = prev ++ batch ++ (cone facts as they are
+    // derived): discovery joins run against it, and every pending event's
+    // trigger indexes it. Each W fact carries its cold index (set once the
+    // fact enters the cold log) and its round.
+    let mut w = prev.instance.clone();
+    let mut w_to_cold: Vec<Option<FactIdx>> = vec![None; prev_len];
+    let mut w_round: Vec<usize> = prev.round_of.clone();
     // The cold base: the previous base, then the batch.
     let mut base = Instance::new();
-    let mut old_to_cold: Vec<Option<FactIdx>> = vec![None; prev_len];
-    let mut term_rank: HashMap<TermId, u32> = HashMap::new();
-    let mut cold_term_round: HashMap<TermId, usize> = HashMap::new();
-
-    for (i, slot) in old_to_cold.iter_mut().enumerate().take(base_len) {
+    for (i, slot) in w_to_cold.iter_mut().enumerate().take(base_len) {
         let idx = base
             .insert(prev.instance.fact(i).to_fact())
             .expect("the previous chase holds no duplicates");
         *slot = Some(idx);
     }
-    // The working instance W = prev ++ batch ++ (cone facts as they are
-    // derived): discovery joins run against it. Extra W facts carry their
-    // cold index and round.
-    let mut w = prev.instance.clone();
-    let mut w_extra: Vec<(FactIdx, usize)> = Vec::new();
     let mut delta_facts: Vec<usize> = Vec::new();
     for f in inserts {
         let idx = base.insert(f.clone()).expect("effective inserts are new");
         let wi = w.insert(f.clone()).expect("not in prev");
-        debug_assert_eq!(wi, prev_len + w_extra.len());
-        w_extra.push((idx, 0));
+        debug_assert_eq!(wi, w_to_cold.len());
+        w_to_cold.push(Some(idx));
+        w_round.push(0);
         delta_facts.push(wi);
     }
+    let mut term_rank: HashMap<TermId, u32> = HashMap::new();
+    let mut cold_term_round: HashMap<TermId, usize> = HashMap::new();
     // The cold state under construction.
     let mut log = ChaseLog::new(base, exec.threads());
     let mut delta_terms: Vec<TermId> = Vec::new();
@@ -1032,14 +739,6 @@ fn seeded_insert(
     buckets.resize_with(budget.max_rounds + 2, Vec::new);
     let mut replayed = 0u64;
     let mut rederived = 0u64;
-
-    let w_round = |wi: usize, w_extra: &[(FactIdx, usize)]| -> usize {
-        if wi < prev_len {
-            prev.round_of[wi]
-        } else {
-            w_extra[wi - prev_len].1
-        }
-    };
 
     for round in 1..=budget.max_rounds {
         let t0 = Instant::now();
@@ -1065,8 +764,8 @@ fn seeded_insert(
             let plan = &rule_plans[ev.rule];
             let meta = &metas[ev.rule];
             let mut m = 0usize;
-            for &wi in &ev.trigger_w {
-                m = m.max(w_round(wi, &w_extra));
+            for &wi in &ev.trigger {
+                m = m.max(w_round[wi]);
             }
             for &(_, v) in &plan.dom_var {
                 if meta.regular_vars.contains(&v) {
@@ -1083,11 +782,7 @@ fn seeded_insert(
             let fire = m + 1;
             debug_assert!(fire >= round, "cone elements are at most one round old");
             if fire < buckets.len() {
-                buckets[fire].push(PendingEvent {
-                    rule: ev.rule,
-                    trigger: TriggerRef::W(ev.trigger_w),
-                    frontier: ev.frontier,
-                });
+                buckets[fire].push(ev);
             }
         }
         let enum_wall = t0.elapsed();
@@ -1102,22 +797,11 @@ fn seeded_insert(
         };
         let mut todo: Vec<StagedEvent> = Vec::new();
         for ev in olds.into_iter().chain(std::mem::take(&mut buckets[round])) {
-            let trigger: Vec<FactIdx> = match &ev.trigger {
-                TriggerRef::Old(t) => t
-                    .iter()
-                    .map(|&i| old_to_cold[i].expect("older rounds are fully replayed"))
-                    .collect(),
-                TriggerRef::W(t) => t
-                    .iter()
-                    .map(|&wi| {
-                        if wi < prev_len {
-                            old_to_cold[wi].expect("older rounds are fully replayed")
-                        } else {
-                            w_extra[wi - prev_len].0
-                        }
-                    })
-                    .collect(),
-            };
+            let trigger: Vec<FactIdx> = ev
+                .trigger
+                .iter()
+                .map(|&wi| w_to_cold[wi].expect("older rounds are fully replayed"))
+                .collect();
             let key = sort_key(
                 &rule_plans[ev.rule],
                 &metas[ev.rule],
@@ -1169,14 +853,15 @@ fn seeded_insert(
                 let idx = log.push(fact.clone(), d).expect("checked fresh");
                 match old_idx {
                     Some(oi) => {
-                        old_to_cold[oi] = Some(idx);
+                        w_to_cold[oi] = Some(idx);
                         replayed += 1;
                     }
                     None => {
                         // A genuinely new fact: it joins the cone delta.
                         let wi = w.insert(fact).expect("absent from prev");
-                        debug_assert_eq!(wi, prev_len + w_extra.len());
-                        w_extra.push((idx, round));
+                        debug_assert_eq!(wi, w_to_cold.len());
+                        w_to_cold.push(Some(idx));
+                        w_round.push(round);
                         next_delta_facts.push(wi);
                         rederived += 1;
                     }
@@ -1276,7 +961,7 @@ mod tests {
         }
     }
 
-    /// Mirrors `chase_incremental`'s base semantics on a shadow fact list:
+    /// Mirrors `IncrementalChase::apply`'s base semantics on a shadow fact list:
     /// retract first, then append the inserts that are not already present.
     fn apply_shadow(base: &mut Vec<Fact>, batch: &WriteBatch) {
         base.retain(|x| !batch.retracts.contains(x));
@@ -1285,6 +970,19 @@ mod tests {
                 base.push(fx.clone());
             }
         }
+    }
+
+    /// Absorbs one batch into a copy of `prev`.
+    fn absorb(
+        theory: &Theory,
+        prev: &Chase,
+        batch: &WriteBatch,
+        budget: ChaseBudget,
+        exec: &Executor,
+    ) -> (Chase, BatchStats) {
+        let mut incr = IncrementalChase::from_chase(prev.clone());
+        let bs = incr.apply(theory, batch, budget, exec);
+        (incr.chase, bs)
     }
 
     fn cold_of(theory: &Theory, base: &[Fact], budget: ChaseBudget, exec: &Executor) -> Chase {
@@ -1303,7 +1001,7 @@ mod tests {
         let budget = ChaseBudget::default();
         let prev = chase_with(&t, &d, budget, &exec);
         let batch = WriteBatch::insert([f("e", &["d", "x1"]), f("e", &["x1", "x2"])]);
-        let (incr, bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
+        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
         assert_eq!(bs.mode, BatchMode::SeededInsert);
         assert!(bs.replayed_facts > 0);
         assert!(bs.rederived_facts > 0);
@@ -1322,7 +1020,7 @@ mod tests {
         let budget = ChaseBudget::default();
         let prev = chase_with(&t, &d, budget, &exec);
         let batch = WriteBatch::insert([f("e", &["a", "c"])]);
-        let (incr, bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
+        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
         assert_eq!(bs.mode, BatchMode::Rechase);
         let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
         apply_shadow(&mut base, &batch);
@@ -1330,19 +1028,20 @@ mod tests {
     }
 
     #[test]
-    fn retract_leaf_takes_fast_path() {
-        // r/1 heads no rule and r(z) feeds no derivation, and its term
-        // vanishes wholly: the fact log replays without it.
+    fn retract_leaf_rechases_with_empty_cone() {
+        // r/1 heads no rule and r(z) feeds no derivation: the cone is empty,
+        // and the re-chase of the shrunken base still matches a cold chase.
         let t = parse_theory("p(X) -> q(X).").unwrap();
         let d = parse_instance("p(a). p(b). r(z).").unwrap();
         let exec = Executor::sequential();
         let budget = ChaseBudget::default();
         let prev = chase_with(&t, &d, budget, &exec);
         let batch = WriteBatch::retract([f("r", &["z"])]);
-        let (incr, bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
-        assert_eq!(bs.mode, BatchMode::TruncatedRetract);
-        assert_eq!(bs.replayed_facts, 2); // q(a), q(b)
+        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
+        assert_eq!(bs.mode, BatchMode::Rechase);
         assert_eq!(bs.cone_facts, 0);
+        assert_eq!(bs.replayed_facts, 0);
+        assert_eq!(bs.rederived_facts, 2); // q(a), q(b)
         let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
         apply_shadow(&mut base, &batch);
         assert_incr_matches_cold(&incr, &cold_of(&t, &base, budget, &exec));
@@ -1356,7 +1055,7 @@ mod tests {
         let budget = ChaseBudget::default();
         let prev = chase_with(&t, &d, budget, &exec);
         let batch = WriteBatch::retract([f("e", &["b", "c"])]);
-        let (incr, bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
+        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
         assert_eq!(bs.mode, BatchMode::Rechase);
         // Cone: e(a,c), e(b,d) directly, e(a,d) transitively.
         assert_eq!(bs.cone_facts, 3);
@@ -1375,7 +1074,7 @@ mod tests {
         let budget = ChaseBudget::default();
         let prev = chase_with(&t, &d, budget, &exec);
         let batch = WriteBatch::insert([f("p", &["c"])]);
-        let (incr, bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
+        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
         assert_eq!(bs.mode, BatchMode::SeededInsert);
         let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
         apply_shadow(&mut base, &batch);
@@ -1395,8 +1094,27 @@ mod tests {
         let prev = chase_with(&t, &d, budget, &exec);
         assert!(!prev.instance.contains(&f("q", &[])));
         let batch = WriteBatch::insert([f("r", &["a"])]);
-        let (incr, _bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
+        let (incr, _bs) = absorb(&t, &prev, &batch, budget, &exec);
         assert!(incr.instance.contains(&f("q", &[])));
+        let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
+        apply_shadow(&mut base, &batch);
+        assert_incr_matches_cold(&incr, &cold_of(&t, &base, budget, &exec));
+    }
+
+    #[test]
+    fn retract_vanishing_dom_var_sweep_matches_cold() {
+        // `s, dom(Y) -> q` fired only because r(z) put a term in the
+        // domain; retracting r(z) empties the domain, so q must go too.
+        let t = parse_theory("s, dom(Y) -> q.").unwrap();
+        let d = parse_instance("s. r(z).").unwrap();
+        let exec = Executor::sequential();
+        let budget = ChaseBudget::default();
+        let prev = chase_with(&t, &d, budget, &exec);
+        assert!(prev.instance.contains(&f("q", &[])));
+        let batch = WriteBatch::retract([f("r", &["z"])]);
+        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
+        assert_eq!(bs.mode, BatchMode::Rechase);
+        assert!(!incr.instance.contains(&f("q", &[])));
         let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
         apply_shadow(&mut base, &batch);
         assert_incr_matches_cold(&incr, &cold_of(&t, &base, budget, &exec));
@@ -1408,22 +1126,23 @@ mod tests {
         let d = parse_instance("e(a,b). e(b,c).").unwrap();
         let exec = Executor::sequential();
         let budget = ChaseBudget::default();
-        let prev = chase_with(&t, &d, budget, &exec);
+        let mut incr = IncrementalChase::new(&t, &d, budget, &exec);
+        let prev = incr.chase().clone();
+        // Retracting a *derived* fact is a no-op too: only base facts are
+        // subject to retraction.
+        let derived = f("e", &["a", "c"]);
+        assert!(prev.instance.contains(&derived));
         for batch in [
             WriteBatch::default(),
             WriteBatch::insert([f("e", &["a", "b"])]), // already a base fact
             WriteBatch::retract([f("e", &["q", "q"])]), // never present
+            WriteBatch::retract([derived]),
         ] {
-            let (incr, bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
+            let bs = incr.apply(&t, &batch, budget, &exec);
             assert_eq!(bs.mode, BatchMode::Noop, "{batch:?}");
-            assert_incr_matches_cold(&incr, &prev);
+            assert_incr_matches_cold(incr.chase(), &prev);
         }
-        // Retracting a *derived* fact is also a no-op: only base facts are
-        // subject to retraction.
-        let derived = f("e", &["a", "c"]);
-        assert!(prev.instance.contains(&derived));
-        let (_, bs) = chase_incremental(&t, &prev, &WriteBatch::retract([derived]), budget, &exec);
-        assert_eq!(bs.mode, BatchMode::Noop);
+        assert_eq!(incr.stats().noops, 4);
     }
 
     const PROP_THEORIES: &[&str] = &[
@@ -1488,10 +1207,8 @@ mod tests {
                 assert_incr_matches_cold(incr.chase(), &cold_of(&t, &base, budget, &exec));
             }
             let s = incr.stats();
-            assert_eq!(
-                s.batches,
-                s.noops + s.seeded_inserts + s.truncated_retracts + s.rechases
-            );
+            assert_eq!(s.batches, s.noops + s.seeded_inserts + s.rechases);
+            assert_eq!(s.truncated_retracts, 0);
         });
     }
 
@@ -1536,33 +1253,35 @@ mod tests {
         // uninterrupted incremental run.
         let t = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z).\np(X) -> r(X,Z).").unwrap();
         let d = parse_instance("e(a,b). e(b,c). p(a).").unwrap();
-        let exec = Executor::sequential();
         let budget = ChaseBudget::default();
-        let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
-        let mut live = IncrementalChase::new(&t, &d, budget, &exec);
-        let batches = [
-            WriteBatch::insert([f("e", &["c", "d1"]), f("p", &["d1"])]),
-            WriteBatch::retract([f("p", &["a"])]),
-            WriteBatch::insert([f("e", &["d1", "d2"])]),
-        ];
-        live.apply(&t, &batches[0], budget, &exec);
-        apply_shadow(&mut base, &batches[0]);
-        // Checkpoint the maintained base, round-trip it, resume.
-        let mut base_inst = Instance::new();
-        for fx in &base {
-            base_inst.insert(fx.clone());
+        for threads in [1, 2, 4] {
+            let exec = Executor::with_threads(threads);
+            let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
+            let mut live = IncrementalChase::new(&t, &d, budget, &exec);
+            let batches = [
+                WriteBatch::insert([f("e", &["c", "d1"]), f("p", &["d1"])]),
+                WriteBatch::retract([f("p", &["a"])]),
+                WriteBatch::insert([f("e", &["d1", "d2"])]),
+            ];
+            live.apply(&t, &batches[0], budget, &exec);
+            apply_shadow(&mut base, &batches[0]);
+            // Checkpoint the maintained base, round-trip it, resume.
+            let mut base_inst = Instance::new();
+            for fx in &base {
+                base_inst.insert(fx.clone());
+            }
+            let decoded = Instance::from_bytes(&base_inst.to_bytes()).unwrap();
+            assert_eq!(decoded, base_inst);
+            let mut resumed = IncrementalChase::new(&t, &decoded, budget, &exec);
+            assert_incr_matches_cold(resumed.chase(), live.chase());
+            for batch in &batches[1..] {
+                live.apply(&t, batch, budget, &exec);
+                resumed.apply(&t, batch, budget, &exec);
+                apply_shadow(&mut base, batch);
+            }
+            assert_incr_matches_cold(resumed.chase(), live.chase());
+            assert_incr_matches_cold(live.chase(), &cold_of(&t, &base, budget, &exec));
         }
-        let decoded = Instance::from_bytes(&base_inst.to_bytes()).unwrap();
-        assert_eq!(decoded, base_inst);
-        let mut resumed = IncrementalChase::new(&t, &decoded, budget, &exec);
-        assert_incr_matches_cold(resumed.chase(), live.chase());
-        for batch in &batches[1..] {
-            live.apply(&t, batch, budget, &exec);
-            resumed.apply(&t, batch, budget, &exec);
-            apply_shadow(&mut base, batch);
-        }
-        assert_incr_matches_cold(resumed.chase(), live.chase());
-        assert_incr_matches_cold(live.chase(), &cold_of(&t, &base, budget, &exec));
     }
 
     #[test]
@@ -1579,7 +1298,7 @@ mod tests {
         let budget = ChaseBudget::default();
         let prev = chase_with(&t, &d, budget, &exec);
         let batch = WriteBatch::insert([f("e", &["n12", "n13"])]);
-        let (incr, bs) = chase_incremental(&t, &prev, &batch, budget, &exec);
+        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
         assert_eq!(bs.mode, BatchMode::SeededInsert);
         let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
         apply_shadow(&mut base, &batch);
@@ -1596,135 +1315,15 @@ mod tests {
 
     #[test]
     fn default_budget_chase_smoke() {
-        // `chase` (default executor) and `chase_incremental` agree too.
+        // `chase` (default executor) and `IncrementalChase` agree too.
         let t = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z).").unwrap();
         let d = parse_instance("e(a,b). e(b,c).").unwrap();
         let prev = chase(&t, &d, ChaseBudget::default());
         let exec = Executor::from_env();
         let batch = WriteBatch::insert([f("e", &["c", "d"])]);
-        let (incr, _) = chase_incremental(&t, &prev, &batch, ChaseBudget::default(), &exec);
+        let (incr, _) = absorb(&t, &prev, &batch, ChaseBudget::default(), &exec);
         let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
         apply_shadow(&mut base, &batch);
         assert_incr_matches_cold(&incr, &cold_of(&t, &base, ChaseBudget::default(), &exec));
-    }
-
-    #[test]
-    fn coalesce_fuses_cancels_and_drops_noops() {
-        let in_base = |fx: &Fact| *fx == f("p", &["a"]);
-        let batches = vec![
-            WriteBatch::insert([f("p", &["b"])]),
-            WriteBatch::insert([f("p", &["c"]), f("p", &["a"])]), // p(a) is a no-op
-            WriteBatch::retract([f("p", &["c"]), f("p", &["z"])]), // cancels p(c); p(z) is a no-op
-            WriteBatch::retract([f("p", &["a"])]),
-            WriteBatch {
-                inserts: vec![f("q", &["d"])],
-                retracts: vec![f("p", &["b"])],
-            },
-            WriteBatch::insert([f("q", &["d"])]), // no-op after the mixed batch
-        ];
-        let out = WriteBatch::coalesce(&batches, in_base);
-        assert_eq!(
-            out,
-            vec![
-                WriteBatch::insert([f("p", &["b"])]),
-                WriteBatch::retract([f("p", &["a"])]),
-                WriteBatch {
-                    inserts: vec![f("q", &["d"])],
-                    retracts: vec![f("p", &["b"])],
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn coalesce_cancellation_empties_top_and_fuses_through() {
-        // insert p(b); retract p(b), p(a): the insert cancels away entirely
-        // and the surviving retract fuses with the preceding retract batch.
-        let in_base = |fx: &Fact| *fx == f("p", &["a"]) || *fx == f("p", &["x"]);
-        let batches = vec![
-            WriteBatch::retract([f("p", &["x"])]),
-            WriteBatch::insert([f("p", &["b"])]),
-            WriteBatch::retract([f("p", &["b"]), f("p", &["a"])]),
-        ];
-        let out = WriteBatch::coalesce(&batches, in_base);
-        assert_eq!(
-            out,
-            vec![WriteBatch::retract([f("p", &["x"]), f("p", &["a"])])]
-        );
-    }
-
-    #[test]
-    fn apply_all_dispatches_fewer_batches_to_identical_state() {
-        let t = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z).").unwrap();
-        let d = parse_instance("e(a,b). e(b,c).").unwrap();
-        let exec = Executor::sequential();
-        let budget = ChaseBudget::default();
-        let batches = vec![
-            WriteBatch::insert([f("e", &["c", "d"])]),
-            WriteBatch::insert([f("e", &["d", "x"])]),
-            WriteBatch::retract([f("e", &["d", "x"])]), // cancels the insert above
-            WriteBatch::insert([f("e", &["d", "e"])]),
-        ];
-        let mut one_by_one = IncrementalChase::new(&t, &d, budget, &exec);
-        for batch in &batches {
-            one_by_one.apply(&t, batch, budget, &exec);
-        }
-        let mut coalesced = IncrementalChase::new(&t, &d, budget, &exec);
-        let dispatched = coalesced.apply_all(&t, &batches, budget, &exec);
-        assert_eq!(dispatched.len(), 1); // four batches fused into one insert
-        assert_eq!(coalesced.stats().batches, 1);
-        assert_eq!(one_by_one.stats().batches, 4);
-        assert_incr_matches_cold(coalesced.chase(), one_by_one.chase());
-        let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
-        for batch in &batches {
-            apply_shadow(&mut base, batch);
-        }
-        assert_incr_matches_cold(coalesced.chase(), &cold_of(&t, &base, budget, &exec));
-    }
-
-    #[test]
-    fn random_coalesced_sequences_match_one_by_one() {
-        // Property: `apply_all` over a random batch sequence lands on a
-        // state byte-identical to applying each batch in turn, and never
-        // dispatches more batches than it was given.
-        let t = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z). p(X) -> q(X).").unwrap();
-        let exec = Executor::sequential();
-        let budget = ChaseBudget::default();
-        qr_testkit::check("coalesce_matches_one_by_one", 40, |rng: &mut Rng| {
-            let pool: Vec<Fact> = (0..6)
-                .flat_map(|i| {
-                    let a = format!("n{i}");
-                    let b = format!("n{}", (i + 1) % 6);
-                    [f("e", &[&a, &b]), f("p", &[&a])]
-                })
-                .collect();
-            let mut d = Instance::new();
-            for fx in &pool {
-                if rng.bool() {
-                    d.insert(fx.clone());
-                }
-            }
-            let mut batches = Vec::new();
-            for _ in 0..rng.range(1, 6) {
-                let mut batch = WriteBatch::default();
-                for _ in 0..rng.range(0, 4) {
-                    let fx = pool[rng.below(pool.len())].clone();
-                    if rng.bool() {
-                        batch.inserts.push(fx);
-                    } else {
-                        batch.retracts.push(fx);
-                    }
-                }
-                batches.push(batch);
-            }
-            let mut one_by_one = IncrementalChase::new(&t, &d, budget, &exec);
-            for batch in &batches {
-                one_by_one.apply(&t, batch, budget, &exec);
-            }
-            let mut coalesced = IncrementalChase::new(&t, &d, budget, &exec);
-            let dispatched = coalesced.apply_all(&t, &batches, budget, &exec);
-            assert!(dispatched.len() <= batches.len());
-            assert_incr_matches_cold(coalesced.chase(), one_by_one.chase());
-        });
     }
 }

@@ -27,9 +27,7 @@ pub use engine::{
     chase, chase_all, chase_all_with, chase_naive, chase_naive_with, chase_with, Chase, ChaseAll,
     ChaseBudget, ChaseOutcome, Derivation,
 };
-pub use incremental::{
-    chase_incremental, BatchMode, BatchStats, IncrementalChase, IncrementalStats, WriteBatch,
-};
+pub use incremental::{BatchMode, BatchStats, IncrementalChase, IncrementalStats, WriteBatch};
 pub use model::is_model;
 pub use provenance::{adversarial_ancestors, minimal_subset, minimal_support, Provenance};
 pub use sharded::{chase_sharded, ShardMode, ShardStats};
