@@ -130,7 +130,14 @@ fn read_term(r: &mut ByteReader, nvars: usize) -> Result<QTerm, DecodeError> {
             }
             Ok(QTerm::Var(Var(v as u32)))
         }
-        1 => Ok(QTerm::Const(Symbol::intern(r.str()?))),
+        // A forged frozen constant would pose as a variable.
+        1 => match r.str()? {
+            name if Symbol::is_frozen_name(name) => Err(DecodeError::at(
+                at,
+                DecodeErrorKind::Malformed("reserved frozen constant"),
+            )),
+            name => Ok(QTerm::Const(Symbol::intern(name))),
+        },
         _ => Err(DecodeError::at(
             at,
             DecodeErrorKind::Malformed("bad term tag"),

@@ -10,8 +10,10 @@ use qr_check::{
 };
 use qr_exec::Executor;
 use qr_rewrite::{rewrite_certified, RewriteBudget, RewriteCertBundle};
+use qr_storage::DecodeErrorKind;
 use qr_syntax::{
-    parse_instance, parse_query, parse_theory, ConjunctiveQuery, Instance, Theory, Ucq,
+    parse_instance, parse_query, parse_theory, ConjunctiveQuery, Instance, QTerm, Symbol, Theory,
+    Ucq,
 };
 
 fn rewrite_fixture() -> (Theory, ConjunctiveQuery, Ucq, RewriteCertBundle) {
@@ -271,6 +273,28 @@ fn corrupted_chase_bytes_never_panic() {
     }
     // QRCC is pure index data: every byte is load-bearing.
     assert_eq!(rejected, bytes.len(), "every chase-bundle flip is caught");
+}
+
+/// A constant named like a frozen one (`#i`) would pose as a variable
+/// wherever queries are frozen; the decoder rejects it at the string.
+#[test]
+fn forged_frozen_constants_are_rejected() {
+    let (_, _, _, bundle) = rewrite_fixture();
+    let mut m = bundle.clone();
+    let seed = &m.certs[0].query;
+    let exist = seed.existential_vars()[0];
+    let forged = Symbol::frozen(exist.index());
+    m.certs[0].query = seed.apply(&[(exist, QTerm::Const(forged))].into());
+    let bytes = encode_rewrite_certs(&m);
+    let e = decode_rewrite_certs(&bytes).unwrap_err();
+    assert_eq!(
+        e.kind,
+        DecodeErrorKind::Malformed("reserved frozen constant")
+    );
+    // Located at the forged term: its constant tag, length and text.
+    let name = forged.as_str().as_bytes();
+    assert_eq!(bytes[e.offset..e.offset + 2], [1, name.len() as u8]);
+    assert!(bytes[e.offset + 2..].starts_with(name));
 }
 
 #[test]

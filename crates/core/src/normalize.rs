@@ -8,7 +8,8 @@
 //!   Definition 67) — so bodies only need to match *existential* atoms.
 //! * **Step two** (`T_II`): each body is split into its frontier-connected
 //!   part `β` and the disconnected remainder `φ`, and `φ` is encapsulated
-//!   in a fresh **nullary** predicate `M_φ` ("body separation",
+//!   in a new **nullary** predicate `M_φ`, named `m_nf#k` (`#` keeps it
+//!   apart from every parsed predicate) ("body separation",
 //!   Definition 68).
 //! * **Step three** (`T_III`): rules `ζ ⇒ M_φ` for every `ζ ∈ rew_T(φ)`.
 //!
@@ -25,7 +26,7 @@ use qr_chase::engine::{chase, chase_all, ChaseBudget};
 use qr_chase::provenance::adversarial_ancestors;
 use qr_rewrite::{rewrite, RewriteBudget, RewriteError};
 use qr_syntax::gaifman;
-use qr_syntax::query::{QAtom, QTerm, Var};
+use qr_syntax::query::{local_var_name, QAtom, QTerm, Var};
 use qr_syntax::{ConjunctiveQuery, Instance, Pred, Symbol, Tgd, Theory};
 
 /// The result of normalizing a theory.
@@ -105,8 +106,7 @@ pub fn normalize(theory: &Theory, budget: RewriteBudget) -> Result<Normalized, N
                 Some(phi_q) => {
                     let key = phi_q.canonical();
                     let pred = *m_by_key.entry(key.clone()).or_insert_with(|| {
-                        let name = Symbol::fresh(&format!("m_nf{}", m_preds.len() + 1));
-                        let p = Pred::new(name, 0);
+                        let p = Pred::new(format!("m_nf#{}", m_preds.len() + 1).as_str(), 0);
                         m_preds.push((p, key));
                         p
                     });
@@ -199,7 +199,7 @@ fn assemble_rule(
     for v in original.head_vars() {
         head_map.entry(v).or_insert_with(|| {
             let nv = Var(names.len() as u32);
-            names.push(Symbol::fresh(original.var_name(v).as_str()));
+            names.push(local_var_name(&names, original.var_name(v), names.len()));
             nv
         });
     }

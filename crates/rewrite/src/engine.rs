@@ -17,11 +17,9 @@
 //! hiding merge latency — without a barrier per window. Every counter in
 //! [`RewriteStats`] is identical across thread counts.
 //!
-//! Accepted disjuncts are canonically renamed on acceptance: fresh
-//! variable names minted during unification embed a global counter that
-//! parallel generation advances in schedule-dependent order, so without
-//! the renaming, saturation output would differ textually between thread
-//! counts even though the sets are isomorphic.
+//! Accepted disjuncts are renamed `U0, U1, …` on acceptance, so rendered
+//! rewritings never carry the slot-suffixed rule-variable names that
+//! piece unification generates.
 //!
 //! # Generation-side dedup
 //!
@@ -301,7 +299,7 @@ impl KeptSet {
 /// keeping answer-variable names (skipping any `U<i>` an answer variable
 /// already uses). Structure — atom order, variable indices — is
 /// untouched, so piece enumeration over the renamed query is unaffected;
-/// only the schedule-dependent fresh names disappear.
+/// only the generated rule-variable names disappear.
 fn canonical_named(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     let answer: HashSet<Var> = q.answer_vars().iter().copied().collect();
     let reserved: HashSet<&str> = q

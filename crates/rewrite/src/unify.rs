@@ -22,7 +22,7 @@
 use std::collections::{HashMap, HashSet};
 
 use qr_hom::kernel::pred_mask_bit;
-use qr_syntax::query::{ConjunctiveQuery, QAtom, QTerm, Var};
+use qr_syntax::query::{local_var_name, ConjunctiveQuery, QAtom, QTerm, Var};
 use qr_syntax::{Pred, Symbol, Tgd, Theory};
 
 /// A successful piece unification, carrying the rewritten query.
@@ -378,10 +378,8 @@ fn descend(
 /// Zero search — the pairs *are* the derivation witness. Returns `None`
 /// when the pairs are out of range, not strictly ascending in the query
 /// atom (the enumeration's shape), predicate-mismatched, or fail
-/// admissibility. The result is structurally identical to the
-/// enumerated [`PieceUnifier::result`] for the same pairs: same atoms,
-/// same answer tuple, same variable indices (only the fresh display
-/// names differ).
+/// admissibility. The result equals the enumerated
+/// [`PieceUnifier::result`] for the same pairs, variable names included.
 pub fn apply_piece_unifier(
     q: &ConjunctiveQuery,
     rule: &Tgd,
@@ -502,11 +500,11 @@ fn finish(space: &Space<'_>, piece: &[(usize, usize)], mut uf: Uf) -> Option<Con
         subst.insert(*root, rep);
     }
 
-    // Build the combined variable table: query vars then rule vars (fresh
-    // display names so renderings stay unambiguous).
+    // The combined variable table: query vars, then rule vars named by
+    // stem and slot, so equal rewritings get equal tables.
     let mut names: Vec<Symbol> = space.q.var_names().to_vec();
-    for v in space.rule.var_names() {
-        names.push(Symbol::fresh(v.as_str()));
+    for &v in space.rule.var_names() {
+        names.push(local_var_name(&names, v, names.len()));
     }
 
     let apply_q = |t: &QTerm, uf: &mut Uf| -> QTerm {
@@ -658,6 +656,20 @@ mod tests {
     }
 
     #[test]
+    fn equal_rewritings_of_two_pieces_are_kept_once() {
+        // Unifying either atom with the head merges X and Y, so the two
+        // one-atom pieces rewrite to the same query, rule variable names
+        // included: the dedup set keeps the first.
+        let t = parse_theory("s(A,C) -> r(A,A).").unwrap();
+        let q = parse_query("? :- r(X,Y), r(Y,X).").unwrap();
+        let rs: Vec<String> = piece_rewritings(&q, &t.rules()[0])
+            .iter()
+            .map(|p| format!("{:?} {}", p.piece, p.result.render()))
+            .collect();
+        assert_eq!(rs, ["[1] ? :- r(X,X), s(X,C_3)", "[0, 1] ? :- s(X,C_3)"]);
+    }
+
+    #[test]
     fn datalog_rule_rewrites_in_place() {
         let t = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z).").unwrap();
         let q = parse_query("? :- e(a, b).").unwrap();
@@ -688,44 +700,6 @@ mod tests {
         assert_eq!(c.skipped, 4);
     }
 
-    /// Render with every variable renamed to its order of first
-    /// appearance: the enumeration mints globally fresh names per call,
-    /// so raw renders differ across otherwise identical runs.
-    fn normalized(pu: &PieceUnifier) -> String {
-        fn flush(tok: &mut String, out: &mut String, map: &mut Vec<String>) {
-            if tok.is_empty() {
-                return;
-            }
-            if tok.chars().next().unwrap().is_uppercase() {
-                let i = match map.iter().position(|t| t == tok.as_str()) {
-                    Some(i) => i,
-                    None => {
-                        map.push(tok.clone());
-                        map.len() - 1
-                    }
-                };
-                out.push('V');
-                out.push_str(&i.to_string());
-            } else {
-                out.push_str(tok);
-            }
-            tok.clear();
-        }
-        let mut map = Vec::new();
-        let mut out = String::new();
-        let mut tok = String::new();
-        for ch in pu.result.render().chars() {
-            if ch.is_alphanumeric() || ch == '_' {
-                tok.push(ch);
-            } else {
-                flush(&mut tok, &mut out, &mut map);
-                out.push(ch);
-            }
-        }
-        flush(&mut tok, &mut out, &mut map);
-        out
-    }
-
     #[test]
     fn cap_truncates_to_a_prefix() {
         // A datalog head (no existentials), so each query atom rewrites on
@@ -735,14 +709,14 @@ mod tests {
         let q = parse_query("? :- e(a,b), e(b,c).").unwrap();
         let rule = &t.rules()[0];
         let ridx = RuleIndex::new(rule);
-        let full: Vec<String> = piece_rewritings(&q, rule).iter().map(normalized).collect();
+        let results = |pus: Vec<PieceUnifier>| -> Vec<ConjunctiveQuery> {
+            pus.into_iter().map(|p| p.result).collect()
+        };
+        let full = results(piece_rewritings(&q, rule));
         assert!(full.len() >= 2);
         for cap in 0..=full.len() {
             let mut c = UnifyCounters::default();
-            let capped: Vec<String> = piece_rewritings_indexed(&q, rule, &ridx, cap, &mut c)
-                .iter()
-                .map(normalized)
-                .collect();
+            let capped = results(piece_rewritings_indexed(&q, rule, &ridx, cap, &mut c));
             assert_eq!(capped, full[..cap], "cap {cap} is an exact prefix");
         }
     }
@@ -775,8 +749,7 @@ mod tests {
             for pu in pus {
                 let replayed =
                     apply_piece_unifier(&q, rule, &pu.unified).expect("recorded pairs replay");
-                assert_eq!(replayed.atoms(), pu.result.atoms(), "{qsrc}");
-                assert_eq!(replayed.answer_vars(), pu.result.answer_vars(), "{qsrc}");
+                assert_eq!(replayed, pu.result, "{qsrc}");
             }
         }
     }

@@ -10,7 +10,7 @@ use crate::symbol::Symbol;
 
 fn display_var_name(names: &[Symbol], v: crate::query::Var) -> String {
     // Sanitize: parser identifiers are [A-Za-z0-9_'], and variables must
-    // start uppercase. Fresh symbols like `x#26` become `X_26`.
+    // start uppercase. Programmatic names like `x-1` become `X_1`.
     let raw = names[v.index()].as_str();
     let mut s: String = raw
         .chars()

@@ -290,14 +290,13 @@ impl ConjunctiveQuery {
         }
     }
 
-    /// Freezes the query into its canonical instance: each variable becomes
-    /// a distinct fresh constant. Returns the instance together with the
-    /// variable-to-term mapping.
+    /// Freezes the query into its canonical instance: variable `i` becomes
+    /// the reserved constant [`Symbol::frozen`]`(i)`. Returns the instance
+    /// together with the variable-to-term mapping.
     pub fn freeze(&self) -> (Instance, HashMap<Var, TermId>) {
         let mut map = HashMap::new();
         for v in self.vars() {
-            let name = Symbol::fresh(&format!("_frz_{}", self.var_name(v)));
-            map.insert(v, TermId::constant(name));
+            map.insert(v, TermId::constant(Symbol::frozen(v.index())));
         }
         let mut inst = Instance::new();
         for a in &self.atoms {
@@ -314,31 +313,24 @@ impl ConjunctiveQuery {
         (inst, map)
     }
 
-    /// Views an instance as a Boolean conjunctive query: every term becomes
-    /// a variable (the construction in the proof of Observation 31). Terms
-    /// listed in `free` become answer variables, in the given order.
+    /// Views an instance as a Boolean conjunctive query: the `i`-th distinct
+    /// term, free ones first, becomes variable `V{i}` (the construction in
+    /// the proof of Observation 31). Terms in `free` become answer variables.
     pub fn of_instance(inst: &Instance, free: &[TermId]) -> ConjunctiveQuery {
         let mut var_of: HashMap<TermId, Var> = HashMap::new();
-        let mut names = Vec::new();
-        let touch = |t: TermId, var_of: &mut HashMap<TermId, Var>, names: &mut Vec<Symbol>| {
+        let mut touch = |t: TermId| {
             let next = Var(var_of.len() as u32);
-            *var_of.entry(t).or_insert_with(|| {
-                names.push(Symbol::fresh("v"));
-                next
-            })
+            *var_of.entry(t).or_insert(next)
         };
-        for &t in free {
-            touch(t, &mut var_of, &mut names);
-        }
+        let answer = free.iter().map(|&t| touch(t)).collect();
         let mut atoms = Vec::new();
         for f in inst.iter() {
-            let args: Vec<QTerm> = f
-                .terms()
-                .map(|t| QTerm::Var(touch(t, &mut var_of, &mut names)))
-                .collect();
+            let args: Vec<QTerm> = f.terms().map(|t| QTerm::Var(touch(t))).collect();
             atoms.push(QAtom::new(f.pred, args));
         }
-        let answer = free.iter().map(|t| var_of[t]).collect();
+        let names = (0..var_of.len())
+            .map(|i| Symbol::intern(&format!("V{i}")))
+            .collect();
         ConjunctiveQuery::new(answer, atoms, names)
     }
 
@@ -346,6 +338,15 @@ impl ConjunctiveQuery {
     pub fn render(&self) -> String {
         crate::display::render_cq(self)
     }
+}
+
+/// The name `{stem}_{k}` for slot `pos` of a table holding `names`: the
+/// first `k ≥ pos` not taken, so renaming a table again interns nothing.
+pub fn local_var_name(names: &[Symbol], stem: Symbol, pos: usize) -> Symbol {
+    (pos..)
+        .map(|k| Symbol::intern(&format!("{stem}_{k}")))
+        .find(|s| !names.contains(s))
+        .expect("a finite table leaves some suffix free")
 }
 
 /// A union of conjunctive queries, all with the same answer arity.
@@ -413,7 +414,6 @@ impl FromIterator<ConjunctiveQuery> for Ucq {
 /// Convenience builder for constructing queries and rules programmatically.
 #[derive(Default)]
 pub struct VarPool {
-    by_name: HashMap<Symbol, Var>,
     names: Vec<Symbol>,
 }
 
@@ -426,32 +426,16 @@ impl VarPool {
     /// Returns the variable named `name`, creating it on first use.
     pub fn var(&mut self, name: &str) -> Var {
         let sym = Symbol::intern(name);
-        if let Some(&v) = self.by_name.get(&sym) {
-            return v;
+        if let Some(i) = self.names.iter().position(|&n| n == sym) {
+            return Var(i as u32);
         }
-        let v = Var(self.names.len() as u32);
         self.names.push(sym);
-        self.by_name.insert(sym, v);
-        v
-    }
-
-    /// A fresh anonymous variable.
-    pub fn fresh(&mut self, stem: &str) -> Var {
-        let sym = Symbol::fresh(stem);
-        let v = Var(self.names.len() as u32);
-        self.names.push(sym);
-        self.by_name.insert(sym, v);
-        v
+        Var(self.names.len() as u32 - 1)
     }
 
     /// Consumes the pool, returning the name table.
     pub fn into_names(self) -> Vec<Symbol> {
         self.names
-    }
-
-    /// The current name table.
-    pub fn names(&self) -> &[Symbol] {
-        &self.names
     }
 }
 
@@ -556,9 +540,21 @@ mod tests {
         let (inst, map) = q.freeze();
         assert_eq!(inst.len(), 2);
         assert_ne!(map[&x], map[&y]);
+        // Frozen constants depend only on the variable index.
+        assert_eq!(map[&x], TermId::constant(Symbol::frozen(x.index())));
+        assert_eq!(q.freeze().1, map);
         let back = ConjunctiveQuery::of_instance(&inst, &[map[&x]]);
         assert_eq!(back.size(), 2);
         assert_eq!(back.answer_vars().len(), 1);
+        assert_eq!(back.render(), "?(V0) :- e(V0,V1), e(V1,V0)");
+    }
+
+    #[test]
+    fn local_var_names_skip_taken_names() {
+        let names: Vec<Symbol> = ["X", "A_2", "A_3"].map(Symbol::intern).to_vec();
+        let a = Symbol::intern("A");
+        assert_eq!(local_var_name(&names, a, 1).as_str(), "A_1");
+        assert_eq!(local_var_name(&names, a, 2).as_str(), "A_4");
     }
 
     #[test]

@@ -271,7 +271,7 @@ mod tests {
             "dl",
             vec![binary("mother", x, y)],
             vec![unary("human", y)],
-            pool.names().to_vec(),
+            pool.into_names(),
         );
         assert!(dl.is_datalog());
         let mut pool2 = VarPool::new();

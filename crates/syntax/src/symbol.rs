@@ -2,9 +2,12 @@
 //!
 //! Symbols are cheap (`u32`) copies; the backing strings are leaked once and
 //! live for the duration of the process, so [`Symbol::as_str`] can hand out
-//! `&'static str`. Every call — [`Symbol::as_str`] included — takes the
-//! interner mutex; only the returned string outlives the lock.
+//! `&'static str`. Every call — [`Symbol::as_str`] and ordering included —
+//! takes the interner mutex; only the returned string outlives the lock.
+//! Equality and hashing compare indices (interning is injective); ordering
+//! compares the strings, so no result depends on interning order.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -12,8 +15,8 @@ use std::sync::{Mutex, OnceLock};
 /// An interned string.
 ///
 /// Two symbols are equal iff they intern the same string, so equality and
-/// hashing are `u32` operations.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// hashing are `u32` operations. Symbols order as their strings do.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
 struct InternerState {
@@ -51,27 +54,36 @@ impl Symbol {
         state.names[self.0 as usize]
     }
 
-    /// A fresh symbol guaranteed not to collide with previously interned
-    /// names, derived from `stem`. Useful for generated variable names.
-    pub fn fresh(stem: &str) -> Symbol {
-        let mut state = interner().lock().expect("symbol interner poisoned");
-        let mut counter = state.names.len();
-        loop {
-            let candidate = format!("{stem}#{counter}");
-            if !state.by_name.contains_key(candidate.as_str()) {
-                let id = u32::try_from(state.names.len()).expect("symbol table overflow");
-                let leaked: &'static str = Box::leak(candidate.into_boxed_str());
-                state.names.push(leaked);
-                state.by_name.insert(leaked, id);
-                return Symbol(id);
-            }
-            counter += 1;
-        }
+    /// The constant `#i` that [`crate::ConjunctiveQuery::freeze`] gives
+    /// variable `i` (`#` opens a parser comment, so no parsed name is one).
+    pub fn frozen(i: usize) -> Symbol {
+        Symbol::intern(&format!("#{i}"))
+    }
+
+    /// `true` iff `name` is reserved for [`Symbol::frozen`] constants.
+    pub fn is_frozen_name(name: &str) -> bool {
+        name.starts_with('#')
     }
 
     /// The raw interner index (stable for the process lifetime).
     pub fn index(self) -> u32 {
         self.0
+    }
+}
+
+impl Ord for Symbol {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self == other {
+            return Ordering::Equal;
+        }
+        let state = interner().lock().expect("symbol interner poisoned");
+        state.names[self.0 as usize].cmp(state.names[other.0 as usize])
+    }
+}
+
+impl PartialOrd for Symbol {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -111,11 +123,19 @@ mod tests {
     }
 
     #[test]
-    fn fresh_symbols_do_not_collide() {
-        let f1 = Symbol::fresh("x");
-        let f2 = Symbol::fresh("x");
-        assert_ne!(f1, f2);
-        // And a later intern of the same text maps back to the fresh symbol.
-        assert_eq!(Symbol::intern(f1.as_str()), f1);
+    fn symbols_order_by_text_not_by_interning_order() {
+        let z = Symbol::intern("zz_interned_first");
+        let a = Symbol::intern("aa_interned_second");
+        assert!(z.index() < a.index());
+        assert!(a < z);
+        assert_eq!(z.cmp(&z), Ordering::Equal);
+    }
+
+    #[test]
+    fn frozen_constants_are_shared_per_index() {
+        assert_eq!(Symbol::frozen(3), Symbol::frozen(3));
+        assert_ne!(Symbol::frozen(3), Symbol::frozen(4));
+        assert!(Symbol::is_frozen_name(Symbol::frozen(3).as_str()));
+        assert!(!Symbol::is_frozen_name("abel"));
     }
 }
