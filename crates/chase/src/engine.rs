@@ -29,14 +29,16 @@
 //! same facts, term indices, provenance trails, and trigger counts as the
 //! sequential engine, bit for bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
 use qr_exec::Executor;
 use qr_hom::matcher::{Assignment, JoinPlan, MatchCounters};
 use qr_syntax::query::{QAtom, QTerm, Var};
-use qr_syntax::{Fact, FactIdx, FactRef, Instance, InstanceSnapshot, Pred, TermId, Theory};
+use qr_syntax::{
+    Fact, FactIdx, FactRef, FxMap, FxSet, Instance, InstanceSnapshot, Pred, TermId, Theory,
+};
 
 use crate::skolem::SkolemizedRule;
 use crate::stats::{ChaseStats, RoundStats};
@@ -238,9 +240,11 @@ impl ChaseLog {
 
     /// Appends `fact`, first derived by `deriv` in the open round. Returns
     /// its index, or `None` (recording nothing) if it is already present.
-    pub(crate) fn push(&mut self, fact: Fact, deriv: Derivation) -> Option<FactIdx> {
+    /// This is the engine round's only dedup: the first staging of a fact
+    /// wins, and a `None` marks a later staging of the same fact.
+    pub(crate) fn push(&mut self, fact: FactRef<'_>, deriv: Derivation) -> Option<FactIdx> {
         debug_assert_eq!(deriv.round, self.round_snapshots.len(), "open round");
-        let idx = self.instance.insert(fact)?;
+        let idx = self.instance.insert_ref(fact)?;
         self.round_of.push(deriv.round);
         self.derivations.push(Some(deriv));
         Some(idx)
@@ -499,7 +503,7 @@ enum Path {
 /// `>= fact_start` and terms in `new_terms` are new.
 struct DeltaCtx {
     fact_start: FactIdx,
-    new_terms: HashSet<TermId>,
+    new_terms: FxSet<TermId>,
 }
 
 /// One unit of per-round enumeration work. Tasks are generated in exactly
@@ -539,13 +543,13 @@ struct RoundCtx<'a> {
     plans: &'a [RulePlan<'a>],
     instance: &'a Instance,
     delta: &'a DeltaCtx,
-    delta_by_pred: &'a HashMap<Pred, Vec<FactIdx>>,
+    delta_by_pred: &'a FxMap<Pred, Vec<FactIdx>>,
     delta_terms: &'a [TermId],
     /// Dom-sweep locality index: the new terms occurring at each
     /// `(pred, position)` of the fact delta. New terms occur in delta
     /// facts only, so this is a complete filter for the positions in
     /// [`RulePlan::dom_var_keys`].
-    delta_occ: &'a HashMap<(Pred, u32), HashSet<TermId>>,
+    delta_occ: &'a FxMap<(Pred, u32), FxSet<TermId>>,
     record_all: bool,
 }
 
@@ -556,22 +560,53 @@ struct StagedEvent {
     rule: usize,
     trigger: Vec<FactIdx>,
     frontier: Vec<TermId>,
-    /// Head facts not in the prefix (normal mode: also deduplicated
+    /// The number of head facts not in the prefix, the event's next run
+    /// of the task's [`StagedFacts`] (normal mode: also deduplicated
     /// against this task's earlier events).
-    fresh: Vec<Fact>,
+    fresh: usize,
     /// `record_all`: prefix indices of head facts that already exist.
     existing: Vec<FactIdx>,
 }
 
+/// The fresh head facts one task stages, flat and in staging order: one
+/// buffer per task instead of one allocation per fact.
+#[derive(Default)]
+struct StagedFacts {
+    preds: Vec<Pred>,
+    /// End offset of each fact's arguments in `args`.
+    ends: Vec<usize>,
+    args: Vec<TermId>,
+}
+
+impl StagedFacts {
+    fn push(&mut self, fact: &Fact) {
+        self.preds.push(fact.pred);
+        self.args.extend_from_slice(&fact.args);
+        self.ends.push(self.args.len());
+    }
+
+    fn get(&self, i: usize) -> FactRef<'_> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        FactRef {
+            pred: self.preds[i],
+            args: &self.args[start..self.ends[i]],
+        }
+    }
+}
+
+/// A derivation's identity within a round: `(rule, trigger, frontier)`.
+type DerivKey = (usize, Vec<FactIdx>, Vec<TermId>);
+
 /// Worker-local buffers for one round task.
 struct TaskBuf {
     events: Vec<StagedEvent>,
+    staged: StagedFacts,
     /// Normal mode: facts staged by this task, for intra-task dedup.
-    fresh_set: HashSet<Fact>,
+    fresh_set: FxSet<Fact>,
     /// `record_all`: derivation keys staged by this task — an intra-task
     /// pre-filter for the merge's global dedup (two assignments differing
     /// only on a non-frontier dom variable collapse to one key).
-    seen_derivs: HashSet<(usize, Vec<FactIdx>, Vec<TermId>)>,
+    seen_derivs: FxSet<DerivKey>,
     /// Scratch: the current trigger, one slot per regular body atom.
     trigger_buf: Vec<FactIdx>,
     /// Scratch: the current frontier image.
@@ -584,8 +619,9 @@ impl TaskBuf {
     fn new() -> TaskBuf {
         TaskBuf {
             events: Vec::new(),
-            fresh_set: HashSet::new(),
-            seen_derivs: HashSet::new(),
+            staged: StagedFacts::default(),
+            fresh_set: FxSet::default(),
+            seen_derivs: FxSet::default(),
             trigger_buf: Vec::new(),
             frontier_buf: Vec::new(),
             triggers: 0,
@@ -596,6 +632,7 @@ impl TaskBuf {
 /// The output of one round task, merged in submission order.
 struct TaskOut {
     events: Vec<StagedEvent>,
+    staged: StagedFacts,
     triggers: u64,
     candidates: u64,
     dom_sweeps: u64,
@@ -680,6 +717,7 @@ fn run_task(ctx: &RoundCtx<'_>, task: RoundTask) -> TaskOut {
     }
     TaskOut {
         events: buf.events,
+        staged: buf.staged,
         triggers: buf.triggers,
         candidates: counters.candidates,
         dom_sweeps,
@@ -780,19 +818,24 @@ fn emit(
     let facts = plan
         .skolemized
         .apply_with_frontier(plan.rule, &buf.frontier_buf, term_of);
-    let mut fresh = Vec::new();
+    let mut fresh = 0;
     let mut existing = Vec::new();
     for fact in facts {
         if ctx.record_all {
             match ctx.instance.index_of(&fact) {
                 Some(idx) => existing.push(idx),
-                None => fresh.push(fact),
+                None => {
+                    buf.staged.push(&fact);
+                    fresh += 1;
+                }
             }
-        } else if !ctx.instance.contains(&fact) && buf.fresh_set.insert(fact.clone()) {
-            fresh.push(fact);
+        } else if !ctx.instance.contains(&fact) && !buf.fresh_set.contains(&fact) {
+            buf.staged.push(&fact);
+            buf.fresh_set.insert(fact);
+            fresh += 1;
         }
     }
-    if fresh.is_empty() && existing.is_empty() {
+    if fresh == 0 && existing.is_empty() {
         return;
     }
     buf.events.push(StagedEvent {
@@ -804,62 +847,73 @@ fn emit(
     });
 }
 
-/// The merged outcome of one round's tasks, in sequential emission order.
-struct RoundMerge {
-    fresh: Vec<(Fact, Derivation)>,
-    fresh_extra: Vec<(Fact, Derivation)>,
-    existing_extra: Vec<(FactIdx, Derivation)>,
-    triggers: u64,
-    candidates: u64,
-    dom_sweeps: u64,
-    dom_pruned: u64,
-}
-
-/// Folds task outputs in submission order, replaying exactly the staging
-/// decisions of a sequential run: the first staging of a fact wins, later
-/// stagings survive only as `record_all` extras, and duplicate
-/// `(rule, trigger, frontier)` derivations are dropped round-globally.
-fn merge_task_outputs(outs: Vec<TaskOut>, round: usize, record_all: bool) -> RoundMerge {
-    let mut m = RoundMerge {
-        fresh: Vec::new(),
-        fresh_extra: Vec::new(),
-        existing_extra: Vec::new(),
-        triggers: 0,
-        candidates: 0,
-        dom_sweeps: 0,
-        dom_pruned: 0,
+/// Folds one round's task outputs into `log`, event by event in
+/// submission order, replaying exactly the staging decisions of a
+/// sequential run. [`ChaseLog::push`] is the round's only fact dedup: the
+/// first staging of a fact wins, and a later one (`None`) is dropped in
+/// normal mode. With `all` (`record_all`), a later staging becomes an
+/// extra derivation of the fact instead, prefix facts collect theirs, and
+/// duplicate `(rule, trigger, frontier)` derivations are dropped
+/// round-globally. Returns the round's summed task counters.
+fn merge_task_outputs(
+    log: &mut ChaseLog,
+    outs: Vec<TaskOut>,
+    round: usize,
+    mut all: Option<&mut Vec<Vec<Derivation>>>,
+) -> RoundStats {
+    let mut row = RoundStats {
+        round,
+        ..RoundStats::default()
     };
-    let mut fresh_set: HashSet<Fact> = HashSet::new();
-    let mut seen_derivs: HashSet<(usize, Vec<FactIdx>, Vec<TermId>)> = HashSet::new();
+    let mut seen_derivs: FxSet<DerivKey> = FxSet::default();
     for out in outs {
-        m.triggers += out.triggers;
-        m.candidates += out.candidates;
-        m.dom_sweeps += out.dom_sweeps;
-        m.dom_pruned += out.dom_pruned;
+        row.triggers += out.triggers;
+        row.candidates += out.candidates;
+        row.dom_sweeps += out.dom_sweeps;
+        row.dom_pruned += out.dom_pruned;
+        let mut next = 0;
         for ev in out.events {
-            if record_all && !seen_derivs.insert((ev.rule, ev.trigger.clone(), ev.frontier.clone()))
-            {
-                continue;
-            }
+            let facts = next..next + ev.fresh;
+            next = facts.end;
             let deriv = Derivation {
                 rule: ev.rule,
                 trigger: ev.trigger,
                 frontier: ev.frontier,
                 round,
             };
-            for idx in ev.existing {
-                m.existing_extra.push((idx, deriv.clone()));
+            let Some(all) = all.as_deref_mut() else {
+                // The derivation moves into the event's last fact.
+                debug_assert!(ev.fresh > 0, "normal mode stages only fresh facts");
+                let last = facts.end - 1;
+                for i in facts.start..last {
+                    log.push(out.staged.get(i), deriv.clone());
+                }
+                log.push(out.staged.get(last), deriv);
+                continue;
+            };
+            let key = (deriv.rule, deriv.trigger.clone(), deriv.frontier.clone());
+            if !seen_derivs.insert(key) {
+                continue;
             }
-            for fact in ev.fresh {
-                if fresh_set.insert(fact.clone()) {
-                    m.fresh.push((fact, deriv.clone()));
-                } else if record_all {
-                    m.fresh_extra.push((fact, deriv.clone()));
+            for idx in ev.existing {
+                all[idx].push(deriv.clone());
+            }
+            for i in facts {
+                let fact = out.staged.get(i);
+                match log.push(fact, deriv.clone()) {
+                    Some(_) => all.push(vec![deriv.clone()]),
+                    None => {
+                        let idx = log
+                            .instance()
+                            .index_of_ref(fact)
+                            .expect("a dropped staging is already in the log");
+                        all[idx].push(deriv.clone());
+                    }
                 }
             }
         }
     }
-    m
+    row
 }
 
 /// Splits `n` work units into at most `2 × threads` contiguous chunks.
@@ -908,8 +962,8 @@ fn run_chase(
         let outs = {
             // Per-round delta indexes and the task list, in sequential
             // visit order.
-            let mut delta_by_pred: HashMap<Pred, Vec<FactIdx>> = HashMap::new();
-            let mut delta_occ: HashMap<(Pred, u32), HashSet<TermId>> = HashMap::new();
+            let mut delta_by_pred: FxMap<Pred, Vec<FactIdx>> = FxMap::default();
+            let mut delta_occ: FxMap<(Pred, u32), FxSet<TermId>> = FxMap::default();
             let mut tasks: Vec<RoundTask> = Vec::new();
             let delta_terms: &[TermId];
             let delta;
@@ -973,7 +1027,7 @@ fn run_chase(
                 delta_terms = &[];
                 delta = DeltaCtx {
                     fact_start: 0,
-                    new_terms: HashSet::new(),
+                    new_terms: FxSet::default(),
                 };
                 for ridx in 0..plans.len() {
                     tasks.push(RoundTask::FullRule { ridx });
@@ -992,42 +1046,18 @@ fn run_chase(
         };
         let enum_wall = t0.elapsed();
         let t1 = Instant::now();
-        let m = merge_task_outputs(outs, round, record_all);
-
         let facts_before = log.instance().len();
         let terms_before = log.instance().domain_len();
-        for (fact, deriv) in m.fresh {
-            if record_all {
-                if log.push(fact, deriv.clone()).is_some() {
-                    all_derivations.push(vec![deriv]);
-                }
-            } else {
-                log.push(fact, deriv);
-            }
-        }
+        // Recorded before the fixpoint check: the probe round adds no fact,
+        // but its triggers are derivations all the same.
+        let all = record_all.then_some(&mut all_derivations);
+        let counters = merge_task_outputs(&mut log, outs, round, all);
         let row = RoundStats {
-            round,
-            triggers: m.triggers,
-            candidates: m.candidates,
-            dom_sweeps: m.dom_sweeps,
-            dom_pruned: m.dom_pruned,
             enum_wall,
             merge_wall: t1.elapsed(),
             wall: t0.elapsed(),
-            ..RoundStats::default()
+            ..counters
         };
-        // Recorded before the fixpoint check: the probe round adds no fact,
-        // but its triggers are derivations all the same.
-        for (idx, deriv) in m.existing_extra {
-            all_derivations[idx].push(deriv);
-        }
-        for (fact, deriv) in m.fresh_extra {
-            let idx = log
-                .instance()
-                .index_of(&fact)
-                .expect("fresh facts were just inserted");
-            all_derivations[idx].push(deriv);
-        }
         if !log.close_round(row) {
             break;
         }
@@ -1044,6 +1074,7 @@ fn run_chase(
 mod tests {
     use super::*;
     use qr_syntax::{parse_instance, parse_query, parse_theory, Symbol};
+    use std::collections::HashSet;
 
     fn c(name: &str) -> TermId {
         TermId::constant(Symbol::intern(name))
@@ -1492,5 +1523,47 @@ mod tests {
         let q = parse_query("? :- e(X1,X2), e(X2,X3), e(X3,X4).").unwrap();
         let depth = crate::first_entailment_depth(&t, &d, &q, &[], ChaseBudget::rounds(8));
         assert_eq!(depth, Some(2));
+    }
+
+    /// `p(c2)` is staged by both rules in round 1, and `p(c3)` by three
+    /// facts of rule 1's delta, which at 2 and 4 threads sit in separate
+    /// chunks (tasks). At every thread count the first staging in
+    /// submission order takes the fact's index and first derivation, and
+    /// `chase_all` keeps each later staging, in order, as an extra.
+    #[test]
+    fn first_staging_wins_across_rules_and_chunks() {
+        let t = parse_theory("a(X) -> p(X).\nb(X, Y) -> p(Y).").unwrap();
+        let d =
+            parse_instance("a(c1). a(c2). b(c1, c2). b(c2, c3). b(c3, c3). b(c4, c3).").unwrap();
+        let deriv = |rule: usize, trigger: FactIdx, y: &str| Derivation {
+            rule,
+            trigger: vec![trigger],
+            frontier: vec![c(y)],
+            round: 1,
+        };
+        for threads in [1, 2, 4] {
+            let exec = Executor::with_threads(threads);
+            let ch = chase_with(&t, &d, ChaseBudget::default(), &exec);
+            let derived: Vec<String> = ch.instance.iter().skip(6).map(|f| f.to_string()).collect();
+            assert_eq!(derived, ["p(c1)", "p(c2)", "p(c3)"], "{threads} threads");
+            let firsts: Vec<_> = ch.derivations[6..].iter().flatten().collect();
+            assert_eq!(
+                firsts,
+                [&deriv(0, 0, "c1"), &deriv(0, 1, "c2"), &deriv(1, 3, "c3")],
+                "{threads} threads"
+            );
+            let all = chase_all_with(&t, &d, ChaseBudget::default(), &exec);
+            assert_eq!(all.chase.derivations, ch.derivations, "{threads} threads");
+            assert!(all.all_derivations[..6].iter().all(Vec::is_empty));
+            assert_eq!(
+                all.all_derivations[6..],
+                [
+                    vec![deriv(0, 0, "c1")],
+                    vec![deriv(0, 1, "c2"), deriv(1, 2, "c2")],
+                    vec![deriv(1, 3, "c3"), deriv(1, 4, "c3"), deriv(1, 5, "c3")],
+                ],
+                "{threads} threads"
+            );
+        }
     }
 }

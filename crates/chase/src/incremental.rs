@@ -38,7 +38,7 @@ use std::time::Instant;
 use qr_exec::Executor;
 use qr_hom::matcher::{Assignment, JoinPlan, MatchCounters};
 use qr_syntax::query::{QTerm, Var};
-use qr_syntax::{Fact, FactIdx, Instance, Pred, TermId, Theory};
+use qr_syntax::{Fact, FactIdx, FxMap, FxSet, Instance, Pred, TermId, Theory};
 
 use crate::engine::{
     chase_with, plans, unify_atom_fact, Chase, ChaseBudget, ChaseLog, Derivation, RulePlan,
@@ -248,7 +248,7 @@ fn chase_incremental(
     let mut db = Instance::new();
     for i in 0..base_len {
         if retracted_idx.binary_search(&i).is_err() {
-            db.insert(prev.instance.fact(i).to_fact());
+            db.insert_ref(prev.instance.fact(i));
         }
     }
     for f in inserts {
@@ -474,7 +474,7 @@ fn record_arrival(
     prev_len: usize,
     old_env: bool,
     old_term_round: &HashMap<TermId, usize>,
-    seen: &mut HashSet<(usize, Vec<usize>, Vec<TermId>)>,
+    seen: &mut FxSet<(usize, Vec<usize>, Vec<TermId>)>,
     out: &mut Vec<PendingEvent>,
     triggers: &mut u64,
 ) {
@@ -523,7 +523,7 @@ fn discover(
     delta_terms: &[TermId],
     prev_len: usize,
     old_term_round: &HashMap<TermId, usize>,
-    seen: &mut HashSet<(usize, Vec<usize>, Vec<TermId>)>,
+    seen: &mut FxSet<(usize, Vec<usize>, Vec<TermId>)>,
     counters: &mut MatchCounters,
     triggers: &mut u64,
     dom_sweeps: &mut u64,
@@ -532,11 +532,11 @@ fn discover(
     if delta_facts.is_empty() && delta_terms.is_empty() {
         return out;
     }
-    let mut delta_by_pred: HashMap<Pred, Vec<usize>> = HashMap::new();
+    let mut delta_by_pred: FxMap<Pred, Vec<usize>> = FxMap::default();
     for &wi in delta_facts {
         delta_by_pred.entry(w.fact(wi).pred).or_default().push(wi);
     }
-    let delta_term_set: HashSet<TermId> = delta_terms.iter().copied().collect();
+    let delta_term_set: FxSet<TermId> = delta_terms.iter().copied().collect();
     let prev_dom_nonempty = !old_term_round.is_empty();
     for (ridx, plan) in rule_plans.iter().enumerate() {
         let body = plan.rule.body();
@@ -703,7 +703,7 @@ fn seeded_insert(
     let mut base = Instance::new();
     for (i, slot) in w_to_cold.iter_mut().enumerate().take(base_len) {
         let idx = base
-            .insert(prev.instance.fact(i).to_fact())
+            .insert_ref(prev.instance.fact(i))
             .expect("the previous chase holds no duplicates");
         *slot = Some(idx);
     }
@@ -734,7 +734,7 @@ fn seeded_insert(
     // round-`r+1` delta contains terms, which drives dom-sweep paths.
     let mut terms_at: Vec<usize> = vec![ranked];
 
-    let mut seen: HashSet<(usize, Vec<usize>, Vec<TermId>)> = HashSet::new();
+    let mut seen: FxSet<(usize, Vec<usize>, Vec<TermId>)> = FxSet::default();
     let mut buckets: Vec<Vec<PendingEvent>> = Vec::new();
     buckets.resize_with(budget.max_rounds + 2, Vec::new);
     let mut replayed = 0u64;
@@ -850,7 +850,7 @@ fn seeded_insert(
                         round,
                     })
                     .clone();
-                let idx = log.push(fact.clone(), d).expect("checked fresh");
+                let idx = log.push((&fact).into(), d).expect("checked fresh");
                 match old_idx {
                     Some(oi) => {
                         w_to_cold[oi] = Some(idx);

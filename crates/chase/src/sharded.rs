@@ -54,13 +54,13 @@
 //! ([`ShardMode::Fallback`]). So every mode is byte-identical to
 //! [`chase_with`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use qr_exec::Executor;
 use qr_syntax::gaifman;
 use qr_syntax::query::{QAtom, QTerm, Var};
-use qr_syntax::{FactIdx, Instance, TermId, Theory};
+use qr_syntax::{FactIdx, FxMap, Instance, TermId, Theory};
 
 use crate::engine::{chase_with, Chase, ChaseBudget, ChaseLog, Derivation};
 use crate::stats::RoundStats;
@@ -207,7 +207,8 @@ fn term_safe(theory: &Theory) -> bool {
 /// number of units)`.
 fn gaifman_units(db: &Instance) -> (Vec<usize>, usize) {
     let comps = gaifman::components_of(db);
-    let mut unit_of_term: HashMap<TermId, usize> = HashMap::with_capacity(db.domain().len());
+    let mut unit_of_term: FxMap<TermId, usize> =
+        FxMap::with_capacity_and_hasher(db.domain().len(), Default::default());
     for (c, comp) in comps.iter().enumerate() {
         for &t in comp {
             unit_of_term.insert(t, c);
@@ -322,7 +323,7 @@ fn merge_shards(
                 round,
             };
             let gi = log
-                .push(shard_chases[s].instance.fact(i).to_fact(), deriv)
+                .push(shard_chases[s].instance.fact(i), deriv)
                 .expect("shards stage disjoint fresh facts");
             debug_assert_eq!(loc2glob[s].len(), i, "shard facts merge in local order");
             loc2glob[s].push(gi);

@@ -3,7 +3,9 @@
 //! same order (hence the same Skolem term assignments), same provenance,
 //! and the same per-round trigger/candidate counters.
 
-use qr_chase::{chase_all_with, chase_with, Chase, ChaseBudget};
+use std::cell::Cell;
+
+use qr_chase::{chase_all_with, chase_with, Chase, ChaseAll, ChaseBudget};
 use qr_exec::Executor;
 use qr_syntax::{parse_instance, parse_theory, Instance, Theory};
 use qr_testkit::{check, Rng};
@@ -21,7 +23,9 @@ fn edge_instance(rng: &mut Rng) -> Instance {
 
 /// Theories covering every parallel task shape: per-predicate delta
 /// chunks, dom-variable term sweeps (including ground-dom bodies), and
-/// multi-delta-atom triggers.
+/// multi-delta-atom triggers. The first two rules of the last theory
+/// share a head predicate, so any vertex with an edge in and an edge out
+/// gets its `p` fact staged by two tasks in one round.
 fn small_theory(rng: &mut Rng) -> Theory {
     let sources = [
         "e(X,Y) -> e(Y,Z).",
@@ -32,8 +36,21 @@ fn small_theory(rng: &mut Rng) -> Theory {
         "e(X,Y) -> e(Y,Z).\ndom(w0), dom(X) -> q(X).",
         "e(X,Y), e(Y,Z) -> f(X,Z).\nf(X,Y), f(Y,Z) -> g(X,Z).",
         "e(X,Y), dom(Z) -> h(Y,Z).\nh(X,Y) -> e(Y,W).",
+        "e(X,Y) -> p(X).\ne(X,Y) -> p(Y).\np(X) -> e(X,W).",
     ];
     parse_theory(rng.pick::<&str>(&sources)).unwrap()
+}
+
+/// `true` iff two rules staged the same fact in the round that added it,
+/// so the merge met a staging of a fact it had just written.
+fn staged_by_two_rules(all: &ChaseAll) -> bool {
+    let round_of = &all.chase.round_of;
+    all.all_derivations.iter().enumerate().any(|(i, ds)| {
+        let mut rules = ds.iter().filter(|d| d.round == round_of[i]).map(|d| d.rule);
+        rules
+            .next()
+            .is_some_and(|first| rules.any(|rule| rule != first))
+    })
 }
 
 /// Deep equality of two runs: fact stream (order included), first
@@ -116,6 +133,7 @@ fn parallel_chase_replays_sequential_run() {
 
 #[test]
 fn parallel_chase_all_records_identical_provenance() {
+    let duplicate_cases = Cell::new(0);
     check(
         "parallel_chase_all_records_identical_provenance",
         30,
@@ -127,6 +145,9 @@ fn parallel_chase_all_records_identical_provenance() {
                 max_facts: 20_000,
             };
             let seq = chase_all_with(&theory, &db, budget, &Executor::sequential());
+            if staged_by_two_rules(&seq) {
+                duplicate_cases.set(duplicate_cases.get() + 1);
+            }
             for threads in [2, 4] {
                 let par = chase_all_with(&theory, &db, budget, &Executor::with_threads(threads));
                 let ctx = format!("{} threads, theory {}\ndb {}", threads, theory.render(), db);
@@ -137,5 +158,9 @@ fn parallel_chase_all_records_identical_provenance() {
                 );
             }
         },
+    );
+    assert!(
+        duplicate_cases.get() > 0,
+        "no case staged one fact from two rules in a round"
     );
 }

@@ -24,10 +24,15 @@
 //!   chase checkpoint format.
 //!
 //! Everything is `std`-only and deterministic: no randomized iteration
-//! order ever escapes (hash maps are only used for point lookups).
+//! order ever escapes (hash maps are only used for point lookups). Those
+//! maps are keyed by ids, so they hash with the unseeded word hasher
+//! [`FxHasher`], which the crate also exports ([`FxMap`], [`FxSet`]) for
+//! other id-keyed maps.
 
 pub mod codec;
+mod fx;
 mod store;
 
 pub use codec::{ByteReader, ByteWriter, DecodeError, DecodeErrorKind};
+pub use fx::{FxHasher, FxMap, FxSet};
 pub use store::{FactStore, PredId, Snapshot, StorageStats, TupleId};

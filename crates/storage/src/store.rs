@@ -8,8 +8,9 @@
 //! `(pred, pos, term)` join index the old layout kept in a single global
 //! hash map — but with `u32` postings and without per-key `Pred` copies.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+
+use crate::fx::{FxHasher, FxMap, FxSet};
 
 /// Identifier of a registered predicate (dense, registration-ordered).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,32 +99,10 @@ impl Snapshot {
     }
 }
 
-/// FNV-1a over the element stream of a tuple; deterministic (no per-process
-/// seeding) so intern buckets — and therefore every byte counter — replay
-/// across runs.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
+/// The word hash of a tuple's element stream. Unseeded, so intern buckets
+/// replay across runs (no byte counter depends on them either way).
 fn tuple_hash<T: Hash>(args: &[T]) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = FxHasher::default();
     for a in args {
         a.hash(&mut h);
     }
@@ -139,9 +118,12 @@ fn tuple_hash<T: Hash>(args: &[T]) -> u64 {
 struct TupleArena<T> {
     data: Vec<T>,
     ends: Vec<u32>,
-    /// FNV hash → candidate tuple ids. Only ever probed point-wise, never
-    /// iterated, so `HashMap` order can't leak into results.
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Tuple hash → the first tuple id with that hash. Only ever probed
+    /// point-wise, never iterated, so map order can't leak into results.
+    first: FxMap<u64, u32>,
+    /// Tuple hash → the later ids sharing it (64-bit hash collisions, so
+    /// almost always empty), in id order.
+    collided: FxMap<u64, Vec<u32>>,
 }
 
 impl<T> Default for TupleArena<T> {
@@ -149,7 +131,8 @@ impl<T> Default for TupleArena<T> {
         TupleArena {
             data: Vec::new(),
             ends: Vec::new(),
-            buckets: HashMap::new(),
+            first: FxMap::default(),
+            collided: FxMap::default(),
         }
     }
 }
@@ -168,43 +151,54 @@ impl<T: Copy + Eq + Hash> TupleArena<T> {
     /// Finds an existing tuple without interning (used by read-only
     /// membership probes, which must take `&self`).
     fn find(&self, args: &[T]) -> Option<TupleId> {
-        let ids = self.buckets.get(&tuple_hash(args))?;
-        ids.iter()
-            .copied()
-            .find(|&id| self.get(TupleId(id)) == args)
+        self.find_hashed(tuple_hash(args), args)
+    }
+
+    fn find_hashed(&self, hash: u64, args: &[T]) -> Option<TupleId> {
+        let first = *self.first.get(&hash)?;
+        let later = self.collided.get(&hash).into_iter().flatten().copied();
+        std::iter::once(first)
+            .chain(later)
             .map(TupleId)
+            .find(|&id| self.get(id) == args)
     }
 
     /// Interns a tuple, returning its id (existing or freshly assigned).
     fn intern(&mut self, args: &[T]) -> TupleId {
         let hash = tuple_hash(args);
-        if let Some(ids) = self.buckets.get(&hash) {
-            for &id in ids {
-                if self.get(TupleId(id)) == args {
-                    return TupleId(id);
-                }
-            }
+        if let Some(id) = self.find_hashed(hash, args) {
+            return id;
         }
         let id = self.ends.len() as u32;
         assert!(id < u32::MAX, "tuple arena overflow");
         self.data.extend_from_slice(args);
         self.ends.push(self.data.len() as u32);
-        self.buckets.entry(hash).or_default().push(id);
+        if let Some(&first) = self.first.get(&hash) {
+            debug_assert!(first < id);
+            self.collided.entry(hash).or_default().push(id);
+        } else {
+            self.first.insert(hash, id);
+        }
         TupleId(id)
     }
 
     /// Drops every tuple with id `>= keep`, undoing their interning.
     fn truncate(&mut self, keep: usize) {
         for id in (keep..self.ends.len()).rev() {
-            let hash = tuple_hash(self.get(TupleId(id as u32)));
-            let bucket = self
-                .buckets
-                .get_mut(&hash)
-                .expect("interned tuple missing from bucket");
-            let popped = bucket.pop();
-            debug_assert_eq!(popped, Some(id as u32), "tuple ids pop in order");
-            if bucket.is_empty() {
-                self.buckets.remove(&hash);
+            let id = id as u32;
+            let hash = tuple_hash(self.get(TupleId(id)));
+            match self.collided.get_mut(&hash) {
+                Some(later) => {
+                    let popped = later.pop();
+                    debug_assert_eq!(popped, Some(id), "tuple ids pop in order");
+                    if later.is_empty() {
+                        self.collided.remove(&hash);
+                    }
+                }
+                None => {
+                    let popped = self.first.remove(&hash);
+                    debug_assert_eq!(popped, Some(id), "interned tuple missing");
+                }
             }
         }
         let data_len = if keep == 0 {
@@ -226,7 +220,7 @@ struct PredTable<T> {
     rows: Vec<u32>,
     /// `stripes[pos][term]` = indices of facts whose argument at `pos` is
     /// `term`, in insertion order.
-    stripes: Vec<HashMap<T, Vec<u32>>>,
+    stripes: Vec<FxMap<T, Vec<u32>>>,
 }
 
 /// Columnar fact store, generic over the element type `T` (term ids in
@@ -249,9 +243,9 @@ pub struct FactStore<T> {
     tuples: TupleArena<T>,
     preds: Vec<PredTable<T>>,
     /// `(pred << 32 | tuple)` → fact index, for O(1) duplicate detection.
-    dedup: HashMap<u64, u32>,
+    dedup: FxMap<u64, u32>,
     domain: Vec<T>,
-    domain_set: HashSet<T>,
+    domain_set: FxSet<T>,
     postings: usize,
     index_keys: usize,
     peak_facts: usize,
@@ -264,9 +258,9 @@ impl<T> Default for FactStore<T> {
             fact_tuple: Vec::new(),
             tuples: TupleArena::default(),
             preds: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: FxMap::default(),
             domain: Vec::new(),
-            domain_set: HashSet::new(),
+            domain_set: FxSet::default(),
             postings: 0,
             index_keys: 0,
             peak_facts: 0,
@@ -299,7 +293,7 @@ impl<T: Copy + Eq + Hash> FactStore<T> {
         self.preds.push(PredTable {
             arity,
             rows: Vec::new(),
-            stripes: (0..arity).map(|_| HashMap::new()).collect(),
+            stripes: (0..arity).map(|_| FxMap::default()).collect(),
         });
         PredId(id as u32)
     }

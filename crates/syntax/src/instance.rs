@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use qr_storage::{
-    ByteReader, ByteWriter, DecodeError, DecodeErrorKind, FactStore, PredId, Snapshot,
+    ByteReader, ByteWriter, DecodeError, DecodeErrorKind, FactStore, FxMap, PredId, Snapshot,
 };
 
 use crate::atom::{Fact, Pred};
@@ -63,6 +63,15 @@ impl<'a> FactRef<'a> {
     /// Maximum Skolem nesting depth over the arguments.
     pub fn term_depth(&self) -> usize {
         self.args.iter().map(|t| t.depth()).max().unwrap_or(0)
+    }
+}
+
+impl<'a> From<&'a Fact> for FactRef<'a> {
+    fn from(fact: &'a Fact) -> FactRef<'a> {
+        FactRef {
+            pred: fact.pred,
+            args: &fact.args,
+        }
     }
 }
 
@@ -135,7 +144,7 @@ pub struct Instance {
     store: FactStore<TermId>,
     /// Dense `PredId` → `Pred`, in first-occurrence order.
     preds: Vec<Pred>,
-    pred_ids: HashMap<Pred, PredId>,
+    pred_ids: FxMap<Pred, PredId>,
 }
 
 impl Instance {
@@ -166,8 +175,15 @@ impl Instance {
     /// and insertion-ordered, so the facts of one chase round always form
     /// a contiguous index range (the chase's delta indexes rely on this).
     pub fn insert(&mut self, fact: Fact) -> Option<FactIdx> {
+        self.insert_ref(FactRef::from(&fact))
+    }
+
+    /// [`Instance::insert`] from a borrowed view, e.g. a fact of another
+    /// instance: the store interns the argument slice itself, so no owned
+    /// [`Fact`] is built.
+    pub fn insert_ref(&mut self, fact: FactRef<'_>) -> Option<FactIdx> {
         let pid = self.pred_id(fact.pred);
-        self.store.insert(pid, &fact.args).map(|i| i as FactIdx)
+        self.store.insert(pid, fact.args).map(|i| i as FactIdx)
     }
 
     /// Inserts all facts from the iterator.
@@ -195,15 +211,13 @@ impl Instance {
     /// The index of a fact, if present (O(1) hash lookups; this is how the
     /// chase records provenance without re-probing positional indexes).
     pub fn index_of(&self, fact: &Fact) -> Option<FactIdx> {
-        let pid = *self.pred_ids.get(&fact.pred)?;
-        self.store.lookup(pid, &fact.args).map(|i| i as FactIdx)
+        self.index_of_ref(FactRef::from(fact))
     }
 
-    fn contains_ref(&self, fact: FactRef<'_>) -> bool {
-        match self.pred_ids.get(&fact.pred) {
-            Some(&pid) => self.store.lookup(pid, fact.args).is_some(),
-            None => false,
-        }
+    /// [`Instance::index_of`] from a borrowed view.
+    pub fn index_of_ref(&self, fact: FactRef<'_>) -> Option<FactIdx> {
+        let pid = *self.pred_ids.get(&fact.pred)?;
+        self.store.lookup(pid, fact.args).map(|i| i as FactIdx)
     }
 
     /// Number of distinct terms in the active domain. Like fact indices,
@@ -260,13 +274,13 @@ impl Instance {
 
     /// `true` iff every fact of `self` is a fact of `other`.
     pub fn subset_of(&self, other: &Instance) -> bool {
-        self.len() <= other.len() && self.iter().all(|f| other.contains_ref(f))
+        self.len() <= other.len() && self.iter().all(|f| other.index_of_ref(f).is_some())
     }
 
     /// Set union of two instances.
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
-        out.extend(other.iter().map(|f| f.to_fact()));
+        out.union_in_place(other);
         out
     }
 
@@ -274,7 +288,9 @@ impl Instance {
     /// ignored), preserving `other`'s insertion order for the new facts.
     /// This is the merge half of [`Instance::split_by`].
     pub fn union_in_place(&mut self, other: &Instance) {
-        self.extend(other.iter().map(|f| f.to_fact()));
+        for f in other.iter() {
+            self.insert_ref(f);
+        }
     }
 
     /// Partitions the facts into `shards` instances: fact `i` goes to
@@ -287,7 +303,7 @@ impl Instance {
         assert_eq!(shard_of.len(), self.len(), "one shard per fact");
         let mut parts = vec![Instance::new(); shards];
         for (i, &s) in shard_of.iter().enumerate() {
-            let prev = parts[s].insert(self.fact(i).to_fact());
+            let prev = parts[s].insert_ref(self.fact(i));
             debug_assert!(prev.is_some(), "facts of one instance are distinct");
         }
         parts
@@ -397,7 +413,7 @@ impl Instance {
         let mut out = Instance {
             store: self.store.truncated(&snap.inner),
             preds: self.preds[..snap.inner.preds()].to_vec(),
-            pred_ids: HashMap::new(),
+            pred_ids: FxMap::default(),
         };
         for (i, &pred) in out.preds.iter().enumerate() {
             out.pred_ids.insert(pred, out.store.pred_id(i));

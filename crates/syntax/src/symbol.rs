@@ -20,6 +20,8 @@ use std::sync::{Mutex, OnceLock};
 pub struct Symbol(u32);
 
 struct InternerState {
+    /// Keyed by names from parsed text, so it keeps the seeded default
+    /// hasher (an unseeded one would let crafted names collide).
     by_name: HashMap<&'static str, u32>,
     names: Vec<&'static str>,
 }

@@ -11,6 +11,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
+use qr_storage::FxMap;
+
 use crate::symbol::Symbol;
 
 /// An interned Skolem function symbol (the paper's `f_i^τ`, Definition 3).
@@ -48,7 +50,8 @@ enum TermKey {
 #[derive(Default)]
 struct Arena {
     terms: Vec<TermKey>,
-    by_key: HashMap<TermKey, u32>,
+    /// Keys are symbol and term ids, so the unseeded word hasher is safe.
+    by_key: FxMap<TermKey, u32>,
     skolems: Vec<SkolemData>,
     skolems_by_key: HashMap<(Symbol, u32), u32>,
 }
