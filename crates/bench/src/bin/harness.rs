@@ -15,7 +15,8 @@
 //! cache counters) to `BENCH_rewrite.json`, both in the current
 //! directory. Every dump carries the one schema tag `qr-bench/v6`
 //! ([`report::SCHEMA`]). `--threads N` sizes the worker pool the parallel
-//! engines run on: the count is plumbed into the [`Executor`] explicitly
+//! chase engines run on (rewrite saturation and serving run on the caller
+//! thread): the count is plumbed into the [`Executor`] explicitly
 //! (the `QR_THREADS` env var is only read as a default, never written).
 //! Thread count never changes any counter or table value — only wall
 //! times. `--serve` replays the pinned serving workloads through the
@@ -252,7 +253,7 @@ fn main() {
                 ("shard_runs", report::list(&shard_runs)),
             ],
         );
-        let rruns = qr_bench::rewrite_workloads::stats_runs(&exec);
+        let rruns = qr_bench::rewrite_workloads::stats_runs();
         write_dump(
             "BENCH_rewrite.json",
             vec![("rewrite_runs", report::list(&rruns))],
@@ -260,7 +261,7 @@ fn main() {
     }
 
     if serve {
-        let sruns = qr_bench::serve_workloads::stats_runs(exec.threads(), &serve_filters);
+        let sruns = qr_bench::serve_workloads::stats_runs(&serve_filters);
         for r in &sruns {
             let c = &r.counters;
             println!(
@@ -293,7 +294,7 @@ fn main() {
     }
 
     if check {
-        let cruns = qr_bench::check_workloads::stats_runs(&exec);
+        let cruns = qr_bench::check_workloads::stats_runs();
         let mut failed = false;
         for r in &cruns {
             println!(

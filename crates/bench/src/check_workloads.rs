@@ -16,9 +16,9 @@
 //!   starts searching fails the harness loudly before `bench_diff` even
 //!   runs.
 //!
-//! Only `wall_ms` and `threads` are machine-dependent; certificate counts
-//! and encoded sizes are pure functions of (theory, query/instance,
-//! budget).
+//! Only `wall_ms` is machine-dependent; certificate counts and encoded
+//! sizes are pure functions of (theory, query/instance, budget). Prover
+//! and checker both run on the caller thread, so `threads` is always 1.
 
 use std::time::Instant;
 
@@ -27,7 +27,6 @@ use qr_check::{
     check_chase, check_rewrite, decode_chase_certs, decode_rewrite_certs, encode_chase_certs,
     encode_rewrite_certs,
 };
-use qr_exec::Executor;
 use qr_hom::global_kernel;
 use qr_rewrite::{rewrite_certified, RewriteBudget};
 use qr_syntax::{parse_query, parse_theory};
@@ -44,11 +43,10 @@ fn rewrite_check(
     theory_src: &str,
     query_src: &str,
     budget: RewriteBudget,
-    exec: &Executor,
 ) -> CheckRun {
     let theory = parse_theory(theory_src).expect("fixture theory parses");
     let query = parse_query(query_src).expect("fixture query parses");
-    let (r, bundle) = rewrite_certified(&theory, &query, budget, exec).expect("no builtin bodies");
+    let (r, bundle) = rewrite_certified(&theory, &query, budget).expect("no builtin bodies");
     let bytes = encode_rewrite_certs(&bundle);
 
     let before = global_kernel().stats();
@@ -76,7 +74,7 @@ fn rewrite_check(
     CheckRun {
         workload: label.to_owned(),
         kind: "rewrite",
-        threads: exec.threads(),
+        threads: 1,
         wall_ms,
         certs,
         cert_bytes: bytes.len(),
@@ -87,7 +85,7 @@ fn rewrite_check(
 
 /// Certifies the E11 chase workload `TC on G(60,120)` (the largest pinned
 /// transitive-closure instance) end to end.
-fn chase_check(exec: &Executor) -> CheckRun {
+fn chase_check() -> CheckRun {
     let theory = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z).").expect("parses");
     let db = random_graph(60, 120, 0xC0FFEE + 60);
     let budget = ChaseBudget {
@@ -123,7 +121,7 @@ fn chase_check(exec: &Executor) -> CheckRun {
     CheckRun {
         workload: "TC on G(60,120)".to_owned(),
         kind: "chase",
-        threads: exec.threads(),
+        threads: 1,
         wall_ms,
         certs,
         cert_bytes: bytes.len(),
@@ -134,12 +132,12 @@ fn chase_check(exec: &Executor) -> CheckRun {
 
 /// Runs the full certification suite: every pinned rewrite fixture plus
 /// the E11 chase workload.
-pub fn stats_runs(exec: &Executor) -> Vec<CheckRun> {
+pub fn stats_runs() -> Vec<CheckRun> {
     let mut out = Vec::new();
     for (label, t, q, budget) in rewrite_workloads::fixtures() {
-        out.push(rewrite_check(label, t, q, budget, exec));
+        out.push(rewrite_check(label, t, q, budget));
     }
-    out.push(chase_check(exec));
+    out.push(chase_check());
     out
 }
 
@@ -149,7 +147,7 @@ mod tests {
 
     #[test]
     fn every_pinned_workload_certifies_cleanly() {
-        let runs = stats_runs(&Executor::sequential());
+        let runs = stats_runs();
         assert_eq!(runs.len(), rewrite_workloads::fixtures().len() + 1);
         for r in &runs {
             assert!(r.failures.is_empty(), "{}: {:?}", r.workload, r.failures);

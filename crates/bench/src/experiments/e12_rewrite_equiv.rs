@@ -14,7 +14,7 @@ use qr_core::marked::rewrite_td;
 use qr_core::theories::{ex39, green_path, phi_r_n, t_a, t_p};
 use qr_exec::Executor;
 use qr_hom::{holds, holds_ucq_with};
-use qr_rewrite::{rewrite_with, RewriteBudget};
+use qr_rewrite::{rewrite, RewriteBudget};
 use qr_syntax::{parse_instance, parse_query, ConjunctiveQuery, Instance, TermId, Theory, Ucq};
 
 use crate::Table;
@@ -126,7 +126,7 @@ pub fn table(exec: &Executor) -> Table {
         ),
     ];
     for (name, theory, query, dbs, depth) in cases {
-        let r = rewrite_with(&theory, &query, RewriteBudget::default(), exec).expect("supported");
+        let r = rewrite(&theory, &query, RewriteBudget::default()).expect("supported");
         assert!(r.is_complete(), "{name} rewriting incomplete");
         for (iname, db) in dbs {
             let t0 = Instant::now();
@@ -179,7 +179,7 @@ mod tests {
         let theory = t_p();
         let query = parse_query("?(A) :- e(A,B), e(B,C).").unwrap();
         let exec = Executor::sequential();
-        let r = rewrite_with(&theory, &query, RewriteBudget::default(), &exec).unwrap();
+        let r = rewrite(&theory, &query, RewriteBudget::default()).unwrap();
         let db = parse_instance("e(a,b). e(c,d). e(d,a).").unwrap();
         let (_, disagree) = check_equivalence(&theory, &query, &r.ucq, false, &db, 6, &exec);
         assert_eq!(disagree, 0);

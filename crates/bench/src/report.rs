@@ -444,18 +444,6 @@ pub struct MarkedCounters {
     pub has_true: bool,
 }
 
-/// Homomorphism-kernel counters attached to a rewrite run.
-pub struct HomReport {
-    /// The kernel's counter snapshot for this run.
-    pub stats: HomStats,
-    /// `true` iff the run was fully sequential, making the search/core
-    /// tier of [`HomStats`] deterministic too. Only then are those
-    /// counters emitted; the cache/prefilter tier (`freezes` through
-    /// `components`) is deterministic at every thread count and is always
-    /// emitted.
-    pub full: bool,
-}
-
 /// One measured rewrite run. Saturation fixtures (`engine: "saturation"`)
 /// carry the engine's per-window [`RewriteStats`]; marked-process runs
 /// (`engine: "marked"`) carry the process counters instead.
@@ -464,8 +452,6 @@ pub struct RewriteRun {
     pub workload: String,
     /// Which rewriter ran (`"saturation"` / `"marked"`).
     pub engine: &'static str,
-    /// Worker-pool size the run used.
-    pub threads: usize,
     /// End-to-end wall time, ms.
     pub wall_ms: f64,
     /// `RewriteOutcome` as a string (`"Complete"`, `"AtomCapped"`, ...).
@@ -484,8 +470,9 @@ pub struct RewriteRun {
     pub stats: Option<RewriteStats>,
     /// Process counters (marked runs).
     pub process: Option<MarkedCounters>,
-    /// Homomorphism-kernel counters (runs that exercise the kernel).
-    pub hom: Option<HomReport>,
+    /// Homomorphism-kernel counters (runs that exercise the kernel); every
+    /// one is deterministic and drift-gated.
+    pub hom: Option<HomStats>,
 }
 
 /// Per-segment cache outcome of one serve run. Requests/hits/misses are
@@ -509,7 +496,8 @@ pub struct ServeSegment {
 pub struct ServeRun {
     /// Workload label (`"serve-mixed"`, ...).
     pub workload: String,
-    /// Worker-pool width the engine ran with.
+    /// The engine's [`EngineConfig::threads`](qr_serve::EngineConfig::threads),
+    /// which selects nothing. Never gated.
     pub threads: usize,
     /// End-to-end wall time of the replay, ms.
     pub wall_ms: f64,
@@ -579,8 +567,8 @@ pub struct CheckRun {
     pub workload: String,
     /// Which certificate family replayed (`"rewrite"` / `"chase"`).
     pub kind: &'static str,
-    /// Worker-pool width the prover side ran with (the checker itself is
-    /// sequential). Machine-dependent, never gated.
+    /// Always 1: prover and checker both run on the caller thread. Never
+    /// gated.
     pub threads: usize,
     /// Wall time of the decode+replay span, ms (reported, never gated).
     pub wall_ms: f64,
@@ -712,8 +700,6 @@ fn window_counters(w: &WindowStats, per_window: bool) -> Json {
         "trie_skipped" => w.trie_skipped,
         "gen_ms" => Json::dur(w.gen_wall),
         "merge_ms" => Json::dur(w.merge_wall),
-        "wait_ms" => Json::dur(w.wait_wall),
-        "overlap_ms" => Json::dur(w.overlap_wall),
     });
     Json::Obj(f)
 }
@@ -723,7 +709,6 @@ impl ToJson for RewriteRun {
         let mut f = fields! {
             "workload" => self.workload.as_str(),
             "engine" => self.engine,
-            "threads" => self.threads,
             "wall_ms" => Json::ms(self.wall_ms),
             "outcome" => self.outcome.as_str(),
             "disjuncts" => self.disjuncts,
@@ -748,8 +733,6 @@ impl ToJson for RewriteRun {
                 trie_skipped: s.trie_skipped(),
                 gen_wall: s.gen_wall(),
                 merge_wall: s.merge_wall(),
-                wait_wall: s.wait_wall(),
-                overlap_wall: s.overlap_wall(),
                 ..WindowStats::default()
             };
             let windows = s.windows.iter().map(|w| window_counters(w, true));
@@ -768,25 +751,20 @@ impl ToJson for RewriteRun {
                 }),
             });
         }
-        if let Some(h) = &self.hom {
-            let s = &h.stats;
-            let mut hom = fields! {
+        if let Some(s) = &self.hom {
+            let hom = fields! {
                 "freezes" => s.freezes,
                 "freeze_cache_hits" => s.freeze_cache_hits,
                 "plan_compiles" => s.plan_compiles,
                 "plan_cache_hits" => s.plan_cache_hits,
                 "prefilter_rejects" => s.prefilter_rejects,
                 "components" => s.components,
+                "searches" => s.searches,
+                "search_candidates" => s.search_candidates,
+                "core_rounds" => s.core_rounds,
+                "core_searches" => s.core_searches,
+                "core_cache_hits" => s.core_cache_hits,
             };
-            if h.full {
-                hom.extend(fields! {
-                    "searches" => s.searches,
-                    "search_candidates" => s.search_candidates,
-                    "core_rounds" => s.core_rounds,
-                    "core_searches" => s.core_searches,
-                    "core_cache_hits" => s.core_cache_hits,
-                });
-            }
             f.extend(fields! { "hom" => Json::Obj(hom) });
         }
         Json::Obj(f)

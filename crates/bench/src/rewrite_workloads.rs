@@ -4,9 +4,9 @@
 //!
 //! * **Saturation fixtures** — the (theory, query, budget) triples pinned
 //!   by `qr-rewrite`'s engine tests, plus a wider transitive-closure run
-//!   whose BFS windows are broad enough for the pipelined engine to
-//!   overlap generation with merging. The reported run's
-//!   [`qr_rewrite::RewriteStats`] counters are thread-invariant.
+//!   whose BFS windows hold dozens of queries. Saturation runs on the
+//!   caller thread, so the reported [`qr_rewrite::RewriteStats`] and
+//!   [`qr_hom::HomStats`] counters are all deterministic.
 //! * **Marked-query runs** — `rewrite_td` on the paper's `φ_R^n` queries,
 //!   reporting the frontier counters of the marked process.
 
@@ -15,12 +15,11 @@ use std::time::Instant;
 
 use qr_core::marked::rewrite_td;
 use qr_core::theories::phi_r_n;
-use qr_exec::Executor;
 use qr_hom::kernel::{HomKernel, QueryEntry};
-use qr_rewrite::{rewrite_with, RewriteBudget};
+use qr_rewrite::{rewrite, RewriteBudget};
 use qr_syntax::{parse_query, parse_theory, ConjunctiveQuery};
 
-use crate::report::{HomReport, MarkedCounters, RewriteRun};
+use crate::report::{MarkedCounters, RewriteRun};
 
 /// The saturation fixtures: label, theory, query, budget. All but
 /// `tc-wide` are exactly the engine's pinned-fixture suite; `tc-wide`
@@ -92,7 +91,6 @@ fn saturation_run(
     theory_src: &str,
     query_src: &str,
     budget: RewriteBudget,
-    exec: &Executor,
 ) -> RewriteRun {
     let theory = parse_theory(theory_src).expect("fixture theory parses");
     let query = parse_query(query_src).expect("fixture query parses");
@@ -100,16 +98,15 @@ fn saturation_run(
     // box swing widely (counters are run-invariant, so only the wall needs
     // the second sample; the first run doubles as process warmup).
     let t0 = Instant::now();
-    let first = rewrite_with(&theory, &query, budget, exec).expect("no builtin bodies");
+    let first = rewrite(&theory, &query, budget).expect("no builtin bodies");
     let first_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let r = rewrite_with(&theory, &query, budget, exec).expect("no builtin bodies");
+    let r = rewrite(&theory, &query, budget).expect("no builtin bodies");
     let wall_ms = (t1.elapsed().as_secs_f64() * 1e3).min(first_ms);
     assert_eq!(first.outcome, r.outcome, "{label}: reruns disagree");
     RewriteRun {
         workload: label.to_owned(),
         engine: "saturation",
-        threads: exec.threads(),
         wall_ms,
         outcome: format!("{:?}", r.outcome),
         disjuncts: r.ucq.len(),
@@ -119,20 +116,14 @@ fn saturation_run(
         depth: r.depth,
         stats: Some(r.stats),
         process: None,
-        // The engine runs its own kernel; only the cache/prefilter tier is
-        // deterministic under the parallel sweeps, so `full` stays off.
-        hom: Some(HomReport {
-            stats: r.hom,
-            full: false,
-        }),
+        hom: Some(r.hom),
     }
 }
 
 /// Runs `rewrite_td` on `φ_R^n` and reports the process counters, plus a
 /// sequential pairwise containment sweep over the query and the produced
 /// disjuncts on a fresh [`HomKernel`] — the equivalence-assertion pattern
-/// of the `T_d` experiments, and fully sequential, so every kernel counter
-/// is deterministic and emitted.
+/// of the `T_d` experiments.
 fn marked_run(n: usize) -> RewriteRun {
     let query = phi_r_n(n);
     let t0 = Instant::now();
@@ -155,7 +146,6 @@ fn marked_run(n: usize) -> RewriteRun {
     RewriteRun {
         workload: format!("T_d marked phi_R^{n}"),
         engine: "marked",
-        threads: 1,
         wall_ms,
         outcome: "Complete".into(),
         disjuncts: mr.disjuncts.len(),
@@ -170,23 +160,19 @@ fn marked_run(n: usize) -> RewriteRun {
             dropped: mr.stats.dropped,
             has_true: mr.has_true_disjunct,
         }),
-        hom: Some(HomReport {
-            stats: kernel.stats(),
-            full: true,
-        }),
+        hom: Some(kernel.stats()),
     }
 }
 
 /// The `hom` microbench: a repeated subsumption sweep over a pinned
-/// kept-set on a fresh sequential kernel, so kernel regressions show up
-/// independently of saturation scheduling noise. The kept-set mirrors the
+/// kept-set on a fresh kernel, so kernel regressions show up apart from
+/// the saturation loop. The kept-set mirrors the
 /// transitive-closure shape (the ground edge `e(a,b)` plus anchored chains
 /// of every length up to 12); the extra probes pin the component plan
 /// cache and the core cache.
 pub fn hom_microbench() -> RewriteRun {
     const CHAIN_MAX: usize = 12;
     const ROUNDS: usize = 40;
-    let exec = Executor::sequential();
     let kernel = HomKernel::new();
     let mut kept: Vec<ConjunctiveQuery> = vec![parse_query("? :- e(a, b).").unwrap()];
     for k in 2..=CHAIN_MAX {
@@ -210,7 +196,7 @@ pub fn hom_microbench() -> RewriteRun {
     for _ in 0..ROUNDS {
         for q in &kept {
             let cand = kernel.entry(q);
-            if kernel.subsumed_by_any(&exec, &cand, &refs) {
+            if kernel.subsumed_by_any(&cand, &refs) {
                 subsumed += 1;
             }
         }
@@ -230,7 +216,6 @@ pub fn hom_microbench() -> RewriteRun {
     RewriteRun {
         workload: "hom kernel microbench".into(),
         engine: "hom",
-        threads: 1,
         wall_ms,
         outcome: "Complete".into(),
         disjuncts: kept.len(),
@@ -240,20 +225,17 @@ pub fn hom_microbench() -> RewriteRun {
         depth: 0,
         stats: None,
         process: None,
-        hom: Some(HomReport {
-            stats: kernel.stats(),
-            full: true,
-        }),
+        hom: Some(kernel.stats()),
     }
 }
 
-/// All rewrite runs for `BENCH_rewrite.json`: every saturation fixture on
-/// `exec`'s pool, the marked-query runs for `n = 1..=3`, then the `hom`
-/// kernel microbench.
-pub fn stats_runs(exec: &Executor) -> Vec<RewriteRun> {
+/// All rewrite runs for `BENCH_rewrite.json`: every saturation fixture,
+/// the marked-query runs for `n = 1..=3`, then the `hom` kernel
+/// microbench.
+pub fn stats_runs() -> Vec<RewriteRun> {
     let mut out: Vec<RewriteRun> = fixtures()
         .into_iter()
-        .map(|(label, t, q, budget)| saturation_run(label, t, q, budget, exec))
+        .map(|(label, t, q, budget)| saturation_run(label, t, q, budget))
         .collect();
     out.extend((1..=3).map(marked_run));
     out.push(hom_microbench());
@@ -264,27 +246,15 @@ pub fn stats_runs(exec: &Executor) -> Vec<RewriteRun> {
 mod tests {
     use super::*;
 
-    /// The cheap fixtures only (debug-mode friendly): counters must be
-    /// identical across pool widths, and the run's totals must reconcile
-    /// with the returned rewriting.
+    /// The cheap fixtures only (debug-mode friendly): the run's totals
+    /// must reconcile with the returned rewriting.
     #[test]
-    fn counters_thread_invariant_on_cheap_fixtures() {
+    fn totals_reconcile_on_cheap_fixtures() {
         for (label, t, q, budget) in fixtures().into_iter().take(4) {
-            let seq = saturation_run(label, t, q, budget, &Executor::sequential());
-            let par = saturation_run(label, t, q, budget, &Executor::with_threads(3));
-            assert_eq!(seq.outcome, par.outcome, "{label}");
-            assert_eq!(seq.disjuncts, par.disjuncts, "{label}");
-            assert_eq!(seq.generated, par.generated, "{label}");
-            let (ss, ps) = (seq.stats.unwrap(), par.stats.unwrap());
-            assert_eq!(ss.windows.len(), ps.windows.len(), "{label}");
-            for (a, b) in ss.windows.iter().zip(&ps.windows) {
-                assert_eq!(
-                    (a.window, a.items, a.merged, a.generated, a.accepted, a.kept),
-                    (b.window, b.items, b.merged, b.generated, b.accepted, b.kept),
-                    "{label}: window counters"
-                );
-            }
-            assert_eq!(ss.generated(), seq.generated, "{label}: totals reconcile");
+            let r = saturation_run(label, t, q, budget);
+            let s = r.stats.unwrap();
+            assert_eq!(s.generated(), r.generated, "{label}: totals reconcile");
+            assert_eq!(s.oversized(), r.oversized_discarded, "{label}");
         }
     }
 
@@ -295,12 +265,9 @@ mod tests {
     fn evict_requeue_fixture_pins_nonzero_dead_skipped() {
         let (label, t, q, budget) = fixtures().pop().unwrap();
         assert_eq!(label, "evict-requeue");
-        for exec in [Executor::sequential(), Executor::with_threads(3)] {
-            let r = saturation_run(label, t, q, budget, &exec);
-            let s = r.stats.unwrap();
-            assert_eq!(s.dead_skipped(), 1, "{label}: dead skip must fire");
-            assert_eq!(s.evictions(), 1, "{label}");
-        }
+        let s = saturation_run(label, t, q, budget).stats.unwrap();
+        assert_eq!(s.dead_skipped(), 1, "{label}: dead skip must fire");
+        assert_eq!(s.evictions(), 1, "{label}");
     }
 
     #[test]
@@ -315,62 +282,40 @@ mod tests {
         // exercise the kernel's caches and prefilters (acceptance gate for
         // the T_d marked workloads).
         let h = r.hom.unwrap();
-        assert!(h.full);
-        assert!(h.stats.freezes > 0);
-        assert!(h.stats.freeze_cache_hits > 0, "entries are re-acquired");
+        assert!(h.freezes > 0);
+        assert!(h.freeze_cache_hits > 0, "entries are re-acquired");
         assert!(
-            h.stats.prefilter_rejects > 0,
+            h.prefilter_rejects > 0,
             "g-only disjuncts cannot absorb the r/g query"
         );
     }
 
     /// Acceptance gate for `tc-wide` (run here on the structurally
     /// identical `tc-budget` shrink so debug-mode CI stays fast): the
-    /// saturation engine's kernel must report cache hits and prefilter
-    /// rejects, and the cache tier must be thread-invariant.
+    /// saturation engine's kernel must report cache hits, prefilter
+    /// rejects, searches and core folds, identically on a second run.
     #[test]
-    fn saturation_runs_report_hom_cache_activity() {
+    fn saturation_runs_report_hom_activity() {
         let (label, t, q, budget) = fixtures().remove(4);
         assert_eq!(label, "tc-budget");
-        let seq = saturation_run(label, t, q, budget, &Executor::sequential());
-        let h = seq.hom.as_ref().unwrap();
-        assert!(!h.full, "saturation sweeps may run on a pool");
-        assert!(h.stats.freezes > 0);
-        assert!(h.stats.freeze_cache_hits > 0, "{label}: cache hits");
+        let h = saturation_run(label, t, q, budget).hom.unwrap();
+        assert!(h.freezes > 0);
+        assert!(h.freeze_cache_hits > 0, "{label}: cache hits");
         assert!(
-            h.stats.prefilter_rejects > 0,
+            h.prefilter_rejects > 0,
             "{label}: the ground seed rejects chain candidates"
         );
-        let par = saturation_run(label, t, q, budget, &Executor::with_threads(3));
-        let hp = par.hom.as_ref().unwrap();
-        assert_eq!(
-            (
-                h.stats.freezes,
-                h.stats.freeze_cache_hits,
-                h.stats.plan_compiles,
-                h.stats.plan_cache_hits,
-                h.stats.prefilter_rejects,
-                h.stats.components,
-            ),
-            (
-                hp.stats.freezes,
-                hp.stats.freeze_cache_hits,
-                hp.stats.plan_compiles,
-                hp.stats.plan_cache_hits,
-                hp.stats.prefilter_rejects,
-                hp.stats.components,
-            ),
-            "{label}: cache tier is thread-invariant"
-        );
+        assert!(h.searches > 0, "{label}: subsumption searches");
+        assert!(h.core_rounds > 0, "{label}: accepted candidates are cored");
+        let again = saturation_run(label, t, q, budget).hom.unwrap();
+        assert_eq!(h, again, "{label}: every kernel counter is deterministic");
     }
 
     #[test]
     fn hom_microbench_exercises_every_cache() {
         let r = hom_microbench();
         assert_eq!(r.engine, "hom");
-        let h = r.hom.unwrap();
-        assert!(h.full, "the microbench is fully sequential");
-        let s = h.stats;
+        let s = r.hom.unwrap();
         assert!(s.freezes > 0);
         assert!(s.freeze_cache_hits > 0, "sweep re-acquires pinned entries");
         assert!(s.plan_compiles > 0);
@@ -384,7 +329,7 @@ mod tests {
         assert!(s.core_cache_hits > 0, "repeated core hits the core cache");
         // Deterministic end to end: a second run reports identical counters.
         let r2 = hom_microbench();
-        assert_eq!(s, r2.hom.unwrap().stats);
+        assert_eq!(s, r2.hom.unwrap());
         assert_eq!(r.generated, r2.generated);
     }
 }

@@ -7,9 +7,9 @@
 //! cache sees realistic interleaved traffic while per-segment hit rates
 //! stay attributable. Everything the report carries except wall times is
 //! deterministic: the engine's [`ServeCounters`](qr_serve::ServeCounters)
-//! are updated only at the ordered merge point, and the full response
-//! trace is condensed into an FNV-1a hash that pins request/response
-//! behavior byte-for-byte across thread counts and commits.
+//! are updated once per request in submission order, and the full
+//! response trace is condensed into an FNV-1a hash that pins
+//! request/response behavior byte-for-byte across commits.
 
 use std::time::Instant;
 
@@ -19,13 +19,12 @@ use qr_testkit::Rng;
 
 use crate::report::{ServeRun, ServeSegment};
 
-/// One pinned serving workload: label, engine config (threads overridden
-/// at run time), and the tagged request stream.
+/// One pinned serving workload: label, engine config, and the tagged
+/// request stream.
 pub struct ServeWorkload {
     /// Workload label (the `BENCH_serve.json` key).
     pub label: &'static str,
-    /// Engine config the workload runs under (`threads` is replaced by the
-    /// harness's pool width).
+    /// Engine config the workload runs under.
     pub config: EngineConfig,
     /// The request stream, in submission order.
     pub requests: Vec<CqRequest>,
@@ -269,13 +268,9 @@ pub fn serve_churn() -> ServeWorkload {
     }
 }
 
-/// Replays a workload on a pool of `threads` workers and condenses the
-/// outcome into a [`ServeRun`].
-pub fn run_workload(w: &ServeWorkload, threads: usize) -> ServeRun {
-    let mut engine = Engine::new(EngineConfig {
-        threads,
-        ..w.config
-    });
+/// Replays a workload and condenses the outcome into a [`ServeRun`].
+pub fn run_workload(w: &ServeWorkload) -> ServeRun {
+    let mut engine = Engine::new(w.config);
     register_tenants(&mut engine);
     let t0 = Instant::now();
     let responses = engine.run(w.requests.clone());
@@ -328,15 +323,15 @@ pub fn workload_labels() -> Vec<&'static str> {
 }
 
 /// All serve runs for `BENCH_serve.json`, optionally filtered by label
-/// (empty filter = all), on a pool of `threads` workers.
-pub fn stats_runs(threads: usize, filter: &[String]) -> Vec<ServeRun> {
+/// (empty filter = all).
+pub fn stats_runs(filter: &[String]) -> Vec<ServeRun> {
     let selected = |label: &str| filter.is_empty() || filter.iter().any(|f| f == label);
     let mut out = Vec::new();
     if selected("serve-mixed") {
-        out.push(run_workload(&serve_mixed(), threads));
+        out.push(run_workload(&serve_mixed()));
     }
     if selected("serve-churn") {
-        out.push(run_workload(&serve_churn(), threads));
+        out.push(run_workload(&serve_churn()));
     }
     out
 }
@@ -363,51 +358,40 @@ mod tests {
         assert_eq!(c.requests, serve_churn().requests);
     }
 
-    /// The tentpole acceptance gate: ≥ 1000 mixed requests, > 80% hit rate
-    /// on the isomorphic-variant segment, and counters + trace hash
-    /// invariant across worker-pool widths.
+    /// The acceptance gate: ≥ 1000 mixed requests and > 80% hit rate on
+    /// the isomorphic-variant segment.
     #[test]
-    fn mixed_workload_hits_and_is_thread_invariant() {
+    fn mixed_workload_hits_the_cache() {
         let w = serve_mixed();
-        let seq = run_workload(&w, 1);
-        assert_eq!(seq.counters.requests as usize, w.requests.len());
-        assert_eq!(seq.counters.rejected, 0, "the generator emits no garbage");
+        let run = run_workload(&w);
+        assert_eq!(run.counters.requests as usize, w.requests.len());
+        assert_eq!(run.counters.rejected, 0, "the generator emits no garbage");
 
-        let iso = segment(&seq, "iso");
+        let iso = segment(&run, "iso");
         assert!(
             iso.hits as f64 > 0.8 * iso.requests as f64,
             "iso segment hit rate must exceed 80%: {}/{} hits",
             iso.hits,
             iso.requests
         );
-        let cold = segment(&seq, "cold");
+        let cold = segment(&run, "cold");
         assert_eq!(cold.hits, 0, "cold shapes are all distinct");
         assert_eq!(cold.misses, 116);
-        let hot = segment(&seq, "hot");
+        let hot = segment(&run, "hot");
         assert!(hot.hits > hot.misses, "hot repeats are cache-resident");
 
         assert!(
-            seq.counters.incomplete > 0,
+            run.counters.incomplete > 0,
             "tc serves budget-capped answers"
         );
-        assert!(seq.counters.truncated > 0, "the answer limit fires");
-        assert_eq!(seq.counters.evictions, 0, "mixed fits its byte budget");
-
-        let par = run_workload(&w, 3);
-        assert_eq!(seq.counters, par.counters, "counters are thread-invariant");
-        assert_eq!(seq.trace_fnv, par.trace_fnv, "traces are byte-identical");
-        for (a, b) in seq.segments.iter().zip(&par.segments) {
-            assert_eq!(
-                (a.requests, a.hits, a.misses),
-                (b.requests, b.hits, b.misses)
-            );
-        }
+        assert!(run.counters.truncated > 0, "the answer limit fires");
+        assert_eq!(run.counters.evictions, 0, "mixed fits its byte budget");
     }
 
     #[test]
     fn churn_workload_forces_evictions_soundly() {
         let w = serve_churn();
-        let run = run_workload(&w, 1);
+        let run = run_workload(&w);
         assert!(run.counters.evictions > 0, "the tiny budget must churn");
         assert!(run.counters.hits > 0, "immediate repeats still hit");
         assert!(
@@ -418,7 +402,6 @@ mod tests {
         // roomy cache, same responses modulo the hit/miss tier. Answer
         // counts are part of the trace, so compare emitted totals.
         let mut roomy = Engine::new(EngineConfig {
-            threads: 1,
             cache_bytes: 1 << 20,
             ..w.config
         });

@@ -351,21 +351,15 @@ pub fn decode_chase_certs(bytes: &[u8]) -> Result<ChaseCertBundle, DecodeError> 
 mod tests {
     use super::*;
     use qr_chase::{chase, emit_chase_certs, ChaseBudget};
-    use qr_exec::Executor;
     use qr_rewrite::{rewrite_certified, RewriteBudget};
     use qr_syntax::{parse_instance, parse_query, parse_theory};
 
     fn rewrite_bundle() -> RewriteCertBundle {
         let theory = parse_theory("human(Y) -> mother(Y,Z).\nmother(X,Y) -> human(Y).").unwrap();
         let query = parse_query("?(X) :- mother(X, M).").unwrap();
-        rewrite_certified(
-            &theory,
-            &query,
-            RewriteBudget::default(),
-            &Executor::sequential(),
-        )
-        .unwrap()
-        .1
+        rewrite_certified(&theory, &query, RewriteBudget::default())
+            .unwrap()
+            .1
     }
 
     fn chase_bundle() -> ChaseCertBundle {

@@ -157,20 +157,13 @@ pub fn check_rewrite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr_exec::Executor;
     use qr_rewrite::{rewrite_certified, RewriteBudget};
     use qr_syntax::{parse_query, parse_theory};
 
     fn certified(t: &str, q: &str) -> (Theory, ConjunctiveQuery, Ucq, RewriteCertBundle) {
         let theory = parse_theory(t).unwrap();
         let query = parse_query(q).unwrap();
-        let (r, bundle) = rewrite_certified(
-            &theory,
-            &query,
-            RewriteBudget::default(),
-            &Executor::sequential(),
-        )
-        .unwrap();
+        let (r, bundle) = rewrite_certified(&theory, &query, RewriteBudget::default()).unwrap();
         (theory, query, r.ucq, bundle)
     }
 

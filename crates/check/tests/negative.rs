@@ -8,7 +8,6 @@ use qr_check::{
     check_chase, check_rewrite, decode_chase_certs, decode_rewrite_certs, encode_chase_certs,
     encode_rewrite_certs, CheckErrorKind,
 };
-use qr_exec::Executor;
 use qr_rewrite::{rewrite_certified, RewriteBudget, RewriteCertBundle};
 use qr_storage::DecodeErrorKind;
 use qr_syntax::{
@@ -19,13 +18,7 @@ use qr_syntax::{
 fn rewrite_fixture() -> (Theory, ConjunctiveQuery, Ucq, RewriteCertBundle) {
     let theory = parse_theory("human(Y) -> mother(Y,Z).\nmother(X,Y) -> human(Y).").unwrap();
     let query = parse_query("?(X) :- mother(X, M).").unwrap();
-    let (r, bundle) = rewrite_certified(
-        &theory,
-        &query,
-        RewriteBudget::default(),
-        &Executor::sequential(),
-    )
-    .unwrap();
+    let (r, bundle) = rewrite_certified(&theory, &query, RewriteBudget::default()).unwrap();
     (theory, query, r.ucq, bundle)
 }
 

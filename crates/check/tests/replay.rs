@@ -6,7 +6,6 @@ use qr_check::{
     check_chase, check_rewrite, decode_chase_certs, decode_rewrite_certs, encode_chase_certs,
     encode_rewrite_certs,
 };
-use qr_exec::Executor;
 use qr_hom::global_kernel;
 use qr_rewrite::{rewrite_certified, RewriteBudget};
 use qr_syntax::{parse_instance, parse_query, parse_theory};
@@ -35,13 +34,7 @@ fn rewrite_workloads_certify_through_the_codec() {
     for &(label, t, q) in REWRITE_WORKLOADS {
         let theory = parse_theory(t).unwrap();
         let query = parse_query(q).unwrap();
-        let (r, bundle) = rewrite_certified(
-            &theory,
-            &query,
-            RewriteBudget::default(),
-            &Executor::sequential(),
-        )
-        .unwrap();
+        let (r, bundle) = rewrite_certified(&theory, &query, RewriteBudget::default()).unwrap();
         let bytes = encode_rewrite_certs(&bundle);
         let decoded = decode_rewrite_certs(&bytes).unwrap();
         assert_eq!(decoded, bundle, "{label}: codec must be lossless");
@@ -89,61 +82,40 @@ fn counter_rows(s: &qr_rewrite::RewriteStats) -> Vec<[usize; 15]> {
 }
 
 /// Certificate emission is output-invariant: UCQ renders, outcome, and
-/// every drift-gated counter are identical with the cert sink on vs off,
-/// at 1/2/4 threads.
+/// every drift-gated counter are identical with the cert sink on vs off.
 #[test]
 fn certified_runs_match_uncertified_runs_exactly() {
-    use qr_rewrite::rewrite_with;
-    for &(label, t, q) in REWRITE_WORKLOADS {
+    use qr_rewrite::rewrite;
+    for &(tag, t, q) in REWRITE_WORKLOADS {
         let theory = parse_theory(t).unwrap();
         let query = parse_query(q).unwrap();
-        for threads in [1, 2, 4] {
-            let exec = Executor::with_threads(threads);
-            let plain = rewrite_with(&theory, &query, RewriteBudget::default(), &exec).unwrap();
-            let (certified, bundle) =
-                rewrite_certified(&theory, &query, RewriteBudget::default(), &exec).unwrap();
-            let tag = format!("{label} @{threads}");
-            assert_eq!(certified.ucq, plain.ucq, "{tag}");
-            let render: Vec<String> = certified
-                .ucq
-                .disjuncts()
-                .iter()
-                .map(|d| d.render())
-                .collect();
-            let plain_render: Vec<String> =
-                plain.ucq.disjuncts().iter().map(|d| d.render()).collect();
-            assert_eq!(render, plain_render, "{tag}: UCQ renders");
-            assert_eq!(certified.generated, plain.generated, "{tag}");
-            assert_eq!(certified.outcome, plain.outcome, "{tag}");
-            assert_eq!(certified.depth, plain.depth, "{tag}");
-            assert_eq!(
-                certified.oversized_discarded, plain.oversized_discarded,
-                "{tag}"
-            );
-            assert_eq!(
-                counter_rows(&certified.stats),
-                counter_rows(&plain.stats),
-                "{tag}: window counters"
-            );
-            // The drift-gated kernel cache tier (deterministic at
-            // every thread count; search counters are sequential-only).
-            let tier = |h: &qr_hom::HomStats| {
-                (
-                    h.freezes,
-                    h.freeze_cache_hits,
-                    h.plan_compiles,
-                    h.plan_cache_hits,
-                    h.prefilter_rejects,
-                    h.components,
-                )
-            };
-            assert_eq!(tier(&certified.hom), tier(&plain.hom), "{tag}: cache tier");
-            if threads == 1 {
-                assert_eq!(certified.hom, plain.hom, "{tag}: full kernel stats");
-            }
-            check_rewrite(&theory, &query, &certified.ucq, &bundle)
-                .unwrap_or_else(|e| panic!("{tag}: {e}"));
-        }
+        let plain = rewrite(&theory, &query, RewriteBudget::default()).unwrap();
+        let (certified, bundle) =
+            rewrite_certified(&theory, &query, RewriteBudget::default()).unwrap();
+        assert_eq!(certified.ucq, plain.ucq, "{tag}");
+        let render: Vec<String> = certified
+            .ucq
+            .disjuncts()
+            .iter()
+            .map(|d| d.render())
+            .collect();
+        let plain_render: Vec<String> = plain.ucq.disjuncts().iter().map(|d| d.render()).collect();
+        assert_eq!(render, plain_render, "{tag}: UCQ renders");
+        assert_eq!(certified.generated, plain.generated, "{tag}");
+        assert_eq!(certified.outcome, plain.outcome, "{tag}");
+        assert_eq!(certified.depth, plain.depth, "{tag}");
+        assert_eq!(
+            certified.oversized_discarded, plain.oversized_discarded,
+            "{tag}"
+        );
+        assert_eq!(
+            counter_rows(&certified.stats),
+            counter_rows(&plain.stats),
+            "{tag}: window counters"
+        );
+        assert_eq!(certified.hom, plain.hom, "{tag}: kernel stats");
+        check_rewrite(&theory, &query, &certified.ucq, &bundle)
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
     }
 }
 

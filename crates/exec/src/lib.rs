@@ -1,14 +1,15 @@
 //! `qr-exec`: a deterministic, dependency-free parallel execution
 //! subsystem on `std::thread::scope`.
 //!
-//! The workloads of this workspace share one fan-out shape: a list of
-//! independent work items whose results must be reduced **in submission
-//! order** so the combined output is bit-identical to a sequential run —
-//! per-rule trigger enumeration in the chase (every rule sees the same
-//! immutable prefix `Ch_{i-1}`), piece-rewriting candidate generation over
-//! a saturation frontier, and disjunct-vs-set containment sweeps. The
-//! toolchain is offline, so rayon is out of reach; an [`Executor`] covers
-//! the same ground with scoped threads only:
+//! The parallel workloads of this workspace share one fan-out shape: a
+//! list of independent work items whose results must be reduced **in
+//! submission order** so the combined output is bit-identical to a
+//! sequential run — per-rule trigger enumeration in the chase (every rule
+//! sees the same immutable prefix `Ch_{i-1}`), shard chases in the sharded
+//! engine, and E12's disjunct sweep. Rewrite saturation and the serving
+//! engine run on the caller thread and take no executor. The toolchain is
+//! offline, so rayon is out of reach; an [`Executor`] covers the same
+//! ground with scoped threads only:
 //!
 //! * **chunked work queue** — workers claim contiguous index chunks from a
 //!   shared atomic cursor, so load imbalance between items is absorbed
@@ -28,12 +29,9 @@
 //! byte-identical to the historical sequential engines *by construction*
 //! rather than by test.
 
-use std::collections::{HashMap, VecDeque};
-use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
 
 /// Name of the environment variable overriding the default thread count.
 pub const THREADS_ENV: &str = "QR_THREADS";
@@ -213,278 +211,6 @@ impl Executor {
         });
         found.into_inner()
     }
-
-    /// Two-stage pipeline with an **ordered merge**: `work` runs on the
-    /// worker pool, speculatively and out of order, while the caller thread
-    /// merges each item's result in exact submission order. `merge` may
-    /// submit follow-up items through its [`PipelineCtx`]; they join the
-    /// back of the queue, so the merge order is the FIFO order a sequential
-    /// loop would produce. Returning [`ControlFlow::Break`] stops the
-    /// pipeline; results already computed for unmerged items are discarded.
-    ///
-    /// Determinism contract: `work` must be a pure per-item function. All
-    /// *decisions* (what to keep, what to submit, when to stop) happen in
-    /// `merge`, which observes items strictly in submission order — so the
-    /// pipeline's observable behaviour is identical to running
-    /// `work`-then-`merge` inline per item, at every thread count. The only
-    /// things that vary with the schedule are wall times, surfaced as
-    /// [`PipelineCtx::waited`] (how long the merge was without the current
-    /// item's `work` result; with one thread this is the full work time,
-    /// since work runs inline) and [`PipelineCtx::helped`] (how much of
-    /// that interval was spent computing the result inline — the merge
-    /// thread steals the task it is waiting on when no worker has claimed
-    /// it yet, rather than sleeping through a cross-thread round trip).
-    ///
-    /// With `n` threads, `n - 1` workers generate while the caller merges;
-    /// one thread runs everything inline.
-    pub fn pipeline_ordered<T, R>(
-        &self,
-        seeds: Vec<T>,
-        work: impl Fn(&T) -> R + Sync,
-        mut merge: impl FnMut(T, R, &mut PipelineCtx<T>) -> ControlFlow<()>,
-    ) where
-        T: Clone + Send + Sync,
-        R: Send,
-    {
-        if self.is_sequential() {
-            let mut pending: VecDeque<T> = seeds.into();
-            while let Some(item) = pending.pop_front() {
-                let t0 = Instant::now();
-                let result = work(&item);
-                let waited = t0.elapsed();
-                let mut ctx = PipelineCtx {
-                    emits: Vec::new(),
-                    waited,
-                    helped: waited,
-                };
-                let flow = merge(item, result, &mut ctx);
-                pending.extend(ctx.emits);
-                if flow.is_break() {
-                    return;
-                }
-            }
-            return;
-        }
-
-        let shared = PipelineShared::<T, R> {
-            tasks: Mutex::new(TaskState {
-                queue: VecDeque::new(),
-                done: false,
-            }),
-            task_cv: Condvar::new(),
-            results: Mutex::new(HashMap::new()),
-            result_cv: Condvar::new(),
-            failed: AtomicBool::new(false),
-        };
-        // Items awaiting their merge, in submission order, paired with the
-        // sequence number their speculative result is filed under.
-        let mut pending: VecDeque<(usize, T)> = VecDeque::new();
-        let mut next_seq = 0usize;
-        {
-            let mut tasks = shared.lock_tasks();
-            for item in seeds {
-                tasks.queue.push_back((next_seq, item.clone()));
-                pending.push_back((next_seq, item));
-                next_seq += 1;
-            }
-        }
-
-        let workers = self.threads - 1;
-        let mut first_panic = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| shared.run_worker(&work)))
-                .collect();
-            shared.task_cv.notify_all();
-
-            // The merge loop must not unwind past the scope without
-            // releasing the workers, or they would wait on the task queue
-            // forever and the scope would never join.
-            let merged = catch_unwind(AssertUnwindSafe(|| {
-                'merge: while let Some((seq, item)) = pending.pop_front() {
-                    let t0 = Instant::now();
-                    let mut helped = Duration::ZERO;
-                    let result = 'result: {
-                        loop {
-                            if shared.failed.load(Ordering::Acquire) {
-                                break 'merge;
-                            }
-                            if let Some(r) = shared.lock_results().remove(&seq) {
-                                break 'result r;
-                            }
-                            // Head-of-line steal: if no worker has claimed
-                            // this item's task yet, run it inline instead of
-                            // sleeping on it. On chain-shaped frontiers
-                            // (every window one item) this degenerates the
-                            // pipeline into the sequential inline loop
-                            // rather than paying a cross-thread round trip
-                            // per item; with real fan-out it only fires when
-                            // every worker is busy on later speculative
-                            // items, where it strictly cuts the head
-                            // latency. Removal under the tasks lock means a
-                            // task runs exactly once, and since `work` is
-                            // pure, where it runs is unobservable.
-                            let stolen = {
-                                let mut tasks = shared.lock_tasks();
-                                tasks
-                                    .queue
-                                    .iter()
-                                    .position(|(s, _)| *s == seq)
-                                    .and_then(|pos| tasks.queue.remove(pos))
-                            };
-                            if let Some((_, task)) = stolen {
-                                let h0 = Instant::now();
-                                let r = work(&task);
-                                helped = h0.elapsed();
-                                break 'result r;
-                            }
-                            let mut results = shared.lock_results();
-                            if let Some(r) = results.remove(&seq) {
-                                break 'result r;
-                            }
-                            drop(
-                                shared
-                                    .result_cv
-                                    .wait(results)
-                                    .unwrap_or_else(|e| e.into_inner()),
-                            );
-                        }
-                    };
-                    let mut ctx = PipelineCtx {
-                        emits: Vec::new(),
-                        waited: t0.elapsed(),
-                        helped,
-                    };
-                    let flow = merge(item, result, &mut ctx);
-                    if !ctx.emits.is_empty() {
-                        // When the merge has nothing pending, the first
-                        // emitted item is the very next one it will merge —
-                        // reserve it (skip its wakeup) so the head-of-line
-                        // steal below wins the race instead of paying a
-                        // worker round trip per item on chain-shaped
-                        // frontiers. Parked workers are only skipped for
-                        // that one task; busy workers pop the queue without
-                        // needing a notification, and the merge is
-                        // guaranteed to reach the reserved task's steal
-                        // check because it is the head of `pending`.
-                        let reserve_head = pending.is_empty();
-                        let mut tasks = shared.lock_tasks();
-                        for (j, item) in ctx.emits.into_iter().enumerate() {
-                            tasks.queue.push_back((next_seq, item.clone()));
-                            pending.push_back((next_seq, item));
-                            next_seq += 1;
-                            if !(reserve_head && j == 0) {
-                                shared.task_cv.notify_one();
-                            }
-                        }
-                    }
-                    if flow.is_break() {
-                        break;
-                    }
-                }
-            }));
-            shared.lock_tasks().done = true;
-            shared.task_cv.notify_all();
-            if let Err(payload) = merged {
-                first_panic.get_or_insert(payload);
-            }
-            for handle in handles {
-                let joined = handle.join().unwrap_or_else(Err);
-                if let Err(payload) = joined {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        });
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// Merge-side handle of [`Executor::pipeline_ordered`]: lets the merge
-/// submit follow-up work and see how long it stalled for the current
-/// item's result.
-pub struct PipelineCtx<T> {
-    emits: Vec<T>,
-    waited: Duration,
-    helped: Duration,
-}
-
-impl<T> PipelineCtx<T> {
-    /// Submits a follow-up item to the back of the pipeline's queue.
-    pub fn submit(&mut self, item: T) {
-        self.emits.push(item);
-    }
-
-    /// How long the caller thread spent between becoming ready for the
-    /// current item and having its stage-one result in hand (zero when
-    /// speculation fully hid the work; the whole work time when running
-    /// inline on one thread). [`PipelineCtx::helped`] is the sub-interval
-    /// that was inline work rather than idle blocking, so
-    /// `waited - helped` is the pure stall.
-    pub fn waited(&self) -> Duration {
-        self.waited
-    }
-
-    /// How much of [`PipelineCtx::waited`] the caller thread spent running
-    /// the item's own stage-one work inline — the whole work time on one
-    /// thread, the head-of-line steal time otherwise, zero when a worker
-    /// computed the result.
-    pub fn helped(&self) -> Duration {
-        self.helped
-    }
-}
-
-struct TaskState<T> {
-    queue: VecDeque<(usize, T)>,
-    done: bool,
-}
-
-struct PipelineShared<T, R> {
-    tasks: Mutex<TaskState<T>>,
-    task_cv: Condvar,
-    results: Mutex<HashMap<usize, R>>,
-    result_cv: Condvar,
-    failed: AtomicBool,
-}
-
-impl<T, R> PipelineShared<T, R> {
-    fn lock_tasks(&self) -> std::sync::MutexGuard<'_, TaskState<T>> {
-        self.tasks.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_results(&self) -> std::sync::MutexGuard<'_, HashMap<usize, R>> {
-        self.results.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Worker loop: claim the oldest queued item, compute, file the result
-    /// under its sequence number. On panic the payload is captured for the
-    /// scope join and the merge thread is woken so it can stop waiting.
-    fn run_worker(&self, work: &(impl Fn(&T) -> R + Sync)) -> std::thread::Result<()> {
-        let out = catch_unwind(AssertUnwindSafe(|| loop {
-            let (seq, item) = {
-                let mut tasks = self.lock_tasks();
-                loop {
-                    if tasks.done {
-                        return;
-                    }
-                    if let Some(t) = tasks.queue.pop_front() {
-                        break t;
-                    }
-                    tasks = self.task_cv.wait(tasks).unwrap_or_else(|e| e.into_inner());
-                }
-            };
-            let result = work(&item);
-            self.lock_results().insert(seq, result);
-            self.result_cv.notify_all();
-        }));
-        if out.is_err() {
-            self.failed.store(true, Ordering::Release);
-            self.result_cv.notify_all();
-            self.task_cv.notify_all();
-        }
-        out
-    }
 }
 
 /// Chunk size for `n` items over `workers` workers: about four claims per
@@ -629,159 +355,6 @@ mod tests {
         let par = exec.map(&items, |&n| spin(n));
         let seq: Vec<u64> = items.iter().map(|&n| spin(n)).collect();
         assert_eq!(par, seq);
-    }
-
-    /// Runs a little breadth-first expansion over the pipeline: each value
-    /// below `limit` emits two children; the merge records visit order.
-    fn pipeline_bfs(exec: &Executor, limit: u64) -> Vec<u64> {
-        let mut order = Vec::new();
-        exec.pipeline_ordered(
-            vec![1u64],
-            |&x| x * 2,
-            |item, doubled, ctx| {
-                order.push(item);
-                if doubled < limit {
-                    ctx.submit(doubled);
-                    ctx.submit(doubled + 1);
-                }
-                ControlFlow::Continue(())
-            },
-        );
-        order
-    }
-
-    #[test]
-    fn pipeline_merges_in_submission_order_at_every_thread_count() {
-        let seq = pipeline_bfs(&Executor::sequential(), 64);
-        assert_eq!(&seq[..3], &[1, 2, 3]);
-        assert!(seq.len() > 20);
-        for threads in [2, 4, 9] {
-            assert_eq!(
-                pipeline_bfs(&Executor::with_threads(threads), 64),
-                seq,
-                "@{threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn pipeline_break_stops_and_discards_speculation() {
-        for threads in [1, 2, 4] {
-            let exec = Executor::with_threads(threads);
-            let mut merged = Vec::new();
-            exec.pipeline_ordered(
-                (0..100u32).collect(),
-                |&x| x + 1,
-                |item, r, _ctx| {
-                    assert_eq!(r, item + 1);
-                    merged.push(item);
-                    if item == 9 {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                },
-            );
-            assert_eq!(merged, (0..10).collect::<Vec<_>>(), "@{threads}");
-        }
-    }
-
-    #[test]
-    fn pipeline_handles_empty_seeds() {
-        for threads in [1, 3] {
-            Executor::with_threads(threads).pipeline_ordered(
-                Vec::<u8>::new(),
-                |_| unreachable!("no items"),
-                |_, _: (), _| unreachable!("no items"),
-            );
-        }
-    }
-
-    #[test]
-    fn pipeline_worker_panic_propagates() {
-        for threads in [1, 4] {
-            let exec = Executor::with_threads(threads);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                exec.pipeline_ordered(
-                    (0..64u32).collect(),
-                    |&x| {
-                        if x == 33 {
-                            panic!("pipeline boom at {x}");
-                        }
-                        x
-                    },
-                    |_, _, _| ControlFlow::Continue(()),
-                );
-            }));
-            let payload = caught.expect_err("panic must propagate");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(msg.contains("pipeline boom at 33"), "@{threads}: {msg}");
-        }
-    }
-
-    #[test]
-    fn pipeline_merge_panic_releases_workers() {
-        let exec = Executor::with_threads(4);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            exec.pipeline_ordered(
-                (0..64u32).collect(),
-                |&x| x,
-                |item, _, _| {
-                    if item == 5 {
-                        panic!("merge boom");
-                    }
-                    ControlFlow::Continue(())
-                },
-            );
-        }));
-        assert!(caught.is_err(), "merge panic must propagate");
-    }
-
-    #[test]
-    fn pipeline_waited_is_work_time_when_sequential() {
-        let exec = Executor::sequential();
-        exec.pipeline_ordered(
-            vec![0u8],
-            |_| std::thread::sleep(Duration::from_millis(5)),
-            |_, _, ctx| {
-                assert!(ctx.waited() >= Duration::from_millis(5));
-                // Inline work is all help, no idle stall.
-                assert_eq!(ctx.helped(), ctx.waited());
-                ControlFlow::Continue(())
-            },
-        );
-    }
-
-    #[test]
-    fn pipeline_helped_never_exceeds_waited() {
-        // Whether a worker computes an item or the merge steals it is a
-        // schedule race; what must hold on every schedule is that the
-        // inline-help interval is within the overall wait interval and
-        // that a steal never duplicates or reorders work.
-        for threads in [2, 4] {
-            let exec = Executor::with_threads(threads);
-            let mut merged = Vec::new();
-            exec.pipeline_ordered(
-                vec![0u32],
-                |&x| {
-                    std::thread::sleep(Duration::from_millis(1));
-                    x + 1
-                },
-                |item, r, ctx| {
-                    assert_eq!(r, item + 1);
-                    assert!(ctx.helped() <= ctx.waited(), "@{threads}");
-                    merged.push(item);
-                    if item < 16 {
-                        ctx.submit(item + 1);
-                    }
-                    ControlFlow::Continue(())
-                },
-            );
-            assert_eq!(merged, (0..17).collect::<Vec<_>>(), "@{threads}");
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! from `ψ(ȳ)` into `φ(ȳ)` (queries viewed as structures over their
 //! variables) that is the identity on the answer variables `ȳ`.
 
-use qr_exec::Executor;
 use qr_syntax::query::ConjunctiveQuery;
 
 use crate::kernel::global_kernel;
@@ -28,41 +27,26 @@ pub fn equivalent(a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
     contains(a, b) && contains(b, a)
 }
 
-/// Parallel disjunct-vs-set sweep: `true` iff some query in `kept`
+/// Disjunct-vs-set sweep: `true` iff some query in `kept`
 /// [`contains`]-subsumes `cand` — i.e. `contains(cand, r)` holds for some
 /// `r`, so `cand` adds no answers to the union `kept` already describes.
-///
-/// The sweep runs on `exec`'s worker pool; each containment check is a
-/// pure predicate, so the early-exiting parallel `any` returns exactly
-/// what the sequential scan would. The rewrite engine uses this to test
-/// candidates against the accumulated rewriting set.
-pub fn subsumed_by_any(
-    exec: &Executor,
-    cand: &ConjunctiveQuery,
-    kept: &[&ConjunctiveQuery],
-) -> bool {
+pub fn subsumed_by_any(cand: &ConjunctiveQuery, kept: &[&ConjunctiveQuery]) -> bool {
     let k = global_kernel();
     let cand_entry = k.entry(cand);
     let entries: Vec<_> = kept.iter().map(|r| k.entry(r)).collect();
     let refs: Vec<_> = entries.iter().collect();
-    k.subsumed_by_any(exec, &cand_entry, &refs)
+    k.subsumed_by_any(&cand_entry, &refs)
 }
 
-/// Parallel disjunct-vs-set sweep: one flag per query in `kept`, `true`
-/// iff `contains(r, cand)` — i.e. `r` is subsumed by `cand` and can be
-/// evicted from a union that now includes `cand`. Flags come back in
-/// `kept` order (ordered reduction), so callers retain/evict exactly as a
-/// sequential scan would.
-pub fn covered_by(
-    exec: &Executor,
-    kept: &[&ConjunctiveQuery],
-    cand: &ConjunctiveQuery,
-) -> Vec<bool> {
+/// Set-vs-disjunct sweep: one flag per query in `kept`, `true` iff
+/// `contains(r, cand)` — i.e. `r` is subsumed by `cand` and can be evicted
+/// from a union that now includes `cand`. Flags come back in `kept` order.
+pub fn covered_by(kept: &[&ConjunctiveQuery], cand: &ConjunctiveQuery) -> Vec<bool> {
     let k = global_kernel();
     let cand_entry = k.entry(cand);
     let entries: Vec<_> = kept.iter().map(|r| k.entry(r)).collect();
     let refs: Vec<_> = entries.iter().collect();
-    k.covered_by(exec, &refs, &cand_entry)
+    k.covered_by(&refs, &cand_entry)
 }
 
 #[cfg(test)]

@@ -39,16 +39,14 @@
 //!   canonical form.
 //!
 //! All results are **identical** to the one-shot path — same booleans,
-//! same cores up to the canonical form the old code returned — and the
-//! deterministic counters of [`HomStats`] are identical at every thread
-//! count (see the field docs for which counters are only meaningful on
-//! sequential sweeps).
+//! same cores up to the canonical form the old code returned. Every sweep
+//! runs on the calling thread, so the counters of [`HomStats`] are a
+//! function of the calls made.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use qr_exec::Executor;
 use qr_syntax::query::{ConjunctiveQuery, QAtom, QTerm, Var};
 use qr_syntax::{Instance, Pred, Symbol, TermId};
 
@@ -258,14 +256,14 @@ fn pred_bit(p: &Pred) -> u64 {
 
 /// Deterministic counters surfacing what the kernel saved.
 ///
-/// The first six (`freezes` through `components`) are incremented only at
-/// entry acquisition and compilation — single-threaded points even in a
-/// parallel saturation run (entries are acquired on the merge thread, in
-/// merge order), so they are identical at every thread count. The search
-/// and core counters are incremented inside
-/// sweeps that may run on the worker pool with an early-exiting `any`, so
-/// they are only deterministic for fully sequential workloads (the `hom`
-/// microbench and the marked pairwise sweep) and are only emitted there.
+/// Every sweep runs on the calling thread and the searches of
+/// [`HomKernel::subsumed_by_any`] stop at the first hit in `kept` order,
+/// so each counter is a function of the sequence of calls. A kernel driven
+/// from one thread — a saturation run's private kernel, the marked
+/// pairwise sweep, the `hom` microbench — therefore reports the same
+/// numbers on every run, and all eleven are drift-gated. The process-wide
+/// [`global_kernel`] is shared by concurrent callers, so its counters are
+/// never emitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HomStats {
     /// Queries frozen and profiled (entry-cache misses).
@@ -739,61 +737,43 @@ impl HomKernel {
         self.eval(&e, inst, ans)
     }
 
-    /// Parallel disjunct-vs-set sweep: `true` iff some entry in `kept`
-    /// subsumes `cand` — i.e. `contains(cand, r)` for some `r`. The
-    /// prefilter pass runs sequentially on the calling thread (rejects are
-    /// counted deterministically); only the surviving entries go to the
-    /// early-exiting parallel `any`, whose boolean is schedule-independent.
-    pub fn subsumed_by_any(
-        &self,
-        exec: &Executor,
-        cand: &QueryEntry,
-        kept: &[&Arc<QueryEntry>],
-    ) -> bool {
+    /// Disjunct-vs-set sweep: `true` iff some entry in `kept` subsumes
+    /// `cand` — i.e. `contains(cand, r)` for some `r`. The prefilter runs
+    /// over every entry first (so `prefilter_rejects` does not depend on
+    /// where a hit lies); the searches then run in `kept` order and stop at
+    /// the first hit.
+    pub fn subsumed_by_any(&self, cand: &QueryEntry, kept: &[&Arc<QueryEntry>]) -> bool {
         let survivors: Vec<&QueryEntry> = kept
             .iter()
             .map(|e| e.as_ref())
             .filter(|r| {
                 debug_assert_eq!(r.answer_len, cand.answer_len);
-                if Self::passes_prefilter(r, cand) {
-                    true
-                } else {
+                Self::passes_prefilter(r, cand) || {
                     self.c.prefilter_rejects.fetch_add(1, Relaxed);
                     false
                 }
             })
             .collect();
-        exec.any(&survivors, |r| {
-            self.eval(r, &cand.frozen, &cand.answer_terms)
-        })
+        survivors
+            .iter()
+            .any(|r| self.eval(r, &cand.frozen, &cand.answer_terms))
     }
 
-    /// Parallel set-vs-disjunct sweep: one flag per entry in `kept`,
-    /// `true` iff `contains(r, cand)` — `r` is covered by `cand` and can
-    /// be evicted. Flags come back in `kept` order. Prefilter rejects are
-    /// counted sequentially, as in
-    /// [`subsumed_by_any`](Self::subsumed_by_any).
-    pub fn covered_by(
-        &self,
-        exec: &Executor,
-        kept: &[&Arc<QueryEntry>],
-        cand: &QueryEntry,
-    ) -> Vec<bool> {
-        let mut flags = vec![false; kept.len()];
-        let mut work: Vec<(usize, &QueryEntry)> = Vec::new();
-        for (i, r) in kept.iter().enumerate() {
-            debug_assert_eq!(r.answer_len, cand.answer_len);
-            if Self::passes_prefilter(cand, r) {
-                work.push((i, r.as_ref()));
-            } else {
-                self.c.prefilter_rejects.fetch_add(1, Relaxed);
-            }
-        }
-        let res = exec.map(&work, |&(_, r)| self.eval(cand, &r.frozen, &r.answer_terms));
-        for (&(i, _), ok) in work.iter().zip(res) {
-            flags[i] = ok;
-        }
-        flags
+    /// Set-vs-disjunct sweep: one flag per entry in `kept`, `true` iff
+    /// `contains(r, cand)` — `r` is covered by `cand` and can be evicted.
+    /// Flags come back in `kept` order.
+    pub fn covered_by(&self, kept: &[&Arc<QueryEntry>], cand: &QueryEntry) -> Vec<bool> {
+        kept.iter()
+            .map(|r| {
+                debug_assert_eq!(r.answer_len, cand.answer_len);
+                if Self::passes_prefilter(cand, r) {
+                    self.eval(cand, &r.frozen, &r.answer_terms)
+                } else {
+                    self.c.prefilter_rejects.fetch_add(1, Relaxed);
+                    false
+                }
+            })
+            .collect()
     }
 
     /// An equivalent subquery from which no atom can be dropped

@@ -237,31 +237,27 @@ fn kernel_query_core_matches_greedy_reference() {
 }
 
 #[test]
-fn kernel_subsumption_sweeps_match_reference_at_all_thread_counts() {
-    use qr_exec::Executor;
-    for threads in [1, 2, 4] {
-        let exec = Executor::with_threads(threads);
-        check("kernel_sweeps", 100, |rng| {
-            let arity = rng.below(2);
-            let cand = random_query(rng, arity);
-            let kept: Vec<ConjunctiveQuery> = (0..rng.range(1, 6))
-                .map(|_| random_query(rng, arity))
-                .collect();
-            let refs: Vec<&ConjunctiveQuery> = kept.iter().collect();
-            let expect_any = refs.iter().any(|r| contains_ref(&cand, r));
-            let expect_cov: Vec<bool> = refs.iter().map(|r| contains_ref(r, &cand)).collect();
-            assert_eq!(
-                qr_hom::subsumed_by_any(&exec, &cand, &refs),
-                expect_any,
-                "@{threads} cand={}",
-                cand.render()
-            );
-            assert_eq!(
-                qr_hom::covered_by(&exec, &refs, &cand),
-                expect_cov,
-                "@{threads} cand={}",
-                cand.render()
-            );
-        });
-    }
+fn kernel_subsumption_sweeps_match_reference() {
+    check("kernel_sweeps", 100, |rng| {
+        let arity = rng.below(2);
+        let cand = random_query(rng, arity);
+        let kept: Vec<ConjunctiveQuery> = (0..rng.range(1, 6))
+            .map(|_| random_query(rng, arity))
+            .collect();
+        let refs: Vec<&ConjunctiveQuery> = kept.iter().collect();
+        let expect_any = refs.iter().any(|r| contains_ref(&cand, r));
+        let expect_cov: Vec<bool> = refs.iter().map(|r| contains_ref(r, &cand)).collect();
+        assert_eq!(
+            qr_hom::subsumed_by_any(&cand, &refs),
+            expect_any,
+            "cand={}",
+            cand.render()
+        );
+        assert_eq!(
+            qr_hom::covered_by(&refs, &cand),
+            expect_cov,
+            "cand={}",
+            cand.render()
+        );
+    });
 }

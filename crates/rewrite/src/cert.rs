@@ -87,7 +87,7 @@ impl RewriteCertBundle {
 
 /// Accumulates certificates during a saturation run. Constructed by
 /// [`crate::engine::rewrite_certified`]; the engine calls the recording
-/// hooks at seed time and at every acceptance, on the merge thread.
+/// hooks at seed time and at every acceptance.
 #[derive(Default)]
 pub struct CertBuilder {
     certs: Vec<RewriteCert>,

@@ -1,21 +1,15 @@
 //! Saturation: computing `rew(ψ)` by exhaustive piece rewriting with
 //! containment-based subsumption (Theorem 1 of the paper).
 //!
-//! # Parallel saturation
+//! # The loop
 //!
-//! The loop runs on [`Executor::pipeline_ordered`]: the piece rewritings
-//! (and their cores) of every queued query are generated speculatively on
-//! the worker pool while the caller thread merges results in exact FIFO
-//! order against the accumulated set. Subsumption checks, evictions,
-//! budget accounting and tracing all happen at merge time, so a parallel
-//! run makes the same decisions in the same order as the sequential loop;
-//! dropping (uncounted) the candidates of items evicted earlier in the
-//! merge reproduces the sequential aliveness check verbatim. Because the
-//! FIFO queue enqueues descendants after everything already queued,
-//! generation for BFS window *i+1* starts as soon as its queries are
-//! accepted — overlapping with the merge of the rest of window *i* and
-//! hiding merge latency — without a barrier per window. Every counter in
-//! [`RewriteStats`] is identical across thread counts.
+//! Saturation is a FIFO breadth-first loop on the caller thread: pop a
+//! queued query, skip it if a more general arrival evicted it, generate
+//! its piece rewritings, and merge each candidate against the kept set
+//! (dedup, subsumption, eviction, budget accounting, tracing). A *window*
+//! is one BFS generation: the items queued together before any of their
+//! descendants. Every counter in [`RewriteStats`] and [`HomStats`] is a
+//! function of the inputs.
 //!
 //! Accepted disjuncts are renamed `U0, U1, …` on acceptance, so rendered
 //! rewritings never carry the slot-suffixed rule-variable names that
@@ -40,11 +34,11 @@
 //! * **Piece-unifier index** — per-rule head-predicate lists plus a
 //!   64-bit mask prefilter ([`TheoryIndex`]) so a queued item attempts
 //!   only predicate-compatible unifications, and a per-item generation
-//!   cap (`max_generated + 1 - generated-at-submission`) stops workers
-//!   from enumerating candidates the budget can never consume. The cap
-//!   is invisible to the merge: `generated` only grows between
-//!   submission and merge, so the budget break fires at or before the
-//!   capped item's last emitted candidate.
+//!   cap (`max_generated + 1 - generated-at-submission`) stops the
+//!   enumeration of candidates the budget can never consume. The cap is
+//!   invisible to the merge: `generated` only grows between submission
+//!   and merge, so the budget break fires at or before the capped item's
+//!   last emitted candidate.
 //! * **Predicate-set trie** — the kept set files entries by sorted
 //!   predicate set (`PredSetTrie` in `trie.rs`); subsumption probes
 //!   only subset-compatible entries, eviction only superset-compatible
@@ -54,15 +48,12 @@
 //! Novel candidates sweep the kept set as their *raw* (uncored) entry —
 //! subsumption and eviction booleans are invariant under equivalence, and
 //! `raw ≡ core(raw)` — so the expensive core fold runs only on *accepted*
-//! candidates (plus speculatively on the worker pool, gated off when the
-//! trailing window's dedup+subsumption hit rate says speculation is
-//! wasted). Outputs, traces, and every gated counter are unchanged.
+//! candidates.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use qr_exec::Executor;
 use qr_hom::containment::contains;
@@ -164,10 +155,6 @@ pub struct Rewriting {
     pub stats: RewriteStats,
     /// Homomorphism-kernel counters for this run (the run uses a private
     /// [`HomKernel`], so the numbers describe exactly this saturation).
-    /// The cache/prefilter counters (`freezes` through `components`) are
-    /// deterministic across thread counts; the search and core
-    /// counters depend on scheduling (early-exiting parallel sweeps) and
-    /// are only meaningful for sequential runs.
     pub hom: HomStats,
 }
 
@@ -325,55 +312,37 @@ fn canonical_named(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     ConjunctiveQuery::new(q.answer_vars().to_vec(), q.atoms().to_vec(), names)
 }
 
-/// A speculatively generated candidate from one piece rewriting of a
-/// queued query.
+/// One piece rewriting of a queued query.
 enum Generated {
-    /// The raw rewriting exceeded `max_atoms`: counted against the budget
-    /// at merge time, never core-minimized (matching the sequential loop,
-    /// which skips the core for oversized candidates).
+    /// The raw rewriting exceeded `max_atoms`: counted against the budget,
+    /// never core-minimized.
     Oversized,
-    /// A candidate under the atom cap (boxed: the payload dwarfs the
-    /// dataless `Oversized` variant, and candidates are moved through the
-    /// pipeline queue).
-    Cand(Box<Candidate>),
+    /// A candidate under the atom cap.
+    Cand(Candidate),
 }
 
 /// Payload of [`Generated::Cand`].
 struct Candidate {
     /// The raw piece rewriting (not core-minimized).
     raw: ConjunctiveQuery,
-    /// `raw`'s name-independent structural key, computed on the
-    /// worker: the merge dedups on it before touching the kernel.
+    /// `raw`'s name-independent structural key: the merge dedups on it
+    /// before touching the kernel.
     key: CanonicalKey,
-    /// The core-minimized, canonically renamed form, computed
-    /// speculatively when the gate was on at generation time; `None`
-    /// otherwise (the merge computes it lazily, only on acceptance).
-    /// Either way the value is the same deterministic function of
-    /// `raw`, so where it is computed never shows in any output.
-    core: Option<ConjunctiveQuery>,
-    /// Rule index that generated `raw` — certificate provenance,
-    /// carried identically whether or not the run certifies.
+    /// Rule index that generated `raw` — certificate provenance, carried
+    /// identically whether or not the run certifies.
     rule: u32,
     /// The piece unifier's `(query atom, head atom)` pairs (see
     /// [`crate::unify::PieceUnifier::unified`]).
     unified: Vec<(u32, u32)>,
 }
 
-/// Windows generating at least this many candidates update the
-/// speculation gate at their close.
-const SPECULATION_MIN_WINDOW: usize = 64;
-/// Speculative core computation is switched off while the trailing
-/// window's dedup + subsumption hit rate is at or above this percentage
-/// (nearly every core would be thrown away), and back on below it.
-const SPECULATION_HIT_PCT: usize = 90;
-
-/// How the saturation loop schedules generation against the merge. The
-/// pipelined engine is the only one; the type and [`rewrite_with_mode`]
-/// stay because the standalone `perfbench` crate names them.
+/// How the saturation loop schedules generation against the merge. There
+/// is one schedule, the caller-thread loop; the type and
+/// [`rewrite_with_mode`] stay because the standalone `perfbench` crate
+/// names them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SaturationMode {
-    /// Speculative pipelining on [`Executor::pipeline_ordered`]: window
-    /// *i+1* generates while window *i* merges.
+    /// The caller-thread loop of [`rewrite`].
     Pipelined,
 }
 
@@ -383,56 +352,36 @@ pub fn rewrite(
     query: &ConjunctiveQuery,
     budget: RewriteBudget,
 ) -> Result<Rewriting, RewriteError> {
-    saturate(
-        theory,
-        query,
-        budget,
-        &Executor::sequential(),
-        &mut |_, _| {},
-        None,
-    )
+    saturate(theory, query, budget, &mut |_, _| {}, None)
 }
 
-/// [`rewrite`] with candidate generation and containment sweeps scheduled
-/// on `exec`'s worker pool. Deterministic: the result — disjuncts, their
-/// renderings, `generated`, `depth`, outcome, every stats counter — is
-/// identical to the sequential run for every thread count.
-pub fn rewrite_with(
-    theory: &Theory,
-    query: &ConjunctiveQuery,
-    budget: RewriteBudget,
-    exec: &Executor,
-) -> Result<Rewriting, RewriteError> {
-    saturate(theory, query, budget, exec, &mut |_, _| {}, None)
-}
-
-/// [`rewrite_with`] under a [`SaturationMode`]; there is one mode, so this
-/// is [`rewrite_with`]. Kept for the standalone `perfbench` crate.
+/// [`rewrite`] under an executor and a [`SaturationMode`], kept for the
+/// standalone `perfbench` crate. Saturation runs on the caller thread, so
+/// neither argument selects anything: the result is [`rewrite`]'s.
 pub fn rewrite_with_mode(
     theory: &Theory,
     query: &ConjunctiveQuery,
     budget: RewriteBudget,
-    exec: &Executor,
+    _exec: &Executor,
     _mode: SaturationMode,
 ) -> Result<Rewriting, RewriteError> {
-    rewrite_with(theory, query, budget, exec)
+    rewrite(theory, query, budget)
 }
 
-/// [`rewrite_with`] with certificate emission: alongside the rewriting,
+/// [`rewrite`] with certificate emission: alongside the rewriting,
 /// returns a [`RewriteCertBundle`] holding one replayable
 /// [`crate::cert::RewriteCert`] per accepted disjunct (node 0 is the
 /// seed). The rewriting itself — disjuncts, outcome, `generated`, every
-/// drift-gated counter — is byte-identical to the uncertified run at
-/// every thread count: recording happens strictly after each acceptance
-/// decision, on the merge thread, with a private kernel-free matcher.
+/// drift-gated counter — is byte-identical to the uncertified run:
+/// recording happens strictly after each acceptance decision, with a
+/// private kernel-free matcher.
 pub fn rewrite_certified(
     theory: &Theory,
     query: &ConjunctiveQuery,
     budget: RewriteBudget,
-    exec: &Executor,
 ) -> Result<(Rewriting, RewriteCertBundle), RewriteError> {
     let mut cb = CertBuilder::new();
-    let r = saturate(theory, query, budget, exec, &mut |_, _| {}, Some(&mut cb))?;
+    let r = saturate(theory, query, budget, &mut |_, _| {}, Some(&mut cb))?;
     Ok((r, cb.into_bundle()))
 }
 
@@ -444,36 +393,21 @@ pub fn rewrite_with_trace(
     budget: RewriteBudget,
     mut trace: impl FnMut(usize, &ConjunctiveQuery),
 ) -> Result<Rewriting, RewriteError> {
-    saturate(
-        theory,
-        query,
-        budget,
-        &Executor::sequential(),
-        &mut trace,
-        None,
-    )
+    saturate(theory, query, budget, &mut trace, None)
 }
 
-/// [`rewrite_with_trace`] on an explicit executor: the trace stream is
-/// byte-identical to the sequential one at every thread count (acceptances
-/// happen at merge time, in merge order).
-pub fn rewrite_with_trace_on(
-    theory: &Theory,
-    query: &ConjunctiveQuery,
-    budget: RewriteBudget,
-    exec: &Executor,
-    mut trace: impl FnMut(usize, &ConjunctiveQuery),
-) -> Result<Rewriting, RewriteError> {
-    saturate(theory, query, budget, exec, &mut trace, None)
-}
+/// A queued saturation item: the query, its rewriting depth (which is
+/// also its window), the generation cap in force when it was queued
+/// (`max_generated + 1 - generated-at-submission` — the most candidates
+/// the merge could ever consume from it before the budget break fires),
+/// and the query's certificate node (0 on uncertified runs).
+type Item = (ConjunctiveQuery, usize, usize, u32);
 
-/// The saturation merge core: all kept-set decisions — aliveness, budget
-/// accounting, subsumption, eviction, acceptance, tracing, window
-/// bookkeeping — live here, on the merge thread, so they are made in
-/// submission order whatever the schedule.
+/// The saturation state: the kept set plus every decision made against
+/// it — budget accounting, dedup, subsumption, eviction, acceptance,
+/// tracing and window bookkeeping.
 struct Merger<'a> {
     budget: RewriteBudget,
-    exec: &'a Executor,
     kernel: &'a HomKernel,
     trace: &'a mut dyn FnMut(usize, &ConjunctiveQuery),
     set: KeptSet,
@@ -481,164 +415,34 @@ struct Merger<'a> {
     /// seed and accepted cores): the generation-side dedup's seen-set.
     seen: HashSet<CanonicalKey>,
     /// Certificate recorder; `None` on uncertified runs. Recording
-    /// happens only at acceptance points on the merge thread, so the
-    /// engine's decisions and counters are identical either way.
+    /// happens only at acceptance points, so the engine's decisions and
+    /// counters are identical either way.
     certs: Option<&'a mut CertBuilder>,
-    /// The speculation gate shared with the generation closure: cleared
-    /// when speculative cores are being thrown away wholesale.
-    speculate: &'a AtomicBool,
     generated: usize,
     oversized: usize,
     depth_reached: usize,
     truncated: bool,
     stats: RewriteStats,
     cur: WindowStats,
-    /// Sequence number of the next item to merge (items are numbered in
-    /// submission order, exactly the pipeline's sequence numbers).
-    merge_seq: usize,
-    /// Items submitted so far (seed + every accepted candidate).
-    submitted: usize,
-    /// Last sequence number belonging to the window being merged.
-    window_last_seq: usize,
 }
 
-/// A queued saturation item: the query, its rewriting depth, the
-/// generation cap in force when it was submitted (`max_generated + 1 -
-/// generated-at-submission` — the most candidates the merge could ever
-/// consume from it before the budget break fires), and the query's
-/// certificate node (0 on uncertified runs).
-type Item = (ConjunctiveQuery, usize, usize, u32);
-
-impl<'a> Merger<'a> {
-    fn new(
-        budget: RewriteBudget,
-        exec: &'a Executor,
-        kernel: &'a HomKernel,
-        speculate: &'a AtomicBool,
-        trace: &'a mut dyn FnMut(usize, &ConjunctiveQuery),
-        certs: Option<&'a mut CertBuilder>,
-    ) -> Merger<'a> {
-        Merger {
-            budget,
-            exec,
-            kernel,
-            trace,
-            set: KeptSet::new(),
-            seen: HashSet::new(),
-            certs,
-            speculate,
-            generated: 0,
-            oversized: 0,
-            depth_reached: 0,
-            truncated: false,
-            stats: RewriteStats {
-                threads: exec.threads(),
-                windows: Vec::new(),
-            },
-            cur: WindowStats {
-                window: 0,
-                items: 1,
-                ..WindowStats::default()
-            },
-            merge_seq: 0,
-            submitted: 1,
-            window_last_seq: 0,
-        }
-    }
-
-    /// The generation cap for an item submitted right now.
-    fn submission_cap(&self) -> usize {
-        self.budget.max_generated.saturating_add(1) - self.generated
-    }
-
-    /// Closes the window being accumulated (records the kept-set size)
-    /// and updates the speculation gate from the closing window's hit
-    /// rate. The gate only moves *where* cores are computed (worker pool
-    /// vs. merge thread on acceptance), never *what* is computed, so its
-    /// schedule-dependent timing is invisible to every counter and
-    /// output.
+impl Merger<'_> {
+    /// Closes the window being accumulated, recording the kept-set size.
     fn close_window(&mut self) {
         self.cur.kept = self.set.len();
-        if self.cur.generated >= SPECULATION_MIN_WINDOW {
-            let doomed = self.cur.dedup_hits + self.cur.subsumption_hits;
-            self.speculate.store(
-                doomed * 100 < self.cur.generated * SPECULATION_HIT_PCT,
-                Relaxed,
-            );
-        }
         self.stats.windows.push(std::mem::take(&mut self.cur));
     }
 
-    /// Merges one item's speculative generation results in submission
-    /// order. `Break` means a budget stop: the caller must stop merging.
-    /// Accepted candidates are appended to `out` for resubmission.
-    #[allow(clippy::too_many_arguments)]
+    /// Merges one alive item's candidates in generation order, queueing
+    /// every accepted one. `Break` means a budget stop.
     fn merge_item(
         &mut self,
-        q: &ConjunctiveQuery,
         depth: usize,
         node: u32,
-        gens: &[Generated],
+        gens: Vec<Generated>,
         uc: UnifyCounters,
-        gen_wall: Duration,
-        waited: Duration,
-        helped: Duration,
-        out: &mut Vec<Item>,
+        queue: &mut VecDeque<Item>,
     ) -> ControlFlow<()> {
-        let seq = self.merge_seq;
-        self.merge_seq += 1;
-        if seq > self.window_last_seq {
-            // First item of the next BFS window: everything submitted and
-            // not yet merged was queued together.
-            self.close_window();
-            self.cur.window = self.stats.windows.len();
-            self.cur.items = self.submitted - seq;
-            self.window_last_seq = self.submitted - 1;
-        }
-        self.cur.gen_wall += gen_wall;
-        // `waited` is a *stall* only where generation ran on a worker; the
-        // `helped` sub-interval ran inline on this thread — a sequential
-        // executor generates everything inline, and the parallel pipeline
-        // steals the head task when no worker has claimed it. Inline work
-        // is already charged to `gen_wall`, not waiting (the historical
-        // accounting double-counted it, reporting `wait ≈ gen` at one
-        // thread). Overlap is the generation work neither the stall nor
-        // the steal exposed: what ran while this thread was busy merging.
-        let (stall, overlap) = if self.exec.is_sequential() {
-            (Duration::ZERO, Duration::ZERO)
-        } else {
-            (
-                waited.saturating_sub(helped),
-                gen_wall.saturating_sub(waited),
-            )
-        };
-        self.cur.wait_wall += stall;
-        self.cur.overlap_wall += overlap;
-        let t0 = Instant::now();
-        let flow = self.merge_item_decisions(q, depth, node, gens, uc, out);
-        self.cur.merge_wall += t0.elapsed();
-        self.submitted += out.len();
-        flow
-    }
-
-    fn merge_item_decisions(
-        &mut self,
-        q: &ConjunctiveQuery,
-        depth: usize,
-        node: u32,
-        gens: &[Generated],
-        uc: UnifyCounters,
-        out: &mut Vec<Item>,
-    ) -> ControlFlow<()> {
-        // The query may have been evicted by a more general arrival; its
-        // speculative candidates are dropped uncounted, exactly as the
-        // historical sequential loop never generated for queries that
-        // failed its aliveness check. (Its unifier counters are discarded
-        // with them, keeping those deterministic across schedules too.)
-        if !self.set.contains_query(q) {
-            self.cur.dead_skipped += 1;
-            return ControlFlow::Continue(());
-        }
         self.cur.merged += 1;
         self.cur.unifier_probes += uc.probes;
         self.cur.unifier_skipped += uc.skipped;
@@ -649,13 +453,18 @@ impl<'a> Merger<'a> {
                 self.truncated = true;
                 return ControlFlow::Break(());
             }
-            let (raw, key, spec_core, rule, unified) = match g {
+            let Candidate {
+                raw,
+                key,
+                rule,
+                unified,
+            } = match g {
                 Generated::Oversized => {
                     self.oversized += 1;
                     self.cur.oversized += 1;
                     continue;
                 }
-                Generated::Cand(c) => (&c.raw, &c.key, &c.core, c.rule, &c.unified),
+                Generated::Cand(c) => c,
             };
             // Dedup at birth: a key-equal candidate was already processed,
             // so an alive kept query entails this one (directly, or
@@ -669,7 +478,7 @@ impl<'a> Merger<'a> {
             // form: their booleans are invariant under equivalence and
             // `raw ≡ core(raw)`, so the core fold can wait until the
             // candidate is actually accepted.
-            let raw_entry = self.kernel.entry_with_key(key.clone(), raw);
+            let raw_entry = self.kernel.entry_with_key(key, &raw);
             let raw_preds: Vec<Pred> = raw_entry.pred_set().collect();
             // Subsumed: some kept query already covers it (whenever the
             // candidate holds, the kept one does). The trie narrows the
@@ -680,7 +489,7 @@ impl<'a> Merger<'a> {
             self.cur.trie_skipped += self.set.len() - sub.len();
             if self
                 .kernel
-                .subsumed_by_any(self.exec, &raw_entry, &self.set.entry_refs(&sub))
+                .subsumed_by_any(&raw_entry, &self.set.entry_refs(&sub))
             {
                 self.cur.subsumption_hits += 1;
                 continue;
@@ -691,7 +500,7 @@ impl<'a> Merger<'a> {
             self.cur.trie_skipped += self.set.len() - sup.len();
             let dead: Vec<usize> = self
                 .kernel
-                .covered_by(self.exec, &self.set.entry_refs(&sup), &raw_entry)
+                .covered_by(&self.set.entry_refs(&sup), &raw_entry)
                 .into_iter()
                 .zip(&sup)
                 .filter_map(|(covered, idx)| covered.then_some(*idx))
@@ -702,13 +511,8 @@ impl<'a> Merger<'a> {
             }
             self.cur.evictions += evicted;
             // Accepted (possibly via the capacity rescue below): only now
-            // is the core needed — take the speculative one if the gate
-            // had it computed, else fold it here. Identical value either
-            // way.
-            let cand = match spec_core {
-                Some(c) => c.clone(),
-                None => canonical_named(&self.kernel.query_core(raw)),
-            };
+            // is the core needed.
+            let cand = canonical_named(&self.kernel.query_core(&raw));
             self.seen.insert(canonical_key(&cand));
             let cand_entry = self.kernel.entry(&cand);
             if self.set.len() >= self.budget.max_queries {
@@ -729,7 +533,7 @@ impl<'a> Merger<'a> {
                     // The certificate records exactly the accepted nodes,
                     // so it is cut only when the push actually happens.
                     let cn = match self.certs.as_deref_mut() {
-                        Some(cb) => cb.record_accept(node, rule, unified, raw, &cand),
+                        Some(cb) => cb.record_accept(node, rule, &unified, &raw, &cand),
                         None => 0,
                     };
                     self.set.push(cand, cand_entry, cn);
@@ -740,11 +544,11 @@ impl<'a> Merger<'a> {
             self.depth_reached = self.depth_reached.max(depth + 1);
             (self.trace)(depth + 1, &cand);
             let cn = match self.certs.as_deref_mut() {
-                Some(cb) => cb.record_accept(node, rule, unified, raw, &cand),
+                Some(cb) => cb.record_accept(node, rule, &unified, &raw, &cand),
                 None => 0,
             };
-            let cap = self.submission_cap();
-            out.push((cand.clone(), depth + 1, cap, cn));
+            let cap = self.budget.max_generated.saturating_add(1) - self.generated;
+            queue.push_back((cand.clone(), depth + 1, cap, cn));
             self.set.push(cand, cand_entry, cn);
             self.cur.accepted += 1;
         }
@@ -752,11 +556,51 @@ impl<'a> Merger<'a> {
     }
 }
 
+/// The piece rewritings of one queued query, at most `cap` of them.
+fn generate(
+    theory: &Theory,
+    tindex: &TheoryIndex,
+    max_atoms: usize,
+    q: &ConjunctiveQuery,
+    cap: usize,
+) -> (Vec<Generated>, UnifyCounters) {
+    let qmask = query_pred_mask(q);
+    let mut uc = UnifyCounters::default();
+    let mut out = Vec::new();
+    for (ri, (rule, ridx)) in theory.rules().iter().zip(tindex.rules()).enumerate() {
+        if out.len() >= cap {
+            break;
+        }
+        if ridx.mask() & qmask == 0 {
+            // No head predicate occurs in the query: every (query atom ×
+            // head atom) pairing is pruned by the rule mask.
+            uc.skipped += q.atoms().len() * ridx.head_len();
+            continue;
+        }
+        for pu in piece_rewritings_indexed(q, rule, ridx, cap - out.len(), &mut uc) {
+            if pu.result.size() > max_atoms {
+                out.push(Generated::Oversized);
+            } else {
+                out.push(Generated::Cand(Candidate {
+                    key: canonical_key(&pu.result),
+                    raw: pu.result,
+                    rule: ri as u32,
+                    unified: pu
+                        .unified
+                        .iter()
+                        .map(|&(a, h)| (a as u32, h as u32))
+                        .collect(),
+                }));
+            }
+        }
+    }
+    (out, uc)
+}
+
 fn saturate(
     theory: &Theory,
     query: &ConjunctiveQuery,
     budget: RewriteBudget,
-    exec: &Executor,
     trace: &mut dyn FnMut(usize, &ConjunctiveQuery),
     mut certs: Option<&mut CertBuilder>,
 ) -> Result<Rewriting, RewriteError> {
@@ -775,84 +619,54 @@ fn saturate(
         cb.record_seed(query, &seed);
     }
     let seed_entry = kernel.entry(&seed);
-    // Speculation gate: workers read it before folding cores; the merge
-    // thread updates it at window boundaries from the trailing window's
-    // doomed-candidate rate.
-    let speculate = AtomicBool::new(true);
-    let mut merger = Merger::new(budget, exec, &kernel, &speculate, trace, certs);
+    let mut merger = Merger {
+        budget,
+        kernel: &kernel,
+        trace,
+        set: KeptSet::new(),
+        seen: HashSet::new(),
+        certs,
+        generated: 0,
+        oversized: 0,
+        depth_reached: 0,
+        truncated: false,
+        stats: RewriteStats::default(),
+        cur: WindowStats {
+            window: 0,
+            items: 1,
+            ..WindowStats::default()
+        },
+    };
     merger.seen.insert(canonical_key(&seed));
     merger.set.push(seed.clone(), seed_entry, 0);
     let tindex = TheoryIndex::new(theory);
 
-    // Speculative generation: piece rewritings (and, when the gate is
-    // open, cores) of one queued query, a pure per-item function
-    // scheduled on the worker pool. `cap` bounds the number of `Generated`
-    // the item may still contribute before the run's generation budget is
-    // spent — fixed at submission time, so it is identical across
-    // schedules, and never smaller than what the merge will actually
-    // count (generated only grows between submission and merge).
-    let generate =
-        |q: &ConjunctiveQuery, cap: usize| -> (Vec<Generated>, UnifyCounters, Duration) {
-            let t0 = Instant::now();
-            let qmask = query_pred_mask(q);
-            let spec = speculate.load(Relaxed);
-            let mut uc = UnifyCounters::default();
-            let mut out = Vec::new();
-            for (ri, (rule, ridx)) in theory.rules().iter().zip(tindex.rules()).enumerate() {
-                if out.len() >= cap {
-                    break;
-                }
-                if ridx.mask() & qmask == 0 {
-                    // No head predicate occurs in the query: every (query
-                    // atom × head atom) pairing is pruned by the rule mask.
-                    uc.skipped += q.atoms().len() * ridx.head_len();
-                    continue;
-                }
-                for pu in piece_rewritings_indexed(q, rule, ridx, cap - out.len(), &mut uc) {
-                    if pu.result.size() > budget.max_atoms {
-                        out.push(Generated::Oversized);
-                    } else {
-                        let key = canonical_key(&pu.result);
-                        let core = spec.then(|| canonical_named(&kernel.query_core(&pu.result)));
-                        out.push(Generated::Cand(Box::new(Candidate {
-                            raw: pu.result,
-                            key,
-                            core,
-                            rule: ri as u32,
-                            unified: pu
-                                .unified
-                                .iter()
-                                .map(|&(a, h)| (a as u32, h as u32))
-                                .collect(),
-                        })));
-                    }
-                }
-            }
-            (out, uc, t0.elapsed())
-        };
-
-    exec.pipeline_ordered(
-        vec![(seed, 0usize, budget.max_generated.saturating_add(1), 0u32)],
-        |(q, _, cap, _)| generate(q, *cap),
-        |(q, depth, _, node), (gens, uc, gen_wall), ctx| {
-            let mut out = Vec::new();
-            let flow = merger.merge_item(
-                &q,
-                depth,
-                node,
-                &gens,
-                uc,
-                gen_wall,
-                ctx.waited(),
-                ctx.helped(),
-                &mut out,
-            );
-            for item in out {
-                ctx.submit(item);
-            }
-            flow
-        },
-    );
+    let mut queue: VecDeque<Item> =
+        VecDeque::from([(seed, 0, budget.max_generated.saturating_add(1), 0)]);
+    while let Some((q, depth, cap, node)) = queue.pop_front() {
+        if depth > merger.cur.window {
+            // First item of the next BFS window: every queued item has
+            // this depth, since deeper ones are queued only by its merges.
+            merger.close_window();
+            merger.cur.window = depth;
+            merger.cur.items = queue.len() + 1;
+        }
+        // A more general arrival may have evicted the query since it was
+        // queued; its rewritings are then never generated.
+        if !merger.set.contains_query(&q) {
+            merger.cur.dead_skipped += 1;
+            continue;
+        }
+        let t0 = Instant::now();
+        let (gens, uc) = generate(theory, &tindex, budget.max_atoms, &q, cap);
+        merger.cur.gen_wall += t0.elapsed();
+        let t1 = Instant::now();
+        let flow = merger.merge_item(depth, node, gens, uc, &mut queue);
+        merger.cur.merge_wall += t1.elapsed();
+        if flow.is_break() {
+            break;
+        }
+    }
     merger.close_window();
     if let Some(cb) = merger.certs.as_deref_mut() {
         // `into_queries` keeps alive entries in insertion order, so this
@@ -1049,43 +863,49 @@ mod tests {
         ]
     }
 
-    fn renders(r: &Rewriting) -> Vec<String> {
-        r.ucq.disjuncts().iter().map(|d| d.render()).collect()
-    }
-
-    #[test]
-    fn parallel_rewrite_is_identical_to_sequential() {
-        for (label, t, q, budget) in fixtures() {
-            // The budget-truncation path is what matters on the divergent
-            // fixture; a smaller budget exercises it at a fraction of the
-            // cost.
-            let budget = if label == "tc-budget" {
-                RewriteBudget {
+    /// [`fixtures`] with `tc-budget` shrunk: its budget-truncation path is
+    /// what matters, and a smaller budget exercises it at a fraction of the
+    /// cost.
+    fn cheap_fixtures() -> Vec<(&'static str, &'static str, &'static str, RewriteBudget)> {
+        let mut fx = fixtures();
+        for (label, _, _, budget) in &mut fx {
+            if *label == "tc-budget" {
+                *budget = RewriteBudget {
                     max_queries: 24,
                     max_generated: 300,
                     max_atoms: 8,
-                }
-            } else {
-                budget
-            };
+                };
+            }
+        }
+        fx
+    }
+
+    /// `perfbench` names the executor-taking entry point; it selects
+    /// nothing, so at any width it returns exactly what [`rewrite`] does.
+    #[test]
+    fn rewrite_with_mode_equals_rewrite() {
+        for (label, t, q, budget) in cheap_fixtures() {
             let theory = parse_theory(t).unwrap();
             let query = parse_query(q).unwrap();
-            let seq = rewrite(&theory, &query, budget).unwrap();
-            for threads in [2, 4] {
-                let par = rewrite_with(&theory, &query, budget, &Executor::with_threads(threads))
-                    .unwrap();
-                assert_eq!(par.outcome, seq.outcome, "{label} @{threads}: outcome");
-                assert_eq!(
-                    par.generated, seq.generated,
-                    "{label} @{threads}: generated"
-                );
-                assert_eq!(par.depth, seq.depth, "{label} @{threads}: depth");
-                assert_eq!(
-                    renders(&par),
-                    renders(&seq),
-                    "{label} @{threads}: saturated set"
-                );
-            }
+            let plain = rewrite(&theory, &query, budget).unwrap();
+            let r = rewrite_with_mode(
+                &theory,
+                &query,
+                budget,
+                &Executor::with_threads(2),
+                SaturationMode::Pipelined,
+            )
+            .unwrap();
+            assert_eq!(r.ucq, plain.ucq, "{label}");
+            assert_eq!(r.outcome, plain.outcome, "{label}");
+            assert_eq!(r.generated, plain.generated, "{label}");
+            assert_eq!(r.depth, plain.depth, "{label}");
+            assert_eq!(
+                counter_rows(&r.stats),
+                counter_rows(&plain.stats),
+                "{label}"
+            );
+            assert_eq!(r.hom, plain.hom, "{label}");
         }
     }
 
@@ -1210,8 +1030,8 @@ mod tests {
         assert_eq!(r.oversized_discarded, 0);
     }
 
-    /// Strips the schedule-dependent wall splits, keeping every
-    /// deterministic per-window counter.
+    /// Strips the wall splits, keeping every deterministic per-window
+    /// counter.
     #[allow(clippy::type_complexity)]
     fn counter_rows(s: &crate::stats::RewriteStats) -> Vec<[usize; 15]> {
         s.windows
@@ -1239,83 +1059,25 @@ mod tests {
     }
 
     #[test]
-    fn stats_counters_identical_across_threads() {
-        for (label, t, q, budget) in fixtures() {
-            let budget = if label == "tc-budget" {
-                RewriteBudget {
-                    max_queries: 24,
-                    max_generated: 300,
-                    max_atoms: 8,
-                }
-            } else {
-                budget
-            };
+    fn stats_totals_reconcile_with_the_rewriting() {
+        for (label, t, q, budget) in cheap_fixtures() {
             let theory = parse_theory(t).unwrap();
             let query = parse_query(q).unwrap();
-            let seq = rewrite(&theory, &query, budget).unwrap();
-            // Totals reconcile with the run's headline numbers.
-            assert_eq!(seq.stats.generated(), seq.generated, "{label}");
-            assert_eq!(seq.stats.oversized(), seq.oversized_discarded, "{label}");
+            let r = rewrite(&theory, &query, budget).unwrap();
+            assert_eq!(r.stats.generated(), r.generated, "{label}");
+            assert_eq!(r.stats.oversized(), r.oversized_discarded, "{label}");
             assert_eq!(
-                1 + seq.stats.accepted() - seq.stats.evictions(),
-                seq.ucq.len(),
+                1 + r.stats.accepted() - r.stats.evictions(),
+                r.ucq.len(),
                 "{label}: seed + accepted - evicted = surviving disjuncts"
             );
             assert_eq!(
-                seq.stats.windows.last().unwrap().kept,
-                seq.ucq.len(),
+                r.stats.windows.last().unwrap().kept,
+                r.ucq.len(),
                 "{label}: final window records the surviving set size"
             );
-            // Sequentially, generation runs inline on the merge thread:
-            // nothing stalls and nothing overlaps.
-            assert_eq!(seq.stats.threads, 1, "{label}");
-            for w in &seq.stats.windows {
-                assert_eq!(w.wait_wall, Duration::ZERO, "{label}: no stall @1");
-                assert_eq!(w.overlap_wall, Duration::ZERO, "{label}: no overlap @1");
-            }
-            let expect = counter_rows(&seq.stats);
-            for threads in [1, 2, 4] {
-                let exec = Executor::with_threads(threads);
-                let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
-                assert_eq!(
-                    counter_rows(&r.stats),
-                    expect,
-                    "{label} @{threads}: window counters"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trace_stream_identical_across_thread_counts() {
-        for (label, t, q, budget) in fixtures() {
-            let budget = if label == "tc-budget" {
-                RewriteBudget {
-                    max_queries: 24,
-                    max_generated: 300,
-                    max_atoms: 8,
-                }
-            } else {
-                budget
-            };
-            let theory = parse_theory(t).unwrap();
-            let query = parse_query(q).unwrap();
-            let mut expect = Vec::new();
-            rewrite_with_trace(&theory, &query, budget, |d, cq| {
-                expect.push((d, cq.render()));
-            })
-            .unwrap();
-            for threads in [2, 4] {
-                let mut seen = Vec::new();
-                rewrite_with_trace_on(
-                    &theory,
-                    &query,
-                    budget,
-                    &Executor::with_threads(threads),
-                    |d, cq| seen.push((d, cq.render())),
-                )
-                .unwrap();
-                assert_eq!(seen, expect, "{label} @{threads}: trace stream");
+            for (i, w) in r.stats.windows.iter().enumerate() {
+                assert_eq!(w.window, i, "{label}: windows are numbered by depth");
             }
         }
     }
@@ -1342,46 +1104,17 @@ mod tests {
         assert!(k.prefilter_rejects_pair(&path, &mixed));
     }
 
-    /// The cache/prefilter tier of [`HomStats`] is incremented only at
-    /// merge-thread points (entry acquisition, sequential prefilter
-    /// passes), so it must be identical across thread counts — these
-    /// counters are gated in CI.
+    /// Every [`HomStats`] counter of a run is drift-gated, so two runs of
+    /// one fixture must report identical kernel counters.
     #[test]
-    fn hom_cache_counters_identical_across_threads() {
-        fn cache_tier(h: &qr_hom::HomStats) -> (u64, u64, u64, u64, u64, u64) {
-            (
-                h.freezes,
-                h.freeze_cache_hits,
-                h.plan_compiles,
-                h.plan_cache_hits,
-                h.prefilter_rejects,
-                h.components,
-            )
-        }
-        for (label, t, q, budget) in fixtures() {
-            let budget = if label == "tc-budget" {
-                RewriteBudget {
-                    max_queries: 24,
-                    max_generated: 300,
-                    max_atoms: 8,
-                }
-            } else {
-                budget
-            };
+    fn hom_counters_identical_across_runs() {
+        for (label, t, q, budget) in cheap_fixtures() {
             let theory = parse_theory(t).unwrap();
             let query = parse_query(q).unwrap();
-            let seq = rewrite(&theory, &query, budget).unwrap();
-            assert!(seq.hom.freezes > 0, "{label}: the kernel froze something");
-            let expect = cache_tier(&seq.hom);
-            for threads in [1, 2, 4] {
-                let exec = Executor::with_threads(threads);
-                let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
-                assert_eq!(
-                    cache_tier(&r.hom),
-                    expect,
-                    "{label} @{threads}: hom cache counters"
-                );
-            }
+            let first = rewrite(&theory, &query, budget).unwrap();
+            assert!(first.hom.freezes > 0, "{label}: the kernel froze something");
+            let again = rewrite(&theory, &query, budget).unwrap();
+            assert_eq!(again.hom, first.hom, "{label}: hom counters");
         }
     }
 
@@ -1410,40 +1143,19 @@ mod tests {
         assert_eq!(seen[0].0, 0);
     }
 
-    /// Satellite of the wait-accounting fix: at one thread, generation
-    /// runs inline on the merge thread, so no window may report a stall
-    /// (the old pipeline charged the full inline generation time to
-    /// `wait_wall`, making `wait_ms ≈ gen_ms` at one thread) or any
-    /// overlap.
-    #[test]
-    fn inline_generation_reports_zero_wait_and_overlap() {
-        let exec = Executor::with_threads(1);
-        for (label, t, q, budget) in fixtures() {
-            let theory = parse_theory(t).unwrap();
-            let query = parse_query(q).unwrap();
-            let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
-            assert_eq!(r.stats.wait_wall(), Duration::ZERO, "{label}");
-            assert_eq!(r.stats.overlap_wall(), Duration::ZERO, "{label}");
-            assert!(r.stats.gen_wall() > Duration::ZERO, "{label}");
-        }
-    }
-
     /// The evict-requeue fixture pins the eviction-to-dead-skip path: the
     /// first rule's accepted candidate is evicted by the second rule's
     /// more general one before its requeued item is merged, so exactly
-    /// one item must be dead-skipped — on every schedule.
+    /// one item must be dead-skipped.
     #[test]
     fn eviction_of_requeued_item_fires_dead_skip() {
         let (_, t, q, budget) = fixtures().pop().unwrap();
         let theory = parse_theory(t).unwrap();
         let query = parse_query(q).unwrap();
-        for threads in [1, 2, 4] {
-            let exec = Executor::with_threads(threads);
-            let r = rewrite_with(&theory, &query, budget, &exec).unwrap();
-            assert_eq!(r.stats.dead_skipped(), 1, "@{threads}");
-            assert_eq!(r.stats.evictions(), 1, "@{threads}");
-            assert_eq!(r.stats.accepted(), 2, "@{threads}");
-        }
+        let r = rewrite(&theory, &query, budget).unwrap();
+        assert_eq!(r.stats.dead_skipped(), 1);
+        assert_eq!(r.stats.evictions(), 1);
+        assert_eq!(r.stats.accepted(), 2);
     }
 
     /// Generation-side dedup on the transitive-closure fixture: chain
@@ -1500,9 +1212,8 @@ mod tests {
         for (label, t, q, budget) in fixtures() {
             let theory = parse_theory(t).unwrap();
             let query = parse_query(q).unwrap();
-            let exec = Executor::sequential();
-            let plain = rewrite_with(&theory, &query, budget, &exec).unwrap();
-            let (r, bundle) = rewrite_certified(&theory, &query, budget, &exec).unwrap();
+            let plain = rewrite(&theory, &query, budget).unwrap();
+            let (r, bundle) = rewrite_certified(&theory, &query, budget).unwrap();
             // Certification is invisible to the rewriting itself.
             assert_eq!(r.ucq, plain.ucq, "{label}");
             assert_eq!(r.generated, plain.generated, "{label}");

@@ -26,8 +26,8 @@ pub mod unify;
 
 pub use cert::{CertBuilder, RewriteCert, RewriteCertBundle, RewriteStep};
 pub use engine::{
-    rewrite, rewrite_certified, rewrite_with, rewrite_with_mode, rewrite_with_trace,
-    rewrite_with_trace_on, RewriteBudget, RewriteError, RewriteOutcome, Rewriting, SaturationMode,
+    rewrite, rewrite_certified, rewrite_with_mode, rewrite_with_trace, RewriteBudget, RewriteError,
+    RewriteOutcome, Rewriting, SaturationMode,
 };
 pub use stats::{RewriteStats, WindowStats};
 pub use unify::{

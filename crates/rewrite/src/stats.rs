@@ -2,25 +2,14 @@
 //! `ChaseStats`.
 //!
 //! A *window* is one BFS generation of the saturation loop: the set of
-//! queries that were queued together before any of their descendants. The
-//! pipelined engine reconstructs the boundaries from submission sequence
-//! numbers, so window counters are identical across thread counts; only
-//! the wall splits vary with the schedule.
+//! queries that were queued together before any of their descendants
+//! (the items of rewriting depth `i` form window `i`). Every counter is a
+//! function of the inputs; only the two wall splits vary between runs:
 //!
-//! Wall-split semantics:
-//! * `gen_wall` — worker-side time generating piece rewritings (+
-//!   speculative cores) for the window's items (summed per item, so it
-//!   can exceed the window's elapsed time when several workers overlap);
-//! * `merge_wall` — caller-thread time spent on merge decisions (dedup,
-//!   subsumption, eviction, budget accounting, tracing);
-//! * `wait_wall` — caller-thread time *stalled* waiting for an item's
-//!   speculative generation to arrive from a worker. Zero for sequential
-//!   runs: inline generation is charged to `gen_wall` only (it is work,
-//!   not a stall — an earlier accounting bug double-counted it here, so
-//!   1-thread runs reported `wait_ms ≈ gen_ms`);
-//! * `overlap_wall` — generation work hidden behind the merge: per item,
-//!   `gen_wall - wait_wall` (saturating), summed. Zero for sequential
-//!   runs, where nothing overlaps.
+//! * `gen_wall` — time generating the window's piece rewritings;
+//! * `merge_wall` — time spent on merge decisions (dedup, subsumption,
+//!   eviction, core folds of accepted candidates, budget accounting,
+//!   tracing).
 
 use std::time::Duration;
 
@@ -34,7 +23,7 @@ pub struct WindowStats {
     /// Items of this window still alive when their merge turn came.
     pub merged: usize,
     /// Items skipped because an earlier arrival evicted them (their
-    /// speculative candidates are discarded uncounted).
+    /// rewritings are never generated).
     pub dead_skipped: usize,
     /// Candidates counted against `max_generated` during this window.
     pub generated: usize,
@@ -67,24 +56,16 @@ pub struct WindowStats {
     /// Kept entries the trie pruned before any kernel call (alive entries
     /// minus probes, summed over both sweeps of every candidate).
     pub trie_skipped: usize,
-    /// Worker-side generation time for this window's items (summed).
+    /// Generation time for this window's items.
     pub gen_wall: Duration,
-    /// Caller-thread merge-decision time.
+    /// Merge-decision time.
     pub merge_wall: Duration,
-    /// Caller-thread stall waiting for speculative generation results
-    /// (zero when generation runs inline on the caller thread).
-    pub wait_wall: Duration,
-    /// Generation work hidden behind the merge (zero for sequential runs).
-    pub overlap_wall: Duration,
 }
 
-/// Saturation-run statistics: the worker-pool width and one
-/// [`WindowStats`] per BFS window, in order.
+/// Saturation-run statistics: one [`WindowStats`] per BFS window, in
+/// order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RewriteStats {
-    /// Worker-pool width the run was configured with (wall times depend on
-    /// it; every counter is identical across thread counts).
-    pub threads: usize,
     /// Per-window counters, in window order.
     pub windows: Vec<WindowStats>,
 }
@@ -150,25 +131,14 @@ impl RewriteStats {
         self.windows.iter().map(|w| w.trie_skipped).sum()
     }
 
-    /// Total worker-side generation time.
+    /// Total generation time.
     pub fn gen_wall(&self) -> Duration {
         self.windows.iter().map(|w| w.gen_wall).sum()
     }
 
-    /// Total caller-thread merge-decision time.
+    /// Total merge-decision time.
     pub fn merge_wall(&self) -> Duration {
         self.windows.iter().map(|w| w.merge_wall).sum()
-    }
-
-    /// Total caller-thread stall waiting for generation results.
-    pub fn wait_wall(&self) -> Duration {
-        self.windows.iter().map(|w| w.wait_wall).sum()
-    }
-
-    /// Total generation work hidden behind merges (see
-    /// [`WindowStats::overlap_wall`]).
-    pub fn overlap_wall(&self) -> Duration {
-        self.windows.iter().map(|w| w.overlap_wall).sum()
     }
 }
 
@@ -179,7 +149,6 @@ mod tests {
     #[test]
     fn totals_sum_over_windows() {
         let stats = RewriteStats {
-            threads: 4,
             windows: vec![
                 WindowStats {
                     window: 0,
@@ -196,8 +165,6 @@ mod tests {
                     trie_skipped: 1,
                     gen_wall: Duration::from_millis(10),
                     merge_wall: Duration::from_millis(2),
-                    wait_wall: Duration::from_millis(4),
-                    overlap_wall: Duration::from_millis(6),
                     ..WindowStats::default()
                 },
                 WindowStats {
@@ -216,8 +183,6 @@ mod tests {
                     trie_skipped: 2,
                     gen_wall: Duration::from_millis(6),
                     merge_wall: Duration::from_millis(1),
-                    wait_wall: Duration::from_millis(6),
-                    overlap_wall: Duration::ZERO,
                     ..WindowStats::default()
                 },
             ],
@@ -236,7 +201,5 @@ mod tests {
         assert_eq!(stats.trie_skipped(), 3);
         assert_eq!(stats.gen_wall(), Duration::from_millis(16));
         assert_eq!(stats.merge_wall(), Duration::from_millis(3));
-        assert_eq!(stats.wait_wall(), Duration::from_millis(10));
-        assert_eq!(stats.overlap_wall(), Duration::from_millis(6));
     }
 }

@@ -6,16 +6,14 @@
 //! *before* the subsumption check, no structural dedup, no predicate-set
 //! trie, sequential FIFO windows — so any behavioural drift introduced by
 //! the generation-side dedup machinery (seen-set, piece-unifier index,
-//! trie-filtered sweeps, core-on-accept, speculation gate) shows up as a
-//! render/counter mismatch on seeded random theories, across 1/2/4
-//! threads.
+//! trie-filtered sweeps, core-on-accept) shows up as a render/counter
+//! mismatch on seeded random theories.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use qr_exec::Executor;
 use qr_hom::kernel::{HomKernel, QueryEntry};
-use qr_rewrite::{piece_rewritings, rewrite_with, RewriteBudget, RewriteOutcome, Rewriting};
+use qr_rewrite::{piece_rewritings, rewrite, RewriteBudget, RewriteOutcome, Rewriting};
 use qr_syntax::{parse_query, parse_theory, ConjunctiveQuery, Symbol, Theory, Var};
 use qr_testkit::{check, Rng};
 
@@ -74,7 +72,6 @@ impl Snapshot {
 /// structural dedup exists — isomorphic regenerations go through the full
 /// subsumption sweep every time.
 fn reference_rewrite(theory: &Theory, query: &ConjunctiveQuery, budget: RewriteBudget) -> Snapshot {
-    let exec = Executor::sequential();
     let kernel = HomKernel::new();
     let seed = canonical_named(&kernel.query_core(query));
     // (query, entry, alive), in insertion order.
@@ -106,10 +103,10 @@ fn reference_rewrite(theory: &Theory, query: &ConjunctiveQuery, budget: RewriteB
                     let cand_entry = kernel.entry(&cand);
                     let alive: Vec<usize> = (0..kept.len()).filter(|&i| kept[i].2).collect();
                     let refs: Vec<&Arc<QueryEntry>> = alive.iter().map(|&i| &kept[i].1).collect();
-                    if kernel.subsumed_by_any(&exec, &cand_entry, &refs) {
+                    if kernel.subsumed_by_any(&cand_entry, &refs) {
                         continue;
                     }
-                    let covered = kernel.covered_by(&exec, &refs, &cand_entry);
+                    let covered = kernel.covered_by(&refs, &cand_entry);
                     let mut evicted = 0usize;
                     for (flag, &i) in covered.iter().zip(&alive) {
                         if *flag {
@@ -213,15 +210,7 @@ fn new_engine_matches_reference_on_random_theories() {
         let theory = parse_theory(&tsrc).expect("generated theory parses");
         let query = parse_query(&qsrc).expect("generated query parses");
         let expect = reference_rewrite(&theory, &query, budget);
-        for threads in [1, 2, 4] {
-            let exec = Executor::with_threads(threads);
-            let r =
-                rewrite_with(&theory, &query, budget, &exec).expect("no builtin bodies generated");
-            assert_eq!(
-                Snapshot::of(&r),
-                expect,
-                "theory:\n{tsrc}\nquery: {qsrc} @{threads}"
-            );
-        }
+        let r = rewrite(&theory, &query, budget).expect("no builtin bodies generated");
+        assert_eq!(Snapshot::of(&r), expect, "theory:\n{tsrc}\nquery: {qsrc}");
     });
 }

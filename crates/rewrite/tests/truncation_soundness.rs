@@ -9,7 +9,6 @@
 //! victims' coverage with nothing standing in for them.
 
 use qr_chase::{chase, ChaseBudget};
-use qr_exec::Executor;
 use qr_hom::containment::subsumed_by_any;
 use qr_hom::holds;
 use qr_rewrite::{rewrite, rewrite_with_trace, RewriteBudget, RewriteOutcome};
@@ -69,11 +68,10 @@ fn budget_break_mid_eviction_keeps_coverage() {
     // The candidate p(A) evicts the seed q(A),p(A) and must replace it:
     // the rescue push keeps exactly one disjunct.
     assert_eq!(r.ucq.len(), 1, "victim's replacement must be kept");
-    let seq = Executor::sequential();
     let disjuncts: Vec<&ConjunctiveQuery> = r.ucq.disjuncts().iter().collect();
     for pre in &accepted {
         assert!(
-            subsumed_by_any(&seq, pre, &disjuncts),
+            subsumed_by_any(pre, &disjuncts),
             "truncation lost coverage of accepted query {}",
             pre.render()
         );
@@ -155,7 +153,6 @@ fn truncated_disjuncts_covered_by_complete_reference() {
                 return; // divergent pick: no finite reference set exists
             }
             let refs: Vec<&ConjunctiveQuery> = reference.ucq.disjuncts().iter().collect();
-            let seq = Executor::sequential();
             for _ in 0..3 {
                 let budget = RewriteBudget {
                     max_queries: rng.range(1, 8),
@@ -165,7 +162,7 @@ fn truncated_disjuncts_covered_by_complete_reference() {
                 let truncated = rewrite(&theory, &query, budget).unwrap();
                 for d in truncated.ucq.disjuncts() {
                     assert!(
-                        subsumed_by_any(&seq, d, &refs),
+                        subsumed_by_any(d, &refs),
                         "disjunct {} of the {budget:?} run is not covered by the \
                      complete rewriting of {query_src} under {}",
                         d.render(),

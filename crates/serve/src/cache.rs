@@ -10,7 +10,7 @@
 //! Eviction is plain LRU under a **logical** byte budget: entry sizes are
 //! computed from fixed per-element costs (the `StorageStats` convention —
 //! deterministic across machines, so eviction decisions are too, given the
-//! engine touches the cache only at its ordered merge point). The budget
+//! engine touches the cache in submission order). The budget
 //! never evicts the entry being inserted: an oversized rewriting still
 //! serves its own request and simply becomes the next victim.
 
@@ -94,8 +94,8 @@ struct Slot {
     last_used: u64,
 }
 
-/// The LRU store. All mutation happens under the engine's merge lock, in
-/// submission order, so hit/miss/eviction streams are deterministic.
+/// The LRU store. The engine mutates it in submission order, so
+/// hit/miss/eviction streams are deterministic.
 pub(crate) struct RewriteCache {
     budget: usize,
     slots: HashMap<CacheKey, Slot>,
@@ -125,10 +125,8 @@ impl RewriteCache {
         })
     }
 
-    /// Residency peek *without* an LRU touch — the speculative check the
-    /// pipeline workers use to decide whether a cold rewrite is worth
-    /// starting. Never authoritative: only [`RewriteCache::get`] at the
-    /// merge point decides hit vs miss.
+    /// Residency peek *without* an LRU touch.
+    #[cfg(test)]
     pub(crate) fn contains(&self, key: &CacheKey) -> bool {
         self.slots.contains_key(key)
     }
@@ -184,21 +182,14 @@ impl RewriteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr_exec::Executor;
     use qr_hom::canonical_key;
-    use qr_rewrite::{rewrite_with, RewriteBudget};
+    use qr_rewrite::{rewrite, RewriteBudget};
     use qr_syntax::{parse_query, parse_theory};
 
     fn entry_for(query: &str) -> (CacheKey, Arc<CacheEntry>) {
         let theory = parse_theory("p(X), e(X,Y) -> p(Y).").unwrap();
         let q = parse_query(query).unwrap();
-        let r = rewrite_with(
-            &theory,
-            &q,
-            RewriteBudget::default(),
-            &Executor::sequential(),
-        )
-        .unwrap();
+        let r = rewrite(&theory, &q, RewriteBudget::default()).unwrap();
         let key = CacheKey {
             tenant: 0,
             key: canonical_key(&q),

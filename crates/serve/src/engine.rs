@@ -1,40 +1,32 @@
-//! The serve loop: pipelined request answering over the rewriting cache.
+//! The serve loop: request answering over the rewriting cache, on the
+//! caller thread.
 //!
-//! A batch of requests flows through [`qr_exec::Executor::pipeline_ordered`]:
-//! workers *prepare* requests speculatively (parse, compute the freeze key,
-//! and — when the key is not resident — run the cold rewrite and compile
-//! its plans), while the caller thread *finishes* them strictly in
-//! submission order: the authoritative cache lookup, LRU bookkeeping,
-//! eviction, plan execution, and counter updates all happen at the merge
-//! point. A speculative rewrite that loses the race to an earlier
-//! isomorphic request is discarded; a missing one (the entry was resident
-//! at prepare time but evicted before merge) is recomputed inline. Either
-//! way the installed entry is the same value — rewriting is a pure
-//! function of (theory, query) — so responses, traces, and every counter
-//! in [`ServeCounters`](crate::ServeCounters) are identical at any
-//! worker-pool width.
+//! Each request of a batch runs to completion before the next starts:
+//! parse, freeze key, cache lookup, the cold rewrite on a miss, then plan
+//! execution (or, for a write, its application to the tenant instance).
+//! The cache, the tenant instances and every counter in
+//! [`ServeCounters`](crate::ServeCounters) therefore change in submission
+//! order, so responses and traces are a function of the request stream.
 
 use std::collections::HashSet;
-use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qr_chase::WriteBatch;
-use qr_exec::Executor;
 use qr_hom::{canonical_key, MatchCounters};
-use qr_rewrite::{rewrite_with, RewriteBudget};
+use qr_rewrite::{rewrite, RewriteBudget};
 use qr_syntax::{parse_query, ConjunctiveQuery, Instance, TermId, Theory};
 
 use crate::cache::{CacheEntry, CacheKey, RewriteCache};
 use crate::replay::ReplayError;
 use crate::stats::ServeStats;
 
-/// Engine configuration. The worker-pool width is explicit — the crate
-/// never reads `QR_THREADS`; size the pool where you construct the config.
+/// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Worker-pool width, plumbed into [`Executor::with_threads`].
-    /// 1 runs the whole pipeline inline on the calling thread.
+    /// Reported by [`Engine::threads`] and selects nothing: every request
+    /// runs on the calling thread. Kept because the standalone `perfbench`
+    /// crate sets it.
     pub threads: usize,
     /// LRU byte budget of the rewriting cache (logical bytes, see
     /// [`crate::cache`]).
@@ -66,9 +58,8 @@ pub struct CqRequest {
 }
 
 /// A base-fact write against one tenant's instance. Writes ride the same
-/// ordered request stream as queries: the batch is applied at the merge
-/// point, in submission order, so every later query sees the updated
-/// instance and every counter stays deterministic at any worker-pool width.
+/// request stream as queries and apply in submission order, so every later
+/// query sees the updated instance.
 /// Rewritings are pure in (theory, query) and survive writes: a cached
 /// entry's plans run on the post-write instance at each request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -166,11 +157,9 @@ pub struct Response {
     pub theory: String,
     /// Outcome.
     pub status: ResponseStatus,
-    /// Service time: the worker-side prepare (parse, freeze key,
-    /// speculative rewrite) plus the merge-side finish (cache decision,
-    /// plan execution or write application). Time spent queued between
-    /// the two stages is left out. Wall-clock: excluded from trace lines
-    /// and never drift-gated.
+    /// Service time: parse, freeze key, cache decision, any cold rewrite,
+    /// and plan execution or write application. Wall-clock: excluded from
+    /// trace lines and never drift-gated.
     pub wall: Duration,
 }
 
@@ -187,7 +176,7 @@ impl Response {
     }
 
     /// Renders the deterministic trace record for this response — stable
-    /// bytes at any thread count, pinned by the replay tests.
+    /// bytes, pinned by the replay tests.
     pub fn trace_line(&self) -> String {
         match &self.status {
             ResponseStatus::Rejected { reason } => {
@@ -239,47 +228,24 @@ impl Response {
 struct Tenant {
     id: String,
     theory: Theory,
-    /// The live base instance. Workers never touch it — queries read it
-    /// and writes change it only at the ordered merge point — but the
-    /// pipeline shares `&Tenant` across threads, so interior mutability
-    /// keeps the borrow checker honest.
-    data: Mutex<Instance>,
+    /// The live base instance.
+    data: Instance,
 }
 
 /// The long-lived answering engine. See the crate docs for the design.
 pub struct Engine {
     config: EngineConfig,
-    exec: Executor,
     tenants: Vec<Tenant>,
-    cache: Mutex<RewriteCache>,
+    cache: RewriteCache,
     stats: ServeStats,
     next_seq: u64,
 }
 
-/// Worker-side result: everything computable without touching engine
-/// state authoritatively.
-struct Prepared {
-    /// A query's parse outcome plus any speculative rewrite; `None` for a
-    /// write, which has nothing to precompute (application is merge-only).
-    query: Option<Result<ParsedReq, String>>,
-    /// Time the worker spent preparing (parse, freeze key, speculative
-    /// rewrite); counted into [`Response::wall`].
-    wall: Duration,
-}
-
-struct ParsedReq {
-    tenant: usize,
-    query: ConjunctiveQuery,
-    key: CacheKey,
-    speculative: Option<Arc<CacheEntry>>,
-}
-
 impl Engine {
-    /// Builds an engine with an explicitly-sized worker pool.
+    /// Builds an engine.
     pub fn new(config: EngineConfig) -> Engine {
         Engine {
-            exec: Executor::with_threads(config.threads.max(1)),
-            cache: Mutex::new(RewriteCache::new(config.cache_bytes)),
+            cache: RewriteCache::new(config.cache_bytes),
             config,
             tenants: Vec::new(),
             stats: ServeStats::default(),
@@ -313,7 +279,7 @@ impl Engine {
         self.tenants.push(Tenant {
             id: id.to_owned(),
             theory,
-            data: Mutex::new(data),
+            data,
         });
         Ok(())
     }
@@ -323,9 +289,9 @@ impl Engine {
         self.tenants.iter().map(|t| t.id.as_str()).collect()
     }
 
-    /// The engine's worker-pool width.
+    /// [`EngineConfig::threads`], as configured (it selects nothing).
     pub fn threads(&self) -> usize {
-        self.exec.threads()
+        self.config.threads
     }
 
     /// Accumulated statistics.
@@ -335,7 +301,7 @@ impl Engine {
 
     /// Resident rewriting-cache entries.
     pub fn cached_rewritings(&self) -> usize {
-        self.cache.lock().expect("serve cache poisoned").len()
+        self.cache.len()
     }
 
     /// Answers a single query inline.
@@ -357,49 +323,114 @@ impl Engine {
         self.run_requests(requests.into_iter().map(Request::Query).collect())
     }
 
-    /// Runs a mixed batch of queries and fact writes: cold rewrites run
-    /// speculatively on the pool while the caller thread finishes
-    /// responses strictly in submission order. Writes mutate tenant
-    /// instances only at that merge point, so a query later in the batch
-    /// always executes against the post-write instance — and speculative
-    /// rewrites started before the write stay valid, because a rewriting
-    /// is a pure function of (theory, query), never of the data.
+    /// Runs a mixed batch of queries and fact writes, one request after
+    /// the other in submission order: a query later in the batch executes
+    /// against the instance every earlier write left.
     pub fn run_requests(&mut self, requests: Vec<Request>) -> Vec<Response> {
-        let first_seq = self.next_seq;
-        self.next_seq += requests.len() as u64;
-        let seeds: Vec<(u64, Request)> = requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (first_seq + i as u64, r))
-            .collect();
-        let mut responses: Vec<Response> = Vec::with_capacity(seeds.len());
-        let exec = self.exec;
-        let Engine {
-            ref tenants,
-            ref cache,
-            ref config,
-            ref mut stats,
-            ..
-        } = *self;
-        exec.pipeline_ordered(
-            seeds,
-            |(_, req)| {
-                let t0 = Instant::now();
-                let query = match req {
-                    Request::Query(q) => Some(prepare(tenants, cache, config, q)),
-                    Request::Write(_) => None,
-                };
-                Prepared {
-                    query,
-                    wall: t0.elapsed(),
+        requests.into_iter().map(|r| self.answer(r)).collect()
+    }
+
+    /// Serves one request: parse, key, cache lookup, rewrite on a miss and
+    /// plan execution for a query; application for a write.
+    fn answer(&mut self, req: Request) -> Response {
+        let t0 = Instant::now();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.stats.counters.requests += 1;
+        let theory = req.theory().to_owned();
+        let tenant = self.tenants.iter().position(|t| t.id == theory);
+        let status = match (req, tenant) {
+            (_, None) => {
+                self.stats.counters.rejected += 1;
+                ResponseStatus::Rejected {
+                    reason: format!("unknown theory '{theory}'"),
                 }
+            }
+            (Request::Write(w), Some(t)) => self.write(t, &w.batch),
+            (Request::Query(q), Some(t)) => match parse_query(&q.query) {
+                Err(e) => {
+                    self.stats.counters.rejected += 1;
+                    ResponseStatus::Rejected {
+                        reason: format!("parse error: {e}"),
+                    }
+                }
+                Ok(query) => self.query(t, &query),
             },
-            |(seq, req), prep, _ctx| {
-                responses.push(finish(tenants, cache, config, stats, seq, req, prep));
-                ControlFlow::Continue(())
-            },
-        );
-        responses
+        };
+        let wall = t0.elapsed();
+        self.stats.record_latency(wall);
+        Response {
+            seq,
+            theory,
+            status,
+            wall,
+        }
+    }
+
+    /// Answers a parsed query for tenant `t` through the rewriting cache.
+    fn query(&mut self, t: usize, query: &ConjunctiveQuery) -> ResponseStatus {
+        let key = CacheKey {
+            tenant: t as u32,
+            key: canonical_key(query),
+        };
+        let c = &mut self.stats.counters;
+        let (entry, tier) = match self.cache.get(&key) {
+            Some(entry) => {
+                c.hits += 1;
+                c.plan_reuses += entry.plans.len() as u64;
+                (entry, Tier::Hit)
+            }
+            None => {
+                let r = rewrite(&self.tenants[t].theory, query, self.config.rewrite_budget)
+                    .expect("builtin-body theories are rejected at registration");
+                let entry = CacheEntry::from_rewriting(r);
+                c.misses += 1;
+                c.plan_compiles += entry.plans.len() as u64;
+                c.rewrite_generated += entry.generated as u64;
+                c.evictions += self.cache.insert(key, Arc::clone(&entry));
+                (entry, Tier::Miss)
+            }
+        };
+        c.cache_bytes = self.cache.bytes() as u64;
+        c.peak_cache_bytes = self.cache.peak_bytes() as u64;
+        let (answers, candidates, truncated) =
+            execute(&entry, &self.tenants[t].data, self.config.answer_limit);
+        c.answered += 1;
+        if !entry.complete {
+            c.incomplete += 1;
+        }
+        if truncated {
+            c.truncated += 1;
+        }
+        c.answers_emitted += answers.len() as u64;
+        c.match_candidates += candidates;
+        ResponseStatus::Answered {
+            tier,
+            complete: entry.complete,
+            truncated,
+            disjuncts: entry.plans.len(),
+            candidates,
+            answers: answers
+                .iter()
+                .map(|tuple| tuple.iter().map(|t| t.to_string()).collect())
+                .collect(),
+        }
+    }
+
+    /// Applies a write batch to tenant `t`'s instance. The cache is not
+    /// touched: rewritings are pure in (theory, query) and survive writes,
+    /// and a later hit runs its cached plans on the post-write instance,
+    /// which is exact because plans are evaluated per request.
+    fn write(&mut self, t: usize, batch: &WriteBatch) -> ResponseStatus {
+        let (inserted, retracted) = apply_write(&mut self.tenants[t].data, batch);
+        let c = &mut self.stats.counters;
+        c.writes += 1;
+        c.facts_inserted += inserted;
+        c.facts_retracted += retracted;
+        ResponseStatus::Written {
+            inserted,
+            retracted,
+        }
     }
 
     /// Parses a replay file (see [`crate::replay`]) and runs it.
@@ -415,9 +446,9 @@ impl Engine {
     /// ([`qr_check::check_rewrite`]). Requests that would be rejected
     /// (unknown theory, parse error) have no rewriting and are skipped.
     ///
-    /// This runs entirely off the serving fast path: `&self`, a private
-    /// sequential executor, no cache or counter traffic — so certified
-    /// and uncertified serving stay byte-identical.
+    /// This runs entirely off the serving fast path: `&self`, no cache or
+    /// counter traffic — so certified and uncertified serving stay
+    /// byte-identical.
     pub fn certify_replay(&self, src: &str) -> Result<qr_check::CheckReport, ReplayError> {
         let requests = crate::replay::parse_replay(src)?;
         let mut report = qr_check::CheckReport::new();
@@ -443,12 +474,7 @@ impl Engine {
             }
             let label = format!("{} {}", req.theory, req.query.trim());
             let theory = &self.tenants[tenant].theory;
-            match qr_rewrite::rewrite_certified(
-                theory,
-                &query,
-                self.config.rewrite_budget,
-                &Executor::sequential(),
-            ) {
+            match qr_rewrite::rewrite_certified(theory, &query, self.config.rewrite_budget) {
                 Ok((r, bundle)) => {
                     let bytes = qr_check::encode_rewrite_certs(&bundle);
                     report.cert_bytes += bytes.len();
@@ -466,159 +492,6 @@ impl Engine {
             }
         }
         Ok(report)
-    }
-}
-
-/// Worker stage: parse, key, and — if the key is not resident — compute
-/// the rewriting speculatively. Pure per-request work; no counters.
-fn prepare(
-    tenants: &[Tenant],
-    cache: &Mutex<RewriteCache>,
-    config: &EngineConfig,
-    req: &CqRequest,
-) -> Result<ParsedReq, String> {
-    let tenant = tenants
-        .iter()
-        .position(|t| t.id == req.theory)
-        .ok_or_else(|| format!("unknown theory '{}'", req.theory))?;
-    let query = parse_query(&req.query).map_err(|e| format!("parse error: {e}"))?;
-    let key = CacheKey {
-        tenant: tenant as u32,
-        key: canonical_key(&query),
-    };
-    let resident = cache.lock().expect("serve cache poisoned").contains(&key);
-    let speculative = if resident {
-        None
-    } else {
-        Some(build_entry(&tenants[tenant].theory, &query, config))
-    };
-    Ok(ParsedReq {
-        tenant,
-        query,
-        key,
-        speculative,
-    })
-}
-
-/// The cold path: rewrite and compile. Runs the saturation engine
-/// sequentially — batch concurrency comes from pipelining across
-/// requests, not from nesting pools inside a worker.
-fn build_entry(
-    theory: &Theory,
-    query: &ConjunctiveQuery,
-    config: &EngineConfig,
-) -> Arc<CacheEntry> {
-    let r = rewrite_with(
-        theory,
-        query,
-        config.rewrite_budget,
-        &Executor::sequential(),
-    )
-    .expect("builtin-body theories are rejected at registration");
-    CacheEntry::from_rewriting(r)
-}
-
-/// Merge stage: authoritative cache decision, execution, counters. Runs on
-/// the caller thread in submission order — the only place engine state
-/// mutates.
-fn finish(
-    tenants: &[Tenant],
-    cache: &Mutex<RewriteCache>,
-    config: &EngineConfig,
-    stats: &mut ServeStats,
-    seq: u64,
-    req: Request,
-    prep: Prepared,
-) -> Response {
-    let t0 = Instant::now();
-    stats.counters.requests += 1;
-    let theory_id = req.theory().to_owned();
-    let status = match (req, prep.query) {
-        (Request::Write(w), _) => finish_write(tenants, stats, &w),
-        (Request::Query(_), None) => unreachable!("queries prepare a parse outcome"),
-        (Request::Query(_), Some(Err(reason))) => {
-            stats.counters.rejected += 1;
-            ResponseStatus::Rejected { reason }
-        }
-        (Request::Query(_), Some(Ok(p))) => {
-            let mut c = cache.lock().expect("serve cache poisoned");
-            let (entry, tier) = match c.get(&p.key) {
-                Some(entry) => {
-                    stats.counters.hits += 1;
-                    stats.counters.plan_reuses += entry.plans.len() as u64;
-                    (entry, Tier::Hit)
-                }
-                None => {
-                    let entry = p.speculative.unwrap_or_else(|| {
-                        // Resident at prepare time, evicted since: the
-                        // rewrite is recomputed inline — same pure value.
-                        build_entry(&tenants[p.tenant].theory, &p.query, config)
-                    });
-                    stats.counters.misses += 1;
-                    stats.counters.plan_compiles += entry.plans.len() as u64;
-                    stats.counters.rewrite_generated += entry.generated as u64;
-                    stats.counters.evictions += c.insert(p.key, Arc::clone(&entry));
-                    (entry, Tier::Miss)
-                }
-            };
-            stats.counters.cache_bytes = c.bytes() as u64;
-            stats.counters.peak_cache_bytes = c.peak_bytes() as u64;
-            drop(c);
-            let data = tenants[p.tenant].data.lock().expect("tenant data poisoned");
-            let (answers, candidates, truncated) = execute(&entry, &data, config.answer_limit);
-            drop(data);
-            stats.counters.answered += 1;
-            if !entry.complete {
-                stats.counters.incomplete += 1;
-            }
-            if truncated {
-                stats.counters.truncated += 1;
-            }
-            stats.counters.answers_emitted += answers.len() as u64;
-            stats.counters.match_candidates += candidates;
-            ResponseStatus::Answered {
-                tier,
-                complete: entry.complete,
-                truncated,
-                disjuncts: entry.plans.len(),
-                candidates,
-                answers: answers
-                    .iter()
-                    .map(|tuple| tuple.iter().map(|t| t.to_string()).collect())
-                    .collect(),
-            }
-        }
-    };
-    let wall = prep.wall + t0.elapsed();
-    stats.record_latency(wall);
-    Response {
-        seq,
-        theory: theory_id,
-        status,
-        wall,
-    }
-}
-
-/// Write-side merge stage: apply the batch to the tenant instance. The
-/// cache is not touched: rewritings are pure in (theory, query) and survive
-/// writes, and a later hit runs its cached plans on the post-write
-/// instance, which is exact because plans are evaluated per request.
-fn finish_write(tenants: &[Tenant], stats: &mut ServeStats, write: &FactWrite) -> ResponseStatus {
-    let Some(tenant) = tenants.iter().position(|t| t.id == write.theory) else {
-        stats.counters.rejected += 1;
-        return ResponseStatus::Rejected {
-            reason: format!("unknown theory '{}'", write.theory),
-        };
-    };
-    let mut data = tenants[tenant].data.lock().expect("tenant data poisoned");
-    let (inserted, retracted) = apply_write(&mut data, &write.batch);
-    drop(data);
-    stats.counters.writes += 1;
-    stats.counters.facts_inserted += inserted;
-    stats.counters.facts_retracted += retracted;
-    ResponseStatus::Written {
-        inserted,
-        retracted,
     }
 }
 
@@ -677,13 +550,9 @@ fn execute(entry: &CacheEntry, inst: &Instance, limit: usize) -> (Vec<Vec<TermId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServeCounters;
 
-    fn path_engine(threads: usize) -> Engine {
-        let mut e = Engine::new(EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        });
+    fn path_engine() -> Engine {
+        let mut e = Engine::new(EngineConfig::default());
         e.register(
             "path",
             "e(X,Y) -> e(Y,Z).",
@@ -705,7 +574,7 @@ mod tests {
         // ?(A) :- e(A,B), e(B,C): under e(X,Y) -> e(Y,Z) every node touching
         // an edge (either end) certainly heads a 2-path, so the certain
         // answers are all edge endpoints.
-        let mut e = path_engine(1);
+        let mut e = path_engine();
         let r = e.submit(req("path", "?(A) :- e(A,B), e(B,C)."));
         let ResponseStatus::Answered {
             tier,
@@ -728,7 +597,7 @@ mod tests {
 
     #[test]
     fn isomorphic_requests_hit_the_cache() {
-        let mut e = path_engine(1);
+        let mut e = path_engine();
         let cold = e.submit(req("path", "?(A) :- e(A,B), e(B,C)."));
         let warm = e.submit(req("path", "?(Src) :- e(Mid,Last), e(Src,Mid)."));
         assert!(!cold.is_hit());
@@ -748,37 +617,13 @@ mod tests {
 
     #[test]
     fn rejections_are_reported_not_panicked() {
-        let mut e = path_engine(1);
+        let mut e = path_engine();
         let unknown = e.submit(req("nope", "? :- e(a,b)."));
         assert!(matches!(unknown.status, ResponseStatus::Rejected { .. }));
         let garbled = e.submit(req("path", "this is not a query"));
         assert!(matches!(garbled.status, ResponseStatus::Rejected { .. }));
         assert_eq!(e.stats().counters.rejected, 2);
         assert_eq!(e.stats().counters.requests, 2);
-    }
-
-    #[test]
-    fn batches_answer_in_submission_order_at_any_width() {
-        let requests: Vec<CqRequest> = (0..12)
-            .map(|i| match i % 3 {
-                0 => req("path", "?(A) :- e(A,B)."),
-                1 => req("path", "?(Z) :- e(Z,W)."),
-                _ => req("path", "? :- e(a,Q)."),
-            })
-            .collect();
-        let baseline: Vec<String> = path_engine(1)
-            .run(requests.clone())
-            .iter()
-            .map(Response::trace_line)
-            .collect();
-        for threads in [2, 4] {
-            let got: Vec<String> = path_engine(threads)
-                .run(requests.clone())
-                .iter()
-                .map(Response::trace_line)
-                .collect();
-            assert_eq!(baseline, got, "trace stable at {threads} threads");
-        }
     }
 
     #[test]
@@ -822,7 +667,7 @@ mod tests {
 
     #[test]
     fn write_then_query_sees_new_data() {
-        let mut e = path_engine(1);
+        let mut e = path_engine();
         let before = e.submit(req("path", "? :- e(q,r)."));
         let ResponseStatus::Answered { answers, .. } = &before.status else {
             panic!("answered expected");
@@ -871,10 +716,7 @@ mod tests {
 
     #[test]
     fn writes_keep_every_tenant_resident() {
-        let mut e = Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let mut e = Engine::new(EngineConfig::default());
         e.register("path", "e(X,Y) -> e(Y,Z).", "e(a,b).").unwrap();
         e.register("family", "parent(X,Y) -> person(Y).", "parent(ann,bob).")
             .unwrap();
@@ -924,7 +766,7 @@ mod tests {
 
     #[test]
     fn unknown_theory_write_is_rejected() {
-        let mut e = path_engine(1);
+        let mut e = path_engine();
         let w = e.submit_write(FactWrite {
             theory: "nosuch".into(),
             batch: WriteBatch::insert(facts("e(a,b).")),
@@ -939,7 +781,7 @@ mod tests {
 
     #[test]
     fn counters_balance_across_mixed_batches() {
-        let mut e = path_engine(1);
+        let mut e = path_engine();
         let batch: Vec<Request> = vec![
             Request::Query(req("path", "?(A) :- e(A,B).")),
             Request::Write(FactWrite {
@@ -999,50 +841,45 @@ mod tests {
             ]
             .map(|q| Request::Query(req("g", q)))
         };
-        for threads in [1, 2, 4] {
-            let config = EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            };
-            let mut written = Engine::new(config);
-            written
-                .register(
-                    "g",
-                    THEORY,
-                    "label(a). e(a,b). e(b,c). label(c). e(c,d). e(x,y).",
-                )
-                .unwrap();
-            let mut fresh = Engine::new(config);
-            fresh
-                .register("g", THEORY, "e(a,b). label(c). e(x,y). label(z). e(c,a).")
-                .unwrap();
+        let mut written = Engine::new(EngineConfig::default());
+        written
+            .register(
+                "g",
+                THEORY,
+                "label(a). e(a,b). e(b,c). label(c). e(c,d). e(x,y).",
+            )
+            .unwrap();
+        let mut fresh = Engine::new(EngineConfig::default());
+        fresh
+            .register("g", THEORY, "e(a,b). label(c). e(x,y). label(z). e(c,a).")
+            .unwrap();
 
-            let mut batch = writes();
-            batch.extend(queries());
-            let got = written.run_requests(batch);
-            let want = fresh.run_requests(queries().into());
-            let retracted: Vec<u64> = got[..2]
-                .iter()
-                .map(|r| match r.status {
-                    ResponseStatus::Written { retracted, .. } => retracted,
-                    _ => panic!("written expected, got {:?}", r.status),
-                })
-                .collect();
-            assert_eq!(retracted, [2, 2], "absent and repeated retracts ignored");
-            for (g, w) in got[2..].iter().zip(&want) {
-                assert_eq!(g.status, w.status, "at {threads} threads");
-            }
-            let mut expect = fresh.stats().counters;
-            expect.requests += 2;
-            expect.writes += 2;
-            expect.facts_inserted += 3;
-            expect.facts_retracted += 4;
-            assert_eq!(written.stats().counters, expect, "at {threads} threads");
+        let mut batch = writes();
+        batch.extend(queries());
+        let got = written.run_requests(batch);
+        let want = fresh.run_requests(queries().into());
+        let retracted: Vec<u64> = got[..2]
+            .iter()
+            .map(|r| match r.status {
+                ResponseStatus::Written { retracted, .. } => retracted,
+                _ => panic!("written expected, got {:?}", r.status),
+            })
+            .collect();
+        assert_eq!(retracted, [2, 2], "absent and repeated retracts ignored");
+        for (g, w) in got[2..].iter().zip(&want) {
+            assert_eq!(g.status, w.status);
         }
+        let mut expect = fresh.stats().counters;
+        expect.requests += 2;
+        expect.writes += 2;
+        expect.facts_inserted += 3;
+        expect.facts_retracted += 4;
+        assert_eq!(written.stats().counters, expect);
     }
 
+    /// A batch answers exactly as its requests submitted one at a time.
     #[test]
-    fn mixed_batches_pin_byte_identically_at_any_width() {
+    fn mixed_batches_answer_like_single_submissions() {
         let batch = || -> Vec<Request> {
             vec![
                 Request::Query(req("path", "?(A) :- e(A,B), e(B,C).")),
@@ -1059,19 +896,17 @@ mod tests {
                 Request::Query(req("path", "? :- e(z,a).")),
             ]
         };
-        let mut reference: Option<(String, ServeCounters)> = None;
-        for threads in [1, 2, 4] {
-            let mut e = path_engine(threads);
-            let responses = e.run_requests(batch());
-            let trace = crate::replay::render_trace(&responses);
-            let counters = e.stats().counters;
-            match &reference {
-                None => reference = Some((trace, counters)),
-                Some((t, c)) => {
-                    assert_eq!(&trace, t, "trace diverges at {threads} threads");
-                    assert_eq!(&counters, c, "counters diverge at {threads} threads");
-                }
-            }
-        }
+        let mut batched = path_engine();
+        let trace = crate::replay::render_trace(&batched.run_requests(batch()));
+        let mut single = path_engine();
+        let one_by_one: Vec<Response> = batch()
+            .into_iter()
+            .map(|r| match r {
+                Request::Query(q) => single.submit(q),
+                Request::Write(w) => single.submit_write(w),
+            })
+            .collect();
+        assert_eq!(trace, crate::replay::render_trace(&one_by_one));
+        assert_eq!(batched.stats().counters, single.stats().counters);
     }
 }

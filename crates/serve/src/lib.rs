@@ -11,12 +11,11 @@
 //! so they hit one cached UCQ; the cached UCQ executes as compiled
 //! [`qr_hom::JoinPlan`]s over the `qr-storage`-backed instance.
 //!
-//! Everything user-observable is deterministic: responses are delivered in
-//! submission order at any worker-pool width (cold rewrites overlap hot
-//! cache-hit answering via [`qr_exec::Executor::pipeline_ordered`], but all
-//! cache decisions happen at the merge point in submission order), and each
-//! response renders to a stable trace line, so whole request/response
-//! streams pin byte-identically in replay files — see [`replay`].
+//! Everything user-observable is deterministic: the engine serves one
+//! request at a time on the calling thread, in submission order, so every
+//! cache decision is a function of the request stream, and each response
+//! renders to a stable trace line, so whole request/response streams pin
+//! byte-identically in replay files — see [`replay`].
 //!
 //! Cache pressure is handled by an LRU policy over freeze keys with a
 //! logical byte budget (fixed per-element sizes, `StorageStats`-style, so
@@ -24,16 +23,14 @@
 //! recomputed on the next miss; soundness never depends on residency.
 //!
 //! Base instances are **writable**: a [`FactWrite`] request inserts or
-//! retracts base facts for one tenant, applied at the same ordered merge
-//! point as every cache decision, so later queries in the stream see the
-//! post-write instance regardless of worker-pool width. Rewritings are
+//! retracts base facts for one tenant, applied in submission order, so
+//! later queries in the stream see the post-write instance. Rewritings are
 //! pure functions of (theory, query) — never of the data — so they survive
 //! writes: a write changes the tenant instance and nothing else, and a
 //! later cache hit runs its compiled plans on the post-write instance.
 //!
-//! The worker-pool width comes exclusively from [`EngineConfig::threads`]
-//! (plumbed into [`qr_exec::Executor::with_threads`]); the crate never
-//! reads the `QR_THREADS` environment variable.
+//! [`EngineConfig::threads`] selects nothing; the crate never reads the
+//! `QR_THREADS` environment variable.
 
 pub mod cache;
 pub mod engine;

@@ -15,9 +15,9 @@
 //! line is a [`FactWrite`]: the directive, the theory id, then base facts
 //! in instance syntax. Blank lines and `#` comments are skipped. Running a
 //! replay through [`Engine::replay`](crate::Engine::replay) and rendering
-//! the responses with [`render_trace`] yields bytes that are identical at
-//! any worker-pool width — the repo's pinning convention applied to server
-//! behavior (golden traces live under `crates/serve/tests/replays/`).
+//! the responses with [`render_trace`] yields bytes that are a function of
+//! the stream — the repo's pinning convention applied to server behavior
+//! (golden traces live under `crates/serve/tests/replays/`).
 //!
 //! Malformed lines report a typed, located [`ReplayError`] (line number
 //! plus kind), mirroring `qr-check`'s `DecodeError` convention.

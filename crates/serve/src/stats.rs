@@ -3,8 +3,8 @@
 //!
 //! The split mirrors the rest of the repo: [`ServeCounters`] is the
 //! drift-gated tier — every field is a pure function of (registered
-//! tenants, request stream, engine config), identical at any worker-pool
-//! width, because the engine updates it only at the ordered merge point.
+//! tenants, request stream, engine config), because the engine updates it
+//! once per request, in submission order.
 //! Latencies are wall-clock and machine-dependent; they are *reported*
 //! (p50/p95/p99) but never gated.
 

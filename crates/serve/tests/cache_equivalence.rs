@@ -1,7 +1,6 @@
 //! Cache hits are invisible: an isomorphic variant of an already-served
 //! query must answer byte-identically to (a) the base query's cold answers
-//! and (b) a fresh engine's cold run of the variant — at 1, 2 and 4 worker
-//! threads. An α-renamed variant (same atom order) is *guaranteed* to land
+//! and (b) a fresh engine's cold run of the variant. An α-renamed variant (same atom order) is *guaranteed* to land
 //! on the same freeze key, so it must be a cache hit; an atom-permuted
 //! variant may or may not collapse under the kernel's two-round
 //! canonicalization, but its answers must be identical either way. A final
@@ -19,11 +18,8 @@ const THEORY: &str = "human(Y) -> mother(Y,Z).\nmother(X,Y) -> human(Y).";
 const DATA: &str = "mother(ann,bob). mother(bob,carol). human(dave).";
 const CONSTS: [&str; 4] = ["ann", "bob", "carol", "dave"];
 
-fn family_engine(threads: usize) -> Engine {
-    let mut e = Engine::new(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    });
+fn family_engine() -> Engine {
+    let mut e = Engine::new(EngineConfig::default());
     e.register("family", THEORY, DATA).unwrap();
     e
 }
@@ -151,51 +147,38 @@ fn cache_hits_answer_byte_identically_to_cold_runs() {
             .collect();
         let permuted = render(&atoms, &answers, &|v| format!("P{v}"), &rotated);
 
-        let mut cold_base = None;
-        for threads in [1usize, 2, 4] {
-            // Warm path: base cold, then the renamed variant must hit the
-            // cache and answer identically; the permuted variant must
-            // answer identically whichever tier serves it.
-            let mut warm = family_engine(threads);
-            let rs = warm.run(vec![req(&base), req(&renamed), req(&permuted)]);
-            let (t0, complete, base_answers) = answered(&rs[0]);
-            let (t1, _, renamed_answers) = answered(&rs[1]);
-            let (_, _, permuted_answers) = answered(&rs[2]);
-            assert_eq!(t0, Tier::Miss, "first sighting of {base}");
-            assert_eq!(t1, Tier::Hit, "{renamed} is an α-renaming of {base}");
-            assert_eq!(
-                renamed_answers, base_answers,
-                "hit answers diverge for {renamed} vs {base}"
-            );
-            assert_eq!(
-                permuted_answers, base_answers,
-                "permuted answers diverge for {permuted} vs {base}"
-            );
+        // Warm path: base cold, then the renamed variant must hit the
+        // cache and answer identically; the permuted variant must answer
+        // identically whichever tier serves it.
+        let mut warm = family_engine();
+        let rs = warm.run(vec![req(&base), req(&renamed), req(&permuted)]);
+        let (t0, complete, served) = answered(&rs[0]);
+        let (t1, _, renamed_answers) = answered(&rs[1]);
+        let (_, _, permuted_answers) = answered(&rs[2]);
+        assert_eq!(t0, Tier::Miss, "first sighting of {base}");
+        assert_eq!(t1, Tier::Hit, "{renamed} is an α-renaming of {base}");
+        assert_eq!(
+            renamed_answers, served,
+            "hit answers diverge for {renamed} vs {base}"
+        );
+        assert_eq!(
+            permuted_answers, served,
+            "permuted answers diverge for {permuted} vs {base}"
+        );
 
-            // Cold path: a fresh engine rewriting the renamed variant from
-            // scratch lands on the same answers.
-            let mut fresh = family_engine(threads);
-            let (t2, _, fresh_answers) = answered(&fresh.submit(req(&renamed)));
-            assert_eq!(t2, Tier::Miss);
-            assert_eq!(
-                fresh_answers, base_answers,
-                "cold variant answers diverge for {renamed}"
-            );
-
-            match &cold_base {
-                None => cold_base = Some((complete, base_answers)),
-                Some(prev) => assert_eq!(
-                    prev,
-                    &(complete, base_answers),
-                    "answers drift across thread counts for {base}"
-                ),
-            }
-        }
+        // Cold path: a fresh engine rewriting the renamed variant from
+        // scratch lands on the same answers.
+        let mut fresh = family_engine();
+        let (t2, _, fresh_answers) = answered(&fresh.submit(req(&renamed)));
+        assert_eq!(t2, Tier::Miss);
+        assert_eq!(
+            fresh_answers, served,
+            "cold variant answers diverge for {renamed}"
+        );
 
         // Theorem 1 cross-check: a complete rewriting's answers over D are
         // exactly the constant-only answers over a (deep enough) chase
         // prefix of (T, D).
-        let (complete, served) = cold_base.expect("three thread widths ran");
         if complete {
             let theory = parse_theory(THEORY).unwrap();
             let db = parse_instance(DATA).unwrap();

@@ -10,9 +10,8 @@ use qr_serve::{render_trace, Engine, EngineConfig};
 const REQUESTS: &str = include_str!("replays/smoke.requests");
 const GOLDEN: &str = include_str!("replays/smoke.trace");
 
-fn smoke_engine(threads: usize) -> Engine {
+fn smoke_engine() -> Engine {
     let mut e = Engine::new(EngineConfig {
-        threads,
         // Matches `replay_trace.rs`: the tc tenant budgets out (pinning
         // certification of an incomplete rewriting), the rest saturate.
         rewrite_budget: RewriteBudget {
@@ -47,7 +46,7 @@ fn smoke_engine(threads: usize) -> Engine {
 
 #[test]
 fn golden_replay_certifies_end_to_end() {
-    let mut engine = smoke_engine(1);
+    let mut engine = smoke_engine();
     let responses = engine.replay(REQUESTS).expect("smoke replay parses");
     assert_eq!(
         render_trace(&responses),
@@ -70,7 +69,7 @@ fn golden_replay_certifies_end_to_end() {
     // as on a control engine that never certified.
     assert_eq!(&before, &engine.stats().counters);
     let warm_certified = render_trace(&engine.replay(REQUESTS).expect("parses"));
-    let mut control = smoke_engine(1);
+    let mut control = smoke_engine();
     control.replay(REQUESTS).expect("parses");
     let warm_control = render_trace(&control.replay(REQUESTS).expect("parses"));
     assert_eq!(
@@ -81,7 +80,7 @@ fn golden_replay_certifies_end_to_end() {
 
 #[test]
 fn certification_covers_each_cache_identity_once() {
-    let engine = smoke_engine(1);
+    let engine = smoke_engine();
     let report = engine.certify_replay(REQUESTS).expect("parses");
     assert!(report.ok(), "{:?}", report.failures);
     // The smoke stream holds 16 requests, 2 of which reject and several of

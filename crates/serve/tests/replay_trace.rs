@@ -1,6 +1,7 @@
 //! The deterministic trace-replay pin: the smoke replay's request/response
-//! stream renders to byte-identical traces at 1/2/4 worker threads, and
-//! those bytes are committed as `tests/replays/smoke.trace`.
+//! stream renders to the bytes committed as `tests/replays/smoke.trace`.
+//! The engine is built with `threads: 4`: the field selects nothing, and
+//! `perfbench`'s width-2 replay check relies on that.
 //!
 //! Regenerate the golden file after an intentional behavior change with
 //! `QR_BLESS=1 cargo test -p qr-serve --test replay_trace`.
@@ -12,9 +13,9 @@ use qr_serve::{render_trace, Engine, EngineConfig, Response, ResponseStatus, Tie
 
 const REQUESTS: &str = include_str!("replays/smoke.requests");
 
-fn smoke_engine(threads: usize) -> Engine {
+fn smoke_engine() -> Engine {
     let mut e = Engine::new(EngineConfig {
-        threads,
+        threads: 4,
         // Small enough that the transitive-closure rewriting budgets out
         // (pinning the `complete=false` serving path), large enough that
         // every other tenant's rewriting saturates.
@@ -53,43 +54,30 @@ fn golden_path() -> PathBuf {
 }
 
 #[test]
-fn replay_trace_pinned_byte_identical_across_thread_counts() {
-    let mut traces = Vec::new();
-    let mut responses_at_one: Vec<Response> = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let mut engine = smoke_engine(threads);
-        let responses = engine.replay(REQUESTS).expect("smoke replay parses");
-        if threads == 1 {
-            responses_at_one = responses.clone();
-        }
-        traces.push((threads, render_trace(&responses)));
-    }
-    let (_, reference) = &traces[0];
-    for (threads, trace) in &traces {
-        assert_eq!(
-            trace, reference,
-            "trace at {threads} threads diverges from 1 thread"
-        );
-    }
+fn replay_trace_matches_the_golden_file() {
+    let responses = smoke_engine()
+        .replay(REQUESTS)
+        .expect("smoke replay parses");
+    let reference = &render_trace(&responses);
 
     // The smoke stream exercises every serving path.
     let tiers = |r: &Response| match &r.status {
         ResponseStatus::Answered { tier, .. } => Some(*tier),
         ResponseStatus::Rejected { .. } | ResponseStatus::Written { .. } => None,
     };
-    let hits = responses_at_one
+    let hits = responses
         .iter()
         .filter(|r| tiers(r) == Some(Tier::Hit))
         .count();
-    let misses = responses_at_one
+    let misses = responses
         .iter()
         .filter(|r| tiers(r) == Some(Tier::Miss))
         .count();
-    let rejected = responses_at_one
+    let rejected = responses
         .iter()
         .filter(|r| matches!(&r.status, ResponseStatus::Rejected { .. }))
         .count();
-    let written = responses_at_one
+    let written = responses
         .iter()
         .filter(|r| matches!(&r.status, ResponseStatus::Written { .. }))
         .count();
@@ -98,7 +86,7 @@ fn replay_trace_pinned_byte_identical_across_thread_counts() {
     assert_eq!(rejected, 3, "unknown theory (query + write) + parse error");
     assert_eq!(written, 2, "insert + retract on the path tenant");
     assert!(
-        responses_at_one.iter().any(|r| matches!(
+        responses.iter().any(|r| matches!(
             &r.status,
             ResponseStatus::Answered {
                 complete: false,

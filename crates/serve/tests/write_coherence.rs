@@ -1,7 +1,7 @@
 //! Writes and cached rewritings stay coherent: a write changes the tenant
 //! instance and nothing else. Random interleavings of queries, inserts and
-//! retracts over two tenants run through one engine at 1, 2 and 4 worker
-//! threads, and every response is checked against a model:
+//! retracts over two tenants run through one engine, and every response is
+//! checked against a model:
 //!
 //! - a write reports exactly the facts it changed in a model base that
 //!   mirrors the engine's semantics (retracts first, then inserts appended
@@ -183,23 +183,18 @@ fn writes_keep_cached_rewritings_exact() {
     check("serve-write-coherence", 48, |rng| {
         let stream = random_stream(rng, &hits_after_writes);
         let requests: Vec<Request> = stream.iter().map(|(r, _)| r.clone()).collect();
-        for threads in [1, 2, 4] {
-            let mut engine = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            for spec in &TENANTS {
-                let data: String = spec.base.iter().map(|f| format!("{f}. ")).collect();
-                engine.register(spec.id, spec.theory, &data).unwrap();
-            }
-            let responses = engine.run_requests(requests.clone());
-            for (i, ((_, want), got)) in stream.iter().zip(&responses).enumerate() {
-                assert_eq!(&got.status, want, "request {i} at {threads} threads");
-            }
-            let c = engine.stats().counters;
-            assert_eq!(c.cache_invalidations, 0);
-            assert_eq!(c.requests, c.answered + c.writes);
+        let mut engine = Engine::new(EngineConfig::default());
+        for spec in &TENANTS {
+            let data: String = spec.base.iter().map(|f| format!("{f}. ")).collect();
+            engine.register(spec.id, spec.theory, &data).unwrap();
         }
+        let responses = engine.run_requests(requests);
+        for (i, ((_, want), got)) in stream.iter().zip(&responses).enumerate() {
+            assert_eq!(&got.status, want, "request {i}");
+        }
+        let c = engine.stats().counters;
+        assert_eq!(c.cache_invalidations, 0);
+        assert_eq!(c.requests, c.answered + c.writes);
     });
     assert!(
         hits_after_writes.get() > 0,

@@ -121,6 +121,13 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
+    /// Bytes not yet consumed. Every encoded value takes at least one
+    /// byte, so a decoder that preallocates for a decoded count clamps it
+    /// to this: a hostile count then costs no more than the input's size.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// `true` iff every byte has been consumed.
     pub fn is_at_end(&self) -> bool {
         self.pos == self.buf.len()

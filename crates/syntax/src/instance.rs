@@ -487,6 +487,11 @@ impl Instance {
     /// process the round-trip is bit-identical (same `FactIdx` stream,
     /// domain order, indices, and stats), because terms re-intern to the
     /// same ids and facts are replayed in insertion order.
+    ///
+    /// Untrusted bytes fail with a located [`DecodeError`], never a panic
+    /// or an abort: every preallocation is clamped to the bytes left, and
+    /// a predicate's arity is bounded by 2^16, as in `qr-check`'s
+    /// certificate decoders.
     pub fn from_bytes(bytes: &[u8]) -> Result<Instance, DecodeError> {
         let mut r = ByteReader::new(bytes);
         if r.raw(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
@@ -501,17 +506,18 @@ impl Instance {
             ));
         }
         let pred_count = r.varint()? as usize;
-        let mut preds: Vec<Pred> = Vec::with_capacity(pred_count);
+        let mut preds: Vec<Pred> = Vec::with_capacity(pred_count.min(r.remaining()));
         for _ in 0..pred_count {
             let name = r.str()?;
             let at = r.pos();
-            let arity = r.varint()?;
-            let arity = u32::try_from(arity)
-                .map_err(|_| DecodeError::at(at, DecodeErrorKind::Malformed("arity overflow")))?;
+            let arity = u32::try_from(r.varint()?)
+                .ok()
+                .filter(|&a| a <= MAX_ARITY)
+                .ok_or(DecodeError::at(at, DecodeErrorKind::Malformed("bad arity")))?;
             preds.push(Pred::new(Symbol::intern(name), arity));
         }
         let term_count = r.varint()? as usize;
-        let mut terms: Vec<TermId> = Vec::with_capacity(term_count);
+        let mut terms: Vec<TermId> = Vec::with_capacity(term_count.min(r.remaining()));
         for _ in 0..term_count {
             let at = r.pos();
             match r.varint()? {
@@ -519,7 +525,7 @@ impl Instance {
                 1 => {
                     let tag = Symbol::intern(r.str()?);
                     let argc = r.varint()? as usize;
-                    let mut args = Vec::with_capacity(argc);
+                    let mut args = Vec::with_capacity(argc.min(r.remaining()));
                     for _ in 0..argc {
                         let at = r.pos();
                         let a = r.varint()? as usize;
@@ -549,7 +555,7 @@ impl Instance {
                 at,
                 DecodeErrorKind::Malformed("predicate id out of range"),
             ))?;
-            let mut args = Vec::with_capacity(pred.arity() as usize);
+            let mut args = Vec::with_capacity((pred.arity() as usize).min(r.remaining()));
             for _ in 0..pred.arity() {
                 let at = r.pos();
                 let a = r.varint()? as usize;
@@ -574,6 +580,8 @@ impl Instance {
 }
 
 const CHECKPOINT_MAGIC: &[u8] = b"QRIN";
+/// Largest predicate arity [`Instance::from_bytes`] accepts.
+const MAX_ARITY: u32 = 1 << 16;
 const CHECKPOINT_VERSION: u64 = 1;
 
 impl PartialEq for Instance {
