@@ -18,7 +18,7 @@
 //!
 //! Only `wall_ms` is machine-dependent; certificate counts and encoded
 //! sizes are pure functions of (theory, query/instance, budget). Prover
-//! and checker both run on the caller thread, so `threads` is always 1.
+//! and checker both run on the caller thread, so a run records no width.
 
 use std::time::Instant;
 
@@ -74,7 +74,6 @@ fn rewrite_check(
     CheckRun {
         workload: label.to_owned(),
         kind: "rewrite",
-        threads: 1,
         wall_ms,
         certs,
         cert_bytes: bytes.len(),
@@ -121,7 +120,6 @@ fn chase_check() -> CheckRun {
     CheckRun {
         workload: "TC on G(60,120)".to_owned(),
         kind: "chase",
-        threads: 1,
         wall_ms,
         certs,
         cert_bytes: bytes.len(),

@@ -496,9 +496,6 @@ pub struct ServeSegment {
 pub struct ServeRun {
     /// Workload label (`"serve-mixed"`, ...).
     pub workload: String,
-    /// The engine's [`EngineConfig::threads`](qr_serve::EngineConfig::threads),
-    /// which selects nothing. Never gated.
-    pub threads: usize,
     /// End-to-end wall time of the replay, ms.
     pub wall_ms: f64,
     /// The engine's deterministic counter snapshot.
@@ -567,9 +564,6 @@ pub struct CheckRun {
     pub workload: String,
     /// Which certificate family replayed (`"rewrite"` / `"chase"`).
     pub kind: &'static str,
-    /// Always 1: prover and checker both run on the caller thread. Never
-    /// gated.
-    pub threads: usize,
     /// Wall time of the decode+replay span, ms (reported, never gated).
     pub wall_ms: f64,
     /// Certificates replayed successfully.
@@ -784,7 +778,6 @@ impl ToJson for ServeRun {
         });
         Json::Obj(fields! {
             "workload" => self.workload.as_str(),
-            "threads" => self.threads,
             "wall_ms" => Json::ms(self.wall_ms),
             "p50_ms" => Json::ms(self.p50_ms),
             "p95_ms" => Json::ms(self.p95_ms),
@@ -844,7 +837,6 @@ impl ToJson for CheckRun {
         Json::Obj(fields! {
             "workload" => self.workload.as_str(),
             "kind" => self.kind,
-            "threads" => self.threads,
             "wall_ms" => Json::ms(self.wall_ms),
             "certs" => self.certs,
             "cert_bytes" => self.cert_bytes,

@@ -306,7 +306,6 @@ pub fn run_workload(w: &ServeWorkload) -> ServeRun {
     let stats = engine.stats();
     ServeRun {
         workload: w.label.to_owned(),
-        threads: engine.threads(),
         wall_ms,
         counters: stats.counters,
         segments,

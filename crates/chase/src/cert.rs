@@ -1,7 +1,7 @@
 //! Chase certificates: replayable per-fact derivation witnesses.
 //!
-//! A chase run already records, per derived fact, its first
-//! [`crate::engine::Derivation`] — the rule and the exact trigger the
+//! A chase run already records, per derived fact, its first derivation
+//! ([`crate::engine::Derivations`]) — the rule and the exact trigger the
 //! match trail produced. [`emit_chase_certs`] converts that provenance
 //! into a [`ChaseCertBundle`] that an *independent* checker (`qr-check`)
 //! can replay in linear time: re-unify each regular body atom with its
@@ -87,7 +87,7 @@ fn first_occurrences(inst: &Instance) -> (HashMap<TermId, Occurrence>, Option<Oc
 
 /// Emits the certificate bundle of a finished chase run.
 ///
-/// Every derived fact's recorded [`crate::engine::Derivation`] becomes a
+/// Every derived fact's recorded first derivation becomes a
 /// [`ChaseCert`]; `dom`-atom witnesses are resolved to first occurrences
 /// (necessarily below the certified fact, since the term was in the
 /// domain before the rule fired). Panics only on a malformed `Chase`
@@ -100,15 +100,13 @@ pub fn emit_chase_certs(theory: &Theory, chase: &Chase) -> ChaseCertBundle {
 
     let base = chase.derivations.iter().take_while(|d| d.is_none()).count();
     debug_assert!(
-        chase.derivations[base..].iter().all(|d| d.is_some()),
+        chase.derivations.iter().skip(base).all(|d| d.is_some()),
         "input facts form a prefix of the fact stream"
     );
 
     let mut certs = Vec::with_capacity(inst.len() - base);
     for (i, d) in chase.derivations.iter().enumerate().skip(base) {
-        let d = d
-            .as_ref()
-            .expect("derived facts carry their first derivation");
+        let d = d.expect("derived facts carry their first derivation");
         let rule = &theory.rules()[d.rule];
         let sk = &skolemized[d.rule];
 
@@ -129,7 +127,7 @@ pub fn emit_chase_certs(theory: &Theory, chase: &Chase) -> ChaseCertBundle {
                 }
             }
         }
-        for (v, t) in sk.frontier.iter().zip(&d.frontier) {
+        for (v, t) in sk.frontier.iter().zip(d.frontier) {
             bound.insert(*v, *t);
         }
 
@@ -219,11 +217,11 @@ mod tests {
         // the derived fact literally — the checker's core step.
         let rule = &t.rules()[cert.rule as usize];
         let sk = SkolemizedRule::new(rule);
-        let d = c.derivations[cert.fact as usize].as_ref().unwrap();
-        let facts = sk.apply_with_frontier(rule, &d.frontier, |v| {
+        let d = c.derivations.get(cert.fact as usize).unwrap();
+        let facts = sk.apply_with_frontier(rule, d.frontier, |v| {
             *sk.frontier
                 .iter()
-                .zip(&d.frontier)
+                .zip(d.frontier)
                 .find(|(u, _)| **u == v)
                 .map(|(_, t)| t)
                 .unwrap()

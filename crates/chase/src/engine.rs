@@ -29,6 +29,7 @@
 //! same facts, term indices, provenance trails, and trigger counts as the
 //! sequential engine, bit for bit.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
@@ -37,10 +38,11 @@ use qr_exec::Executor;
 use qr_hom::matcher::{Assignment, JoinPlan, MatchCounters};
 use qr_syntax::query::{QAtom, QTerm, Var};
 use qr_syntax::{
-    Fact, FactIdx, FactRef, FxMap, FxSet, Instance, InstanceSnapshot, Pred, TermId, Theory,
+    tuple_hash, FactIdx, FactRef, FxMap, FxSet, Instance, InstanceSnapshot, Pred, TermId, Theory,
+    TupleHash,
 };
 
-use crate::skolem::SkolemizedRule;
+use crate::skolem::{head_facts, SkolemizedRule};
 use crate::stats::{ChaseStats, RoundStats};
 
 /// Resource limits for a chase run.
@@ -82,6 +84,9 @@ pub enum ChaseOutcome {
 }
 
 /// Provenance of one derived fact: which rule fired, on which body image.
+/// The owned form of a [`DerivationRef`], kept for
+/// [`ChaseAll::all_derivations`]; a [`Chase`] stores its first
+/// derivations flat, in [`Derivations`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Derivation {
     /// Index of the rule in the theory.
@@ -94,6 +99,169 @@ pub struct Derivation {
     pub frontier: Vec<TermId>,
     /// The round in which the fact was added.
     pub round: usize,
+}
+
+/// A borrowed view of one fact's first derivation: the fields of a
+/// [`Derivation`], with the trigger and frontier borrowed from the
+/// [`Derivations`] arenas.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DerivationRef<'a> {
+    /// Index of the rule in the theory.
+    pub rule: usize,
+    /// Indices of the non-builtin body facts, one per regular body atom.
+    pub trigger: &'a [FactIdx],
+    /// The frontier image `σ(fr(ρ))` in canonical order.
+    pub frontier: &'a [TermId],
+    /// The round in which the fact was added.
+    pub round: usize,
+}
+
+impl PartialEq<Derivation> for DerivationRef<'_> {
+    fn eq(&self, other: &Derivation) -> bool {
+        self.rule == other.rule
+            && self.trigger == other.trigger
+            && self.frontier == other.frontier
+            && self.round == other.round
+    }
+}
+
+/// The first derivation of every fact of a chase, stored flat: one row per
+/// rule application (its rule, its round, and the ends of its trigger and
+/// frontier in two arenas shared by all rows), plus one row index per
+/// fact. The facts one application adds share its row, so a derived fact
+/// costs four bytes here and a rule application one row, with no heap
+/// block of its own.
+///
+/// Equality is by per-fact view ([`Derivations::get`]): two runs that
+/// split the same derivations into rows differently are equal.
+#[derive(Clone, Default)]
+pub struct Derivations {
+    /// Per fact: the index of its row, or [`NO_ROW`] for an input fact.
+    row_of: Vec<u32>,
+    rows: Vec<Row>,
+    /// Row `r`'s trigger is `triggers[rows[r - 1].trigger_end..rows[r].trigger_end]`.
+    triggers: Vec<FactIdx>,
+    /// Row `r`'s frontier, delimited like its trigger.
+    frontiers: Vec<TermId>,
+}
+
+/// One rule application of [`Derivations`].
+#[derive(Clone, Copy)]
+struct Row {
+    rule: u32,
+    round: u32,
+    trigger_end: u32,
+    frontier_end: u32,
+}
+
+/// The row index of an input fact.
+const NO_ROW: u32 = u32::MAX;
+
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("derivation arena overflow")
+}
+
+impl Derivations {
+    /// Number of facts covered (input and derived).
+    pub fn len(&self) -> usize {
+        self.row_of.len()
+    }
+
+    /// `true` iff no fact is covered.
+    pub fn is_empty(&self) -> bool {
+        self.row_of.is_empty()
+    }
+
+    /// The first derivation of fact `i`: `None` for an input fact and past
+    /// the last fact.
+    pub fn get(&self, i: FactIdx) -> Option<DerivationRef<'_>> {
+        self.event_index(i).map(|r| self.row(r))
+    }
+
+    /// The row of fact `i`'s first derivation: facts with equal indices
+    /// were added by one rule application. `None` for an input fact and
+    /// past the last fact.
+    pub fn event_index(&self, i: FactIdx) -> Option<usize> {
+        match *self.row_of.get(i)? {
+            NO_ROW => None,
+            r => Some(r as usize),
+        }
+    }
+
+    /// Every fact's first derivation, in fact order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<DerivationRef<'_>>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    fn row(&self, r: usize) -> DerivationRef<'_> {
+        let (t0, f0) = match r {
+            0 => (0, 0),
+            _ => (self.rows[r - 1].trigger_end, self.rows[r - 1].frontier_end),
+        };
+        let row = self.rows[r];
+        DerivationRef {
+            rule: row.rule as usize,
+            trigger: &self.triggers[t0 as usize..row.trigger_end as usize],
+            frontier: &self.frontiers[f0 as usize..row.frontier_end as usize],
+            round: row.round as usize,
+        }
+    }
+
+    /// Covers `n` more input facts.
+    fn push_inputs(&mut self, n: usize) {
+        self.row_of.resize(self.len() + n, NO_ROW);
+    }
+
+    /// Opens a row for one rule application; [`Derivations::push_fact`]
+    /// attaches facts to it. A row that got no fact is reused.
+    fn open_row(&mut self, rule: usize, round: usize, trigger: &[FactIdx], frontier: &[TermId]) {
+        self.drop_unused_row();
+        self.triggers.extend_from_slice(trigger);
+        self.frontiers.extend_from_slice(frontier);
+        self.rows.push(Row {
+            rule: narrow(rule),
+            round: narrow(round),
+            trigger_end: narrow(self.triggers.len()),
+            frontier_end: narrow(self.frontiers.len()),
+        });
+    }
+
+    /// Adds a fact derived by the open row.
+    fn push_fact(&mut self) {
+        debug_assert!(!self.rows.is_empty(), "a derived fact needs an open row");
+        self.row_of.push(narrow(self.rows.len() - 1));
+    }
+
+    /// Pops the last row if no fact uses it.
+    fn drop_unused_row(&mut self) {
+        let Some(last) = self.rows.len().checked_sub(1) else {
+            return;
+        };
+        if self.row_of.last() == Some(&narrow(last)) {
+            return;
+        }
+        self.rows.pop();
+        let (t0, f0) = self
+            .rows
+            .last()
+            .map_or((0, 0), |r| (r.trigger_end, r.frontier_end));
+        self.triggers.truncate(t0 as usize);
+        self.frontiers.truncate(f0 as usize);
+    }
+}
+
+impl PartialEq for Derivations {
+    fn eq(&self, other: &Derivations) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Derivations {}
+
+impl std::fmt::Debug for Derivations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// The result of a chase run: the instance `Ch_rounds(T,D)` with per-fact
@@ -111,8 +279,11 @@ pub struct Chase {
     pub rounds: usize,
     /// Fixpoint or budget exhaustion.
     pub outcome: ChaseOutcome,
-    /// For each fact index, its first derivation (`None` for input facts).
-    pub derivations: Vec<Option<Derivation>>,
+    /// For each fact index, its first derivation (`None` for input
+    /// facts), one flat row per rule application: read a fact's with
+    /// [`Derivations::get`], and which facts one application added with
+    /// [`Derivations::event_index`].
+    pub derivations: Derivations,
     /// Per-round engine counters (triggers, matcher work, growth, time).
     pub stats: ChaseStats,
     /// O(1) instance snapshots taken after the input load (index 0) and
@@ -205,7 +376,7 @@ pub struct ChaseAll {
 pub(crate) struct ChaseLog {
     instance: Instance,
     round_of: Vec<usize>,
-    derivations: Vec<Option<Derivation>>,
+    derivations: Derivations,
     round_snapshots: Vec<InstanceSnapshot>,
     stats: ChaseStats,
     outcome: ChaseOutcome,
@@ -215,11 +386,13 @@ impl ChaseLog {
     /// Starts a run whose round 0 is `base`, reporting `threads` workers.
     pub(crate) fn new(base: Instance, threads: usize) -> ChaseLog {
         let n = base.len();
+        let mut derivations = Derivations::default();
+        derivations.push_inputs(n);
         ChaseLog {
             round_snapshots: vec![base.snapshot()],
             instance: base,
             round_of: vec![0; n],
-            derivations: vec![None; n],
+            derivations,
             stats: ChaseStats {
                 threads,
                 rounds: Vec::new(),
@@ -238,15 +411,24 @@ impl ChaseLog {
         &self.round_of
     }
 
-    /// Appends `fact`, first derived by `deriv` in the open round. Returns
-    /// its index, or `None` (recording nothing) if it is already present.
-    /// This is the engine round's only dedup: the first staging of a fact
-    /// wins, and a `None` marks a later staging of the same fact.
-    pub(crate) fn push(&mut self, fact: FactRef<'_>, deriv: Derivation) -> Option<FactIdx> {
-        debug_assert_eq!(deriv.round, self.round_snapshots.len(), "open round");
-        let idx = self.instance.insert_ref(fact)?;
-        self.round_of.push(deriv.round);
-        self.derivations.push(Some(deriv));
+    /// Opens the derivation row of one rule application in the open
+    /// round: the facts [`ChaseLog::push`] appends until the next call
+    /// share it. An application whose facts all turn out to be present
+    /// leaves no row.
+    pub(crate) fn open_event(&mut self, rule: usize, trigger: &[FactIdx], frontier: &[TermId]) {
+        let round = self.round_snapshots.len();
+        self.derivations.open_row(rule, round, trigger, frontier);
+    }
+
+    /// Appends `fact`, whose [`tuple_hash`] is `hash`, first derived by the
+    /// application [`ChaseLog::open_event`] opened last. Returns its index,
+    /// or `None` (recording nothing) if it is already present. This is the
+    /// engine round's only dedup: the first staging of a fact wins, and a
+    /// `None` marks a later staging of the same fact.
+    pub(crate) fn push(&mut self, fact: FactRef<'_>, hash: TupleHash) -> Option<FactIdx> {
+        let idx = self.instance.insert_hashed(fact, hash)?;
+        self.round_of.push(self.round_snapshots.len());
+        self.derivations.push_fact();
         Some(idx)
     }
 
@@ -279,7 +461,8 @@ impl ChaseLog {
     }
 
     /// The finished chase: every round closed so far.
-    pub(crate) fn finish(self) -> Chase {
+    pub(crate) fn finish(mut self) -> Chase {
+        self.derivations.drop_unused_row();
         Chase {
             rounds: self.round_snapshots.len() - 1,
             instance: self.instance,
@@ -553,36 +736,66 @@ struct RoundCtx<'a> {
     record_all: bool,
 }
 
-/// One staged rule application: the canonical trigger, its frontier image,
-/// and the produced head facts (in head-atom order) split by membership in
-/// the immutable prefix.
+/// One staged rule application. Its canonical trigger, its frontier
+/// image and (`record_all`) the prefix indices of its head facts that
+/// already exist are the next runs of the task's flat arenas, ending at
+/// the offsets kept here; its fresh head facts (in head-atom order) are
+/// the next `fresh` facts of the task's [`StagedFacts`].
 struct StagedEvent {
     rule: usize,
-    trigger: Vec<FactIdx>,
-    frontier: Vec<TermId>,
-    /// The number of head facts not in the prefix, the event's next run
-    /// of the task's [`StagedFacts`] (normal mode: also deduplicated
-    /// against this task's earlier events).
+    trigger_end: usize,
+    frontier_end: usize,
+    /// The number of head facts not in the prefix (normal mode: also not
+    /// staged by an earlier event of this task).
     fresh: usize,
-    /// `record_all`: prefix indices of head facts that already exist.
-    existing: Vec<FactIdx>,
+    existing_end: usize,
 }
 
-/// The fresh head facts one task stages, flat and in staging order: one
-/// buffer per task instead of one allocation per fact.
+/// The fresh head facts one task stages, flat and in staging order, each
+/// with its [`tuple_hash`]: one buffer per task instead of one allocation
+/// per fact, and one hash per fact from the prefix probe to the store
+/// insert.
 #[derive(Default)]
 struct StagedFacts {
     preds: Vec<Pred>,
+    hashes: Vec<TupleHash>,
     /// End offset of each fact's arguments in `args`.
     ends: Vec<usize>,
     args: Vec<TermId>,
 }
 
 impl StagedFacts {
-    fn push(&mut self, fact: &Fact) {
+    fn len(&self) -> usize {
+        self.preds.len()
+    }
+
+    fn push(&mut self, fact: FactRef<'_>, hash: TupleHash) {
         self.preds.push(fact.pred);
-        self.args.extend_from_slice(&fact.args);
+        self.hashes.push(hash);
+        self.args.extend_from_slice(fact.args);
         self.ends.push(self.args.len());
+    }
+
+    /// Stages `fact` unless `index` (this buffer's `(pred, tuple hash)`
+    /// index) shows it staged already; `true` iff staged.
+    fn push_unique(
+        &mut self,
+        index: &mut FxMap<(Pred, TupleHash), u32>,
+        fact: FactRef<'_>,
+        hash: TupleHash,
+    ) -> bool {
+        match index.entry((fact.pred, hash)) {
+            Entry::Vacant(slot) => {
+                slot.insert(self.len() as u32);
+            }
+            Entry::Occupied(slot) => {
+                if self.get(*slot.get() as usize) == fact {
+                    return false;
+                }
+            }
+        }
+        self.push(fact, hash);
+        true
     }
 
     fn get(&self, i: usize) -> FactRef<'_> {
@@ -601,18 +814,25 @@ type DerivKey = (usize, Vec<FactIdx>, Vec<TermId>);
 struct TaskBuf {
     events: Vec<StagedEvent>,
     staged: StagedFacts,
-    /// Normal mode: facts staged by this task, for intra-task dedup.
-    fresh_set: FxSet<Fact>,
+    /// The trigger arena; the open trigger is its tail.
+    triggers: Vec<FactIdx>,
+    /// The frontier arena; the open frontier image is its tail.
+    frontiers: Vec<TermId>,
+    /// `record_all`: the prefix indices of existing head facts.
+    existing: Vec<FactIdx>,
+    /// Normal mode: `(pred, tuple hash)` → the first fact of `staged`
+    /// with that key, for intra-task dedup. A hit is confirmed by
+    /// comparing the staged arguments; a 64-bit collision stages the
+    /// second fact unindexed, and the merge drops it if it repeats.
+    staged_index: FxMap<(Pred, TupleHash), u32>,
     /// `record_all`: derivation keys staged by this task — an intra-task
     /// pre-filter for the merge's global dedup (two assignments differing
     /// only on a non-frontier dom variable collapse to one key).
     seen_derivs: FxSet<DerivKey>,
-    /// Scratch: the current trigger, one slot per regular body atom.
-    trigger_buf: Vec<FactIdx>,
-    /// Scratch: the current frontier image.
-    frontier_buf: Vec<TermId>,
+    /// Scratch: the head arguments of the current application.
+    head: Vec<TermId>,
     /// Triggers enumerated (complete body matches, pre-dedup).
-    triggers: u64,
+    triggers_seen: u64,
 }
 
 impl TaskBuf {
@@ -620,11 +840,13 @@ impl TaskBuf {
         TaskBuf {
             events: Vec::new(),
             staged: StagedFacts::default(),
-            fresh_set: FxSet::default(),
+            triggers: Vec::new(),
+            frontiers: Vec::new(),
+            existing: Vec::new(),
+            staged_index: FxMap::default(),
             seen_derivs: FxSet::default(),
-            trigger_buf: Vec::new(),
-            frontier_buf: Vec::new(),
-            triggers: 0,
+            head: Vec::new(),
+            triggers_seen: 0,
         }
     }
 }
@@ -633,7 +855,10 @@ impl TaskBuf {
 struct TaskOut {
     events: Vec<StagedEvent>,
     staged: StagedFacts,
-    triggers: u64,
+    triggers: Vec<FactIdx>,
+    frontiers: Vec<TermId>,
+    existing: Vec<FactIdx>,
+    triggers_seen: u64,
     candidates: u64,
     dom_sweeps: u64,
     dom_pruned: u64,
@@ -719,6 +944,9 @@ fn run_task(ctx: &RoundCtx<'_>, task: RoundTask) -> TaskOut {
         events: buf.events,
         staged: buf.staged,
         triggers: buf.triggers,
+        frontiers: buf.frontiers,
+        existing: buf.existing,
+        triggers_seen: buf.triggers_seen,
         candidates: counters.candidates,
         dom_sweeps,
         dom_pruned,
@@ -728,8 +956,11 @@ fn run_task(ctx: &RoundCtx<'_>, task: RoundTask) -> TaskOut {
 /// Processes one complete body match: reconstructs the trigger from the
 /// match trail (totally — one fact index per regular atom, no hash
 /// re-probing), drops non-canonical arrivals of multi-delta triggers,
-/// instantiates the head, and stages the produced facts as a
-/// [`StagedEvent`] in the task's output.
+/// instantiates the head into a reused buffer, and stages the produced
+/// facts as a [`StagedEvent`] in the task's output. Each head fact is
+/// hashed once; that hash probes the prefix and the task's staging index,
+/// and rides along to the merge's store insert. Nothing is allocated per
+/// match once the task's buffers have grown.
 #[allow(clippy::too_many_arguments)]
 fn emit(
     plan: &RulePlan<'_>,
@@ -741,15 +972,17 @@ fn emit(
     buf: &mut TaskBuf,
 ) {
     let delta = ctx.delta;
-    buf.triggers += 1;
-    // Rebuild the trigger from the trail. The rest-plans omit one body
-    // atom, so trail atom indices at or past the omitted one shift by one.
-    buf.trigger_buf.clear();
-    buf.trigger_buf.resize(plan.regular.len(), FactIdx::MAX);
+    buf.triggers_seen += 1;
+    // Rebuild the trigger from the trail, at the tail of the trigger
+    // arena. The rest-plans omit one body atom, so trail atom indices at
+    // or past the omitted one shift by one.
+    let t0 = buf.triggers.len();
+    buf.triggers.resize(t0 + plan.regular.len(), FactIdx::MAX);
+    let trigger = &mut buf.triggers[t0..];
     let skipped = match path {
         Path::Full => None,
         Path::Regular(k, forced) => {
-            buf.trigger_buf[k] = forced;
+            trigger[k] = forced;
             Some(plan.regular[k])
         }
         Path::DomVar(k) => Some(plan.dom_var[k].0),
@@ -761,100 +994,97 @@ fn emit(
             _ => ai,
         };
         let pos = plan.reg_pos[bi].expect("trail entries are regular atoms");
-        buf.trigger_buf[pos] = fi;
+        trigger[pos] = fi;
     }
     assert!(
-        !buf.trigger_buf.contains(&FactIdx::MAX),
+        !trigger.contains(&FactIdx::MAX),
         "trigger recording must cover every regular body atom"
     );
+    let trigger = &buf.triggers[t0..];
     let term_of = |v: Var| asg[v.index()].expect("bound body var");
 
     // Canonical-path check: process the trigger only if no earlier path
     // also reaches it this round (i.e. the forced atom is the trigger's
     // first delta body atom).
-    let regular_delta_before = |k: usize| -> bool {
-        buf.trigger_buf[..k]
-            .iter()
-            .any(|&fi| fi >= delta.fact_start)
-    };
+    let regular_delta_before =
+        |k: usize| -> bool { trigger[..k].iter().any(|&fi| fi >= delta.fact_start) };
     let dom_var_delta_before = |k: usize| -> bool {
         plan.dom_var[..k]
             .iter()
             .any(|&(_, v)| delta.new_terms.contains(&term_of(v)))
     };
-    match path {
-        Path::Full => {}
-        Path::Regular(k, _) => {
-            if regular_delta_before(k) {
-                return;
-            }
-        }
-        Path::DomVar(k) => {
-            if regular_delta_before(plan.regular.len()) || dom_var_delta_before(k) {
-                return;
-            }
-        }
+    let canonical = match path {
+        Path::Full => true,
+        Path::Regular(k, _) => !regular_delta_before(k),
+        Path::DomVar(k) => !regular_delta_before(plan.regular.len()) && !dom_var_delta_before(k),
         Path::DomGround(k) => {
-            if regular_delta_before(plan.regular.len())
-                || dom_var_delta_before(plan.dom_var.len())
-                || plan.dom_ground[..k]
+            !regular_delta_before(plan.regular.len())
+                && !dom_var_delta_before(plan.dom_var.len())
+                && !plan.dom_ground[..k]
                     .iter()
                     .any(|&(_, c)| delta.new_terms.contains(&c))
-            {
-                return;
-            }
         }
+    };
+    if !canonical {
+        buf.triggers.truncate(t0);
+        return;
     }
 
-    buf.frontier_buf.clear();
-    buf.frontier_buf
+    let f0 = buf.frontiers.len();
+    buf.frontiers
         .extend(plan.skolemized.frontier.iter().map(|v| term_of(*v)));
+    let frontier = &buf.frontiers[f0..];
     if ctx.record_all {
-        let key = (ridx, buf.trigger_buf.clone(), buf.frontier_buf.clone());
+        let key = (ridx, buf.triggers[t0..].to_vec(), frontier.to_vec());
         if !buf.seen_derivs.insert(key) {
+            buf.triggers.truncate(t0);
+            buf.frontiers.truncate(f0);
             return;
         }
     }
-    let facts = plan
-        .skolemized
-        .apply_with_frontier(plan.rule, &buf.frontier_buf, term_of);
+    buf.head.clear();
+    plan.skolemized
+        .instantiate_into(plan.rule, frontier, term_of, &mut buf.head);
     let mut fresh = 0;
-    let mut existing = Vec::new();
-    for fact in facts {
-        if ctx.record_all {
-            match ctx.instance.index_of(&fact) {
-                Some(idx) => existing.push(idx),
-                None => {
-                    buf.staged.push(&fact);
-                    fresh += 1;
-                }
+    let e0 = buf.existing.len();
+    for fact in head_facts(plan.rule, &buf.head) {
+        let hash = tuple_hash(fact.args);
+        match ctx.instance.index_of_hashed(fact, hash) {
+            Some(idx) if ctx.record_all => buf.existing.push(idx),
+            Some(_) => {}
+            None if ctx.record_all => {
+                buf.staged.push(fact, hash);
+                fresh += 1;
             }
-        } else if !ctx.instance.contains(&fact) && !buf.fresh_set.contains(&fact) {
-            buf.staged.push(&fact);
-            buf.fresh_set.insert(fact);
-            fresh += 1;
+            None => {
+                fresh += usize::from(buf.staged.push_unique(&mut buf.staged_index, fact, hash));
+            }
         }
     }
-    if fresh == 0 && existing.is_empty() {
+    if fresh == 0 && buf.existing.len() == e0 {
+        buf.triggers.truncate(t0);
+        buf.frontiers.truncate(f0);
         return;
     }
     buf.events.push(StagedEvent {
         rule: ridx,
-        trigger: buf.trigger_buf.clone(),
-        frontier: buf.frontier_buf.clone(),
+        trigger_end: buf.triggers.len(),
+        frontier_end: buf.frontiers.len(),
         fresh,
-        existing,
+        existing_end: buf.existing.len(),
     });
 }
 
 /// Folds one round's task outputs into `log`, event by event in
 /// submission order, replaying exactly the staging decisions of a
-/// sequential run. [`ChaseLog::push`] is the round's only fact dedup: the
-/// first staging of a fact wins, and a later one (`None`) is dropped in
-/// normal mode. With `all` (`record_all`), a later staging becomes an
-/// extra derivation of the fact instead, prefix facts collect theirs, and
-/// duplicate `(rule, trigger, frontier)` derivations are dropped
-/// round-globally. Returns the round's summed task counters.
+/// sequential run. Each event opens one derivation row
+/// ([`ChaseLog::open_event`]) shared by the facts it adds, and
+/// [`ChaseLog::push`] is the round's only fact dedup: the first staging
+/// of a fact wins, and a later one (`None`) is dropped in normal mode.
+/// With `all` (`record_all`), a later staging becomes an extra derivation
+/// of the fact instead, prefix facts collect theirs, and duplicate
+/// `(rule, trigger, frontier)` derivations are dropped round-globally.
+/// Returns the round's summed task counters.
 fn merge_task_outputs(
     log: &mut ChaseLog,
     outs: Vec<TaskOut>,
@@ -867,45 +1097,47 @@ fn merge_task_outputs(
     };
     let mut seen_derivs: FxSet<DerivKey> = FxSet::default();
     for out in outs {
-        row.triggers += out.triggers;
+        row.triggers += out.triggers_seen;
         row.candidates += out.candidates;
         row.dom_sweeps += out.dom_sweeps;
         row.dom_pruned += out.dom_pruned;
-        let mut next = 0;
-        for ev in out.events {
+        let (mut t0, mut f0, mut e0, mut next) = (0, 0, 0, 0);
+        for ev in &out.events {
+            let trigger = &out.triggers[t0..ev.trigger_end];
+            let frontier = &out.frontiers[f0..ev.frontier_end];
+            let existing = &out.existing[e0..ev.existing_end];
             let facts = next..next + ev.fresh;
-            next = facts.end;
-            let deriv = Derivation {
-                rule: ev.rule,
-                trigger: ev.trigger,
-                frontier: ev.frontier,
-                round,
-            };
+            (t0, f0, e0, next) = (ev.trigger_end, ev.frontier_end, ev.existing_end, facts.end);
             let Some(all) = all.as_deref_mut() else {
-                // The derivation moves into the event's last fact.
                 debug_assert!(ev.fresh > 0, "normal mode stages only fresh facts");
-                let last = facts.end - 1;
-                for i in facts.start..last {
-                    log.push(out.staged.get(i), deriv.clone());
+                log.open_event(ev.rule, trigger, frontier);
+                for i in facts {
+                    log.push(out.staged.get(i), out.staged.hashes[i]);
                 }
-                log.push(out.staged.get(last), deriv);
                 continue;
             };
-            let key = (deriv.rule, deriv.trigger.clone(), deriv.frontier.clone());
+            let key = (ev.rule, trigger.to_vec(), frontier.to_vec());
             if !seen_derivs.insert(key) {
                 continue;
             }
-            for idx in ev.existing {
+            let deriv = Derivation {
+                rule: ev.rule,
+                trigger: trigger.to_vec(),
+                frontier: frontier.to_vec(),
+                round,
+            };
+            for &idx in existing {
                 all[idx].push(deriv.clone());
             }
+            log.open_event(ev.rule, trigger, frontier);
             for i in facts {
-                let fact = out.staged.get(i);
-                match log.push(fact, deriv.clone()) {
+                let (fact, hash) = (out.staged.get(i), out.staged.hashes[i]);
+                match log.push(fact, hash) {
                     Some(_) => all.push(vec![deriv.clone()]),
                     None => {
                         let idx = log
                             .instance()
-                            .index_of_ref(fact)
+                            .index_of_hashed(fact, hash)
                             .expect("a dropped staging is already in the log");
                         all[idx].push(deriv.clone());
                     }
@@ -1073,7 +1305,7 @@ fn run_chase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr_syntax::{parse_instance, parse_query, parse_theory, Symbol};
+    use qr_syntax::{parse_instance, parse_query, parse_theory, Fact, Symbol};
     use std::collections::HashSet;
 
     fn c(name: &str) -> TermId {
@@ -1247,10 +1479,10 @@ mod tests {
             .iter()
             .position(|f| f == fact)
             .expect("derived fact present");
-        let deriv = ch.derivations[idx].as_ref().unwrap();
+        let deriv = ch.derivations.get(idx).unwrap();
         assert_eq!(deriv.rule, 0);
         assert_eq!(deriv.trigger.len(), 2);
-        assert_eq!(deriv.frontier, vec![c("a")]);
+        assert_eq!(deriv.frontier, [c("a")]);
     }
 
     #[test]
@@ -1270,7 +1502,7 @@ mod tests {
                     ch.instance.fact(idx)
                 );
                 // Each trigger index points at a fact of the right predicate.
-                for &ti in &d.trigger {
+                for &ti in d.trigger {
                     assert_eq!(ch.instance.fact(ti).pred, qr_syntax::Pred::new("e", 2));
                 }
             }
@@ -1546,10 +1778,10 @@ mod tests {
             let ch = chase_with(&t, &d, ChaseBudget::default(), &exec);
             let derived: Vec<String> = ch.instance.iter().skip(6).map(|f| f.to_string()).collect();
             assert_eq!(derived, ["p(c1)", "p(c2)", "p(c3)"], "{threads} threads");
-            let firsts: Vec<_> = ch.derivations[6..].iter().flatten().collect();
+            let firsts: Vec<_> = ch.derivations.iter().skip(6).flatten().collect();
             assert_eq!(
                 firsts,
-                [&deriv(0, 0, "c1"), &deriv(0, 1, "c2"), &deriv(1, 3, "c3")],
+                [deriv(0, 0, "c1"), deriv(0, 1, "c2"), deriv(1, 3, "c3")],
                 "{threads} threads"
             );
             let all = chase_all_with(&t, &d, ChaseBudget::default(), &exec);
@@ -1565,5 +1797,132 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    /// A multi-head application adds its facts under one row; the next
+    /// application opens the next row.
+    #[test]
+    fn multi_head_facts_share_one_derivation_row() {
+        let t = parse_theory("a(X) -> r(X, Y), s(Y).\nr(X, Y) -> t(X).").unwrap();
+        let d = parse_instance("a(c1). a(c2).").unwrap();
+        let ch = chase(&t, &d, ChaseBudget::default());
+        let derived: Vec<String> = ch
+            .instance
+            .iter()
+            .skip(2)
+            .map(|f| f.pred.to_string())
+            .collect();
+        assert_eq!(derived, ["r", "s", "r", "s", "t", "t"]);
+        let rows: Vec<_> = (0..ch.instance.len())
+            .map(|i| ch.derivations.event_index(i))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                None,
+                None,
+                Some(0),
+                Some(0),
+                Some(1),
+                Some(1),
+                Some(2),
+                Some(3)
+            ]
+        );
+        let first = ch.derivations.get(2).unwrap();
+        assert_eq!(ch.derivations.get(3), Some(first));
+        assert_eq!((first.rule, first.trigger, first.round), (0, &[0][..], 1));
+        assert_eq!(ch.derivations.get(8), None, "past the last fact");
+        assert_eq!(ch.derivations.len(), ch.instance.len());
+    }
+
+    /// Equality reads the per-fact view: one shared row equals two equal
+    /// rows, and a row that got no fact leaves no trace. The engine, the
+    /// sharded merge and the seeded insert build equal derivations.
+    #[test]
+    fn derivations_compare_by_fact_not_by_row() {
+        let mut shared = Derivations::default();
+        shared.push_inputs(1);
+        shared.open_row(0, 1, &[0], &[c("a")]);
+        shared.push_fact();
+        shared.push_fact();
+        let mut split = Derivations::default();
+        split.push_inputs(1);
+        split.open_row(0, 1, &[0], &[c("a")]);
+        split.push_fact();
+        split.open_row(1, 1, &[0], &[c("b")]);
+        split.open_row(0, 1, &[0], &[c("a")]);
+        split.push_fact();
+        assert_eq!(shared.event_index(2), Some(0));
+        assert_eq!(split.event_index(2), Some(1), "the unused row was reused");
+        assert_eq!(shared, split);
+        split.open_row(0, 2, &[1], &[c("a")]);
+        split.push_fact();
+        assert_ne!(shared, split);
+
+        let t = parse_theory("e(X, Y) -> e(Y, Z), m(Y, Z).\nm(X, Y), e(X, Y) -> p(X).").unwrap();
+        let d = parse_instance("e(a, b). e(c, d). e(d, f).").unwrap();
+        let budget = ChaseBudget::rounds(3);
+        let exec = Executor::with_threads(2);
+        let mono = chase_with(&t, &d, budget, &exec);
+        let (sharded, stats) = crate::sharded::chase_sharded(&t, &d, budget, &exec);
+        assert!(stats.shards >= 2, "the base splits into components");
+        assert_eq!(sharded.derivations, mono.derivations);
+
+        let t = parse_theory("e(X, Y), e(Y, Z) -> e(X, Z), r(X, Z).").unwrap();
+        let d = parse_instance("e(a, b). e(b, c).").unwrap();
+        let budget = ChaseBudget::default();
+        let mut incr = crate::incremental::IncrementalChase::new(&t, &d, budget, &exec);
+        let insert = parse_instance("e(c, x).").unwrap();
+        let batch = crate::incremental::WriteBatch::insert(insert.iter().map(|f| f.to_fact()));
+        let bs = incr.apply(&t, &batch, budget, &exec);
+        assert_eq!(bs.mode, crate::incremental::BatchMode::SeededInsert);
+        let cold = chase_with(&t, &d.union(&insert), budget, &exec);
+        assert_eq!(incr.chase().derivations, cold.derivations);
+    }
+
+    /// Two events of one task that stage the same fact stage it once:
+    /// the second event keeps only its other head fact. Every staged fact
+    /// carries the tuple hash the merge inserts it with.
+    #[test]
+    fn one_task_stages_a_repeated_fact_once() {
+        let t = parse_theory("b(X, Y) -> p(Y), q(X).").unwrap();
+        let d = parse_instance("b(c1, c3). b(c2, c3).").unwrap();
+        let plans = plans(&t);
+        let delta = DeltaCtx {
+            fact_start: 0,
+            new_terms: d.domain().iter().copied().collect(),
+        };
+        let mut delta_by_pred = FxMap::default();
+        delta_by_pred.insert(Pred::new("b", 2), vec![0, 1]);
+        let ctx = RoundCtx {
+            plans: &plans,
+            instance: &d,
+            delta: &delta,
+            delta_by_pred: &delta_by_pred,
+            delta_terms: d.domain(),
+            delta_occ: &FxMap::default(),
+            record_all: false,
+        };
+        let task = RoundTask::Regular {
+            ridx: 0,
+            k: 0,
+            lo: 0,
+            hi: 2,
+        };
+        let out = run_task(&ctx, task);
+        let staged: Vec<String> = (0..out.staged.len())
+            .map(|i| out.staged.get(i).to_string())
+            .collect();
+        assert_eq!(staged, ["p(c3)", "q(c1)", "q(c2)"]);
+        let fresh: Vec<usize> = out.events.iter().map(|e| e.fresh).collect();
+        assert_eq!(fresh, [2, 1]);
+        assert_eq!(out.triggers, [0, 1], "one trigger slot per event");
+        for i in 0..out.staged.len() {
+            assert_eq!(out.staged.hashes[i], tuple_hash(out.staged.get(i).args));
+        }
+        let ch = chase(&t, &d, ChaseBudget::default());
+        let rows: Vec<_> = (2..5).map(|i| ch.derivations.event_index(i)).collect();
+        assert_eq!(rows, [Some(0), Some(0), Some(1)]);
     }
 }

@@ -38,11 +38,10 @@ use std::time::Instant;
 use qr_exec::Executor;
 use qr_hom::matcher::{Assignment, JoinPlan, MatchCounters};
 use qr_syntax::query::{QTerm, Var};
-use qr_syntax::{Fact, FactIdx, FxMap, FxSet, Instance, Pred, TermId, Theory};
+use qr_syntax::{tuple_hash, Fact, FactIdx, FxMap, FxSet, Instance, Pred, TermId, Theory};
 
-use crate::engine::{
-    chase_with, plans, unify_atom_fact, Chase, ChaseBudget, ChaseLog, Derivation, RulePlan,
-};
+use crate::engine::{chase_with, plans, unify_atom_fact, Chase, ChaseBudget, ChaseLog, RulePlan};
+use crate::skolem::head_facts;
 use crate::stats::RoundStats;
 
 /// A batch of base-fact writes. Retractions are applied before inserts, so
@@ -284,7 +283,7 @@ fn cone_facts(prev: &Chase, retracted: &[FactIdx]) -> u64 {
         if dead[i] {
             continue;
         }
-        if let Some(d) = prev.derivations[i].as_ref() {
+        if let Some(d) = prev.derivations.get(i) {
             if d.trigger.iter().any(|&t| dead[t]) {
                 dead[i] = true;
                 n += 1;
@@ -663,7 +662,7 @@ fn seeded_insert(
         }
     }
     // Every derived fact needs a recorded trail to replay.
-    if prev.derivations[base_len..].iter().any(|d| d.is_none()) {
+    if (base_len..prev_len).any(|i| prev.derivations.get(i).is_none()) {
         return None;
     }
 
@@ -671,25 +670,25 @@ fn seeded_insert(
 
     // Group the previous run's derived facts into events: facts produced
     // by one rule application occupy consecutive indices and share one
-    // derivation.
+    // derivation row.
     let mut old_events: Vec<Vec<PendingEvent>> = Vec::new();
     old_events.resize_with(prev.rounds + 1, Vec::new);
-    {
-        let mut last: Option<&Derivation> = None;
-        for i in base_len..prev_len {
-            let d = prev.derivations[i].as_ref().expect("checked above");
-            if last != Some(d) {
-                if d.round == 0 || d.round > prev.rounds {
-                    return None;
-                }
-                old_events[d.round].push(PendingEvent {
-                    rule: d.rule,
-                    trigger: d.trigger.clone(),
-                    frontier: d.frontier.clone(),
-                });
-                last = Some(d);
-            }
+    let mut last = None;
+    for i in base_len..prev_len {
+        let row = prev.derivations.event_index(i);
+        if row == last {
+            continue;
         }
+        last = row;
+        let d = prev.derivations.get(i).expect("checked above");
+        if d.round == 0 || d.round > prev.rounds {
+            return None;
+        }
+        old_events[d.round].push(PendingEvent {
+            rule: d.rule,
+            trigger: d.trigger.to_vec(),
+            frontier: d.frontier.to_vec(),
+        });
     }
 
     // The working instance W = prev ++ batch ++ (cone facts as they are
@@ -821,20 +820,22 @@ fn seeded_insert(
 
         let terms_before = log.instance().domain_len();
         let mut next_delta_facts: Vec<usize> = Vec::new();
+        let mut head: Vec<TermId> = Vec::new();
         for (_key, ridx, trigger, frontier) in todo {
             let plan = &rule_plans[ridx];
             let lookup = |v: Var| {
                 frontier_term(plan, &frontier, v).expect("non-existential head vars are frontier")
             };
-            let facts = plan
-                .skolemized
-                .apply_with_frontier(plan.rule, &frontier, lookup);
-            let mut deriv: Option<Derivation> = None;
-            for fact in facts {
-                if log.instance().contains(&fact) {
+            head.clear();
+            plan.skolemized
+                .instantiate_into(plan.rule, &frontier, lookup, &mut head);
+            log.open_event(ridx, &trigger, &frontier);
+            for fact in head_facts(plan.rule, &head) {
+                let hash = tuple_hash(fact.args);
+                if log.instance().index_of_hashed(fact, hash).is_some() {
                     continue;
                 }
-                let old_idx = prev.instance.index_of(&fact);
+                let old_idx = prev.instance.index_of_hashed(fact, hash);
                 if let Some(oi) = old_idx {
                     // A previous-run fact staged at a different round
                     // would cascade round changes: bail.
@@ -842,15 +843,7 @@ fn seeded_insert(
                         return None;
                     }
                 }
-                let d = deriv
-                    .get_or_insert_with(|| Derivation {
-                        rule: ridx,
-                        trigger: trigger.clone(),
-                        frontier: frontier.clone(),
-                        round,
-                    })
-                    .clone();
-                let idx = log.push((&fact).into(), d).expect("checked fresh");
+                let idx = log.push(fact, hash).expect("checked fresh");
                 match old_idx {
                     Some(oi) => {
                         w_to_cold[oi] = Some(idx);
@@ -858,7 +851,7 @@ fn seeded_insert(
                     }
                     None => {
                         // A genuinely new fact: it joins the cone delta.
-                        let wi = w.insert(fact).expect("absent from prev");
+                        let wi = w.insert_hashed(fact, hash).expect("absent from prev");
                         debug_assert_eq!(wi, w_to_cold.len());
                         w_to_cold.push(Some(idx));
                         w_round.push(round);

@@ -25,7 +25,7 @@ pub use core_term::{
 };
 pub use engine::{
     chase, chase_all, chase_all_with, chase_naive, chase_naive_with, chase_with, Chase, ChaseAll,
-    ChaseBudget, ChaseOutcome, Derivation,
+    ChaseBudget, ChaseOutcome, Derivation, DerivationRef, Derivations,
 };
 pub use incremental::{BatchMode, BatchStats, IncrementalChase, IncrementalStats, WriteBatch};
 pub use model::is_model;

@@ -40,9 +40,7 @@ impl<'a> Provenance<'a> {
     /// The frontier `fr(α)` of a derived fact (Observation 9); `None` for
     /// input facts.
     pub fn frontier_of(&self, fact_idx: usize) -> Option<&[TermId]> {
-        self.chase.derivations[fact_idx]
-            .as_ref()
-            .map(|d| d.frontier.as_slice())
+        self.chase.derivations.get(fact_idx).map(|d| d.frontier)
     }
 
     /// The birth atom of a chase-invented term (Observation 10): the unique
@@ -72,7 +70,7 @@ impl<'a> Provenance<'a> {
             if !seen.insert(i) {
                 continue;
             }
-            match &self.chase.derivations[i] {
+            match self.chase.derivations.get(i) {
                 None => {
                     out.insert(i);
                 }
@@ -108,7 +106,7 @@ pub fn adversarial_ancestors(run: &ChaseAll, connected_only: bool) -> Vec<HashSe
     let n = ch.instance.len();
     let mut anc: Vec<HashSet<usize>> = Vec::with_capacity(n);
     for i in 0..n {
-        if ch.derivations[i].is_none() {
+        if ch.derivations.get(i).is_none() {
             anc.push(HashSet::from([i]));
             continue;
         }

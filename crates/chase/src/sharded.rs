@@ -60,9 +60,9 @@ use std::time::{Duration, Instant};
 use qr_exec::Executor;
 use qr_syntax::gaifman;
 use qr_syntax::query::{QAtom, QTerm, Var};
-use qr_syntax::{FactIdx, FxMap, Instance, TermId, Theory};
+use qr_syntax::{tuple_hash, FactIdx, FxMap, Instance, TermId, Theory};
 
-use crate::engine::{chase_with, Chase, ChaseBudget, ChaseLog, Derivation};
+use crate::engine::{chase_with, Chase, ChaseBudget, ChaseLog};
 use crate::stats::RoundStats;
 
 /// Bin-packing target: at most `exec.threads() × SHARDS_PER_THREAD`
@@ -265,6 +265,7 @@ fn merge_shards(
     loc2glob: &mut [Vec<FactIdx>],
 ) -> Chase {
     let mut log = ChaseLog::new(db.clone(), threads);
+    let mut trigger: Vec<FactIdx> = Vec::new();
 
     for round in 1..=budget.max_rounds {
         // Shard events of this round, keyed for the global emission order.
@@ -272,8 +273,9 @@ fn merge_shards(
         for (s, ch) in shard_chases.iter().enumerate() {
             if let Some(range) = ch.delta_range(round) {
                 for i in range {
-                    let d = ch.derivations[i]
-                        .as_ref()
+                    let d = ch
+                        .derivations
+                        .get(i)
                         .expect("derived facts carry provenance");
                     let kstar = d
                         .trigger
@@ -311,19 +313,24 @@ fn merge_shards(
         // still-active shard ran its fixpoint probe this round and the
         // summed row is the global probe row.
         events.sort_by_key(|&(key, _, _)| key);
+        // A shard event's facts stay adjacent under the stable sort (they
+        // share its key, and no other shard's event has that key), so one
+        // global row opens per shard row.
+        let mut open: Option<(usize, usize)> = None;
         for &(_, s, i) in &events {
-            // Triggers point at earlier rounds, already mapped.
-            let d = shard_chases[s].derivations[i]
-                .as_ref()
-                .expect("checked above");
-            let deriv = Derivation {
-                rule: d.rule,
-                trigger: d.trigger.iter().map(|&fi| loc2glob[s][fi]).collect(),
-                frontier: d.frontier.clone(),
-                round,
-            };
+            let ch = &shard_chases[s];
+            let row = ch.derivations.event_index(i).expect("checked above");
+            if open != Some((s, row)) {
+                let d = ch.derivations.get(i).expect("checked above");
+                // Triggers point at earlier rounds, already mapped.
+                trigger.clear();
+                trigger.extend(d.trigger.iter().map(|&fi| loc2glob[s][fi]));
+                log.open_event(d.rule, &trigger, d.frontier);
+                open = Some((s, row));
+            }
+            let fact = ch.instance.fact(i);
             let gi = log
-                .push(shard_chases[s].instance.fact(i), deriv)
+                .push(fact, tuple_hash(fact.args))
                 .expect("shards stage disjoint fresh facts");
             debug_assert_eq!(loc2glob[s].len(), i, "shard facts merge in local order");
             loc2glob[s].push(gi);

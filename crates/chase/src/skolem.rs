@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use qr_syntax::query::{QAtom, QTerm, Var};
-use qr_syntax::{Fact, SkolemFn, Symbol, TermId, Tgd};
+use qr_syntax::{Fact, FactRef, SkolemFn, Symbol, TermId, Tgd};
 
 /// A rule pre-processed for chasing: canonical frontier order and one Skolem
 /// function per existential variable.
@@ -112,29 +112,52 @@ impl SkolemizedRule {
         frontier_args: &[TermId],
         lookup: impl Fn(Var) -> TermId,
     ) -> Vec<Fact> {
-        let term_of = |v: Var| -> TermId {
-            if let Some(f) = self.skolem_of.get(&v) {
-                TermId::skolem(*f, frontier_args)
-            } else {
-                lookup(v)
-            }
-        };
-        rule.head()
-            .iter()
-            .map(|a| {
-                Fact::new(
-                    a.pred,
-                    a.args
-                        .iter()
-                        .map(|t| match t {
-                            QTerm::Var(v) => term_of(*v),
-                            QTerm::Const(c) => TermId::constant(*c),
-                        })
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect()
+        let mut args = Vec::new();
+        self.instantiate_into(rule, frontier_args, lookup, &mut args);
+        head_facts(rule, &args).map(|f| f.to_fact()).collect()
     }
+
+    /// The allocation-free core of
+    /// [`apply_with_frontier`](Self::apply_with_frontier): appends the
+    /// arguments of every head atom, atom after atom in head order, to
+    /// `out`. Head atom `j` occupies the `arity(j)` slots after those of
+    /// atoms `0..j`, so a caller that reuses `out` builds no fact; it
+    /// reads the facts back as views.
+    pub fn instantiate_into(
+        &self,
+        rule: &Tgd,
+        frontier_args: &[TermId],
+        lookup: impl Fn(Var) -> TermId,
+        out: &mut Vec<TermId>,
+    ) {
+        for a in rule.head() {
+            out.extend(a.args.iter().map(|t| match t {
+                QTerm::Var(v) => match self.skolem_of.get(v) {
+                    Some(f) => TermId::skolem(*f, frontier_args),
+                    None => lookup(*v),
+                },
+                QTerm::Const(c) => TermId::constant(*c),
+            }));
+        }
+    }
+}
+
+/// The head facts of `rule` as views of `args`, the arguments
+/// [`SkolemizedRule::instantiate_into`] wrote: head atom `j` takes the
+/// `arity(j)` arguments after those of atoms `0..j`.
+pub(crate) fn head_facts<'a>(
+    rule: &'a Tgd,
+    args: &'a [TermId],
+) -> impl Iterator<Item = FactRef<'a>> + 'a {
+    let mut end = 0;
+    rule.head().iter().map(move |a| {
+        let start = end;
+        end += a.args.len();
+        FactRef {
+            pred: a.pred,
+            args: &args[start..end],
+        }
+    })
 }
 
 fn render_atom(a: &QAtom, labels: &HashMap<Var, String>) -> String {

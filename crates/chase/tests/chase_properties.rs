@@ -173,7 +173,7 @@ fn all_derivations_extend_first() {
                 // rules and collect derivations; derived facts list their
                 // first derivation first.
                 if let Some(d) = first {
-                    assert_eq!(full.all_derivations[i].first(), Some(d), "{ctx}");
+                    assert_eq!(d, full.all_derivations[i][0], "{ctx}");
                 }
             }
             // Every recorded derivation list is duplicate-free.

@@ -251,7 +251,7 @@ pub fn lemma70_check(
             if c.round_of[i] > upto {
                 return None;
             }
-            match &c.derivations[i] {
+            match c.derivations.get(i) {
                 None => Some(f.to_fact()),
                 Some(d) => {
                     let rule = &t.rules()[d.rule];

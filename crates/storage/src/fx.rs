@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Clone, Copy, Default)]
 pub struct FxHasher(u64);
 
-const MUL: u64 = 0xf135_7aea_2e62_a9c5;
+pub(crate) const MUL: u64 = 0xf135_7aea_2e62_a9c5;
 
 impl FxHasher {
     fn add(&mut self, word: u64) {

@@ -27,12 +27,16 @@
 //! order ever escapes (hash maps are only used for point lookups). Those
 //! maps are keyed by ids, so they hash with the unseeded word hasher
 //! [`FxHasher`], which the crate also exports ([`FxMap`], [`FxSet`]) for
-//! other id-keyed maps.
+//! other id-keyed maps, together with the collision-tolerant
+//! [`HashIndex`] that interns the store's tuples and `qr-syntax`'s Skolem
+//! terms.
 
 pub mod codec;
 mod fx;
+mod hash_index;
 mod store;
 
 pub use codec::{ByteReader, ByteWriter, DecodeError, DecodeErrorKind};
 pub use fx::{FxHasher, FxMap, FxSet};
-pub use store::{FactStore, PredId, Snapshot, StorageStats, TupleId};
+pub use hash_index::HashIndex;
+pub use store::{tuple_hash, FactStore, PredId, Snapshot, StorageStats, TupleHash, TupleId};

@@ -8,9 +8,11 @@
 //! `(pred, pos, term)` join index the old layout kept in a single global
 //! hash map — but with `u32` postings and without per-key `Pred` copies.
 
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 use crate::fx::{FxHasher, FxMap, FxSet};
+use crate::hash_index::HashIndex;
 
 /// Identifier of a registered predicate (dense, registration-ordered).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,14 +101,27 @@ impl Snapshot {
     }
 }
 
-/// The word hash of a tuple's element stream. Unseeded, so intern buckets
-/// replay across runs (no byte counter depends on them either way).
-fn tuple_hash<T: Hash>(args: &[T]) -> u64 {
+/// The word hash of a tuple's element stream, made only by
+/// [`tuple_hash`]: every `*_hashed` probe and insert of [`FactStore`]
+/// takes one, so a caller that probes and then inserts the same tuple
+/// hashes it once, and can't hand a store the hash of another tuple.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TupleHash(u64);
+
+/// The [`TupleHash`] of `args`. Unseeded, so intern buckets replay across
+/// runs (no byte counter depends on them either way).
+pub fn tuple_hash<T: Hash>(args: &[T]) -> TupleHash {
     let mut h = FxHasher::default();
     for a in args {
         a.hash(&mut h);
     }
-    h.finish()
+    TupleHash(h.finish())
+}
+
+/// Tuple `i` of a flat arena: `data[ends[i-1]..ends[i]]`.
+fn slice<'a, T>(data: &'a [T], ends: &[u32], i: usize) -> &'a [T] {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &data[start..ends[i] as usize]
 }
 
 /// Dictionary-interning arena for argument tuples.
@@ -118,12 +133,8 @@ fn tuple_hash<T: Hash>(args: &[T]) -> u64 {
 struct TupleArena<T> {
     data: Vec<T>,
     ends: Vec<u32>,
-    /// Tuple hash → the first tuple id with that hash. Only ever probed
-    /// point-wise, never iterated, so map order can't leak into results.
-    first: FxMap<u64, u32>,
-    /// Tuple hash → the later ids sharing it (64-bit hash collisions, so
-    /// almost always empty), in id order.
-    collided: FxMap<u64, Vec<u32>>,
+    /// Tuple hash → tuple ids.
+    index: HashIndex,
 }
 
 impl<T> Default for TupleArena<T> {
@@ -131,8 +142,7 @@ impl<T> Default for TupleArena<T> {
         TupleArena {
             data: Vec::new(),
             ends: Vec::new(),
-            first: FxMap::default(),
-            collided: FxMap::default(),
+            index: HashIndex::default(),
         }
     }
 }
@@ -143,63 +153,37 @@ impl<T: Copy + Eq + Hash> TupleArena<T> {
     }
 
     fn get(&self, id: TupleId) -> &[T] {
-        let i = id.index();
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.data[start..self.ends[i] as usize]
+        slice(&self.data, &self.ends, id.index())
     }
 
     /// Finds an existing tuple without interning (used by read-only
     /// membership probes, which must take `&self`).
-    fn find(&self, args: &[T]) -> Option<TupleId> {
-        self.find_hashed(tuple_hash(args), args)
-    }
-
-    fn find_hashed(&self, hash: u64, args: &[T]) -> Option<TupleId> {
-        let first = *self.first.get(&hash)?;
-        let later = self.collided.get(&hash).into_iter().flatten().copied();
-        std::iter::once(first)
-            .chain(later)
+    fn find_hashed(&self, hash: TupleHash, args: &[T]) -> Option<TupleId> {
+        self.index
+            .find(hash.0, |id| self.get(TupleId(id)) == args)
             .map(TupleId)
-            .find(|&id| self.get(id) == args)
     }
 
-    /// Interns a tuple, returning its id (existing or freshly assigned).
-    fn intern(&mut self, args: &[T]) -> TupleId {
-        let hash = tuple_hash(args);
-        if let Some(id) = self.find_hashed(hash, args) {
-            return id;
-        }
+    /// Interns a tuple, returning its id (existing or freshly assigned):
+    /// one probe of the intern table on the common path.
+    fn intern_hashed(&mut self, hash: TupleHash, args: &[T]) -> TupleId {
         let id = self.ends.len() as u32;
+        let (data, ends) = (&self.data, &self.ends);
+        let eq = |t: u32| slice(data, ends, t as usize) == args;
+        if let Some(found) = self.index.find_or_insert(hash.0, id, eq) {
+            return TupleId(found);
+        }
         assert!(id < u32::MAX, "tuple arena overflow");
         self.data.extend_from_slice(args);
         self.ends.push(self.data.len() as u32);
-        if let Some(&first) = self.first.get(&hash) {
-            debug_assert!(first < id);
-            self.collided.entry(hash).or_default().push(id);
-        } else {
-            self.first.insert(hash, id);
-        }
         TupleId(id)
     }
 
     /// Drops every tuple with id `>= keep`, undoing their interning.
     fn truncate(&mut self, keep: usize) {
         for id in (keep..self.ends.len()).rev() {
-            let id = id as u32;
-            let hash = tuple_hash(self.get(TupleId(id)));
-            match self.collided.get_mut(&hash) {
-                Some(later) => {
-                    let popped = later.pop();
-                    debug_assert_eq!(popped, Some(id), "tuple ids pop in order");
-                    if later.is_empty() {
-                        self.collided.remove(&hash);
-                    }
-                }
-                None => {
-                    let popped = self.first.remove(&hash);
-                    debug_assert_eq!(popped, Some(id), "interned tuple missing");
-                }
-            }
+            let hash = tuple_hash(self.get(TupleId(id as u32)));
+            self.index.remove_newest(hash.0, id as u32);
         }
         let data_len = if keep == 0 {
             0
@@ -208,6 +192,54 @@ impl<T: Copy + Eq + Hash> TupleArena<T> {
         };
         self.ends.truncate(keep);
         self.data.truncate(data_len);
+    }
+}
+
+/// One postings list of a stripe key: the indices of the facts holding
+/// the key's term at the key's position, in insertion order. A chase
+/// that invents many nulls keys most stripes by a null that occurs once
+/// per position, so a one-element list is kept inline and only a second
+/// fact moves it to the heap.
+#[derive(Clone, Debug)]
+enum Postings {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Postings::One(idx) => std::slice::from_ref(idx),
+            Postings::Many(list) => list,
+        }
+    }
+
+    fn push(&mut self, idx: u32) {
+        match self {
+            Postings::One(first) => {
+                // The capacity a `Vec` takes on its first push, so a
+                // shared key reallocates no more often than a plain list.
+                let mut list = Vec::with_capacity(4);
+                list.extend([*first, idx]);
+                *self = Postings::Many(list);
+            }
+            Postings::Many(list) => list.push(idx),
+        }
+    }
+
+    /// Pops the newest index; `true` iff the list is then empty.
+    fn pop(&mut self, idx: u32) -> bool {
+        match self {
+            Postings::One(only) => {
+                debug_assert_eq!(*only, idx, "postings pop in order");
+                true
+            }
+            Postings::Many(list) => {
+                let popped = list.pop();
+                debug_assert_eq!(popped, Some(idx), "postings pop in order");
+                list.is_empty()
+            }
+        }
     }
 }
 
@@ -220,7 +252,7 @@ struct PredTable<T> {
     rows: Vec<u32>,
     /// `stripes[pos][term]` = indices of facts whose argument at `pos` is
     /// `term`, in insertion order.
-    stripes: Vec<FxMap<T, Vec<u32>>>,
+    stripes: Vec<FxMap<T, Postings>>,
 }
 
 /// Columnar fact store, generic over the element type `T` (term ids in
@@ -329,35 +361,42 @@ impl<T: Copy + Eq + Hash> FactStore<T> {
     /// if it was not already present, `None` for duplicates (no state
     /// change beyond tuple interning, which is idempotent for duplicates).
     pub fn insert(&mut self, pred: PredId, args: &[T]) -> Option<u32> {
+        self.insert_hashed(pred, tuple_hash(args), args)
+    }
+
+    /// [`FactStore::insert`] with the tuple's [`tuple_hash`] already
+    /// computed. One probe of the intern table and one of the dedup map,
+    /// and one per argument of its stripe; the domain set is probed only
+    /// for a term that opens a new stripe key (a term that already keys
+    /// a stripe is already in the domain).
+    pub fn insert_hashed(&mut self, pred: PredId, hash: TupleHash, args: &[T]) -> Option<u32> {
         debug_assert_eq!(args.len(), self.preds[pred.index()].arity as usize);
-        let tuple = self.tuples.intern(args);
-        let key = dedup_key(pred, tuple);
-        if self.dedup.contains_key(&key) {
-            return None;
-        }
+        debug_assert_eq!(hash, tuple_hash(args), "hash of another tuple");
         let idx = self.fact_pred.len();
         assert!(idx < u32::MAX as usize, "fact store overflow");
         let idx = idx as u32;
-        for &t in args {
-            if self.domain_set.insert(t) {
-                self.domain.push(t);
+        let tuple = self.tuples.intern_hashed(hash, args);
+        match self.dedup.entry(dedup_key(pred, tuple)) {
+            Entry::Occupied(_) => return None,
+            Entry::Vacant(slot) => {
+                slot.insert(idx);
             }
         }
         let table = &mut self.preds[pred.index()];
         table.rows.push(idx);
-        let mut new_keys = 0;
         for (pos, &t) in args.iter().enumerate() {
-            table.stripes[pos]
-                .entry(t)
-                .or_insert_with(|| {
-                    new_keys += 1;
-                    Vec::new()
-                })
-                .push(idx);
+            match table.stripes[pos].entry(t) {
+                Entry::Occupied(mut list) => list.get_mut().push(idx),
+                Entry::Vacant(slot) => {
+                    slot.insert(Postings::One(idx));
+                    self.index_keys += 1;
+                    if self.domain_set.insert(t) {
+                        self.domain.push(t);
+                    }
+                }
+            }
         }
-        self.index_keys += new_keys;
         self.postings += args.len();
-        self.dedup.insert(key, idx);
         self.fact_pred.push(pred.0);
         self.fact_tuple.push(tuple.0);
         self.peak_facts = self.peak_facts.max(self.fact_pred.len());
@@ -366,7 +405,13 @@ impl<T: Copy + Eq + Hash> FactStore<T> {
 
     /// The index of the fact `pred(args)`, if present (read-only probe).
     pub fn lookup(&self, pred: PredId, args: &[T]) -> Option<u32> {
-        let tuple = self.tuples.find(args)?;
+        self.lookup_hashed(pred, tuple_hash(args), args)
+    }
+
+    /// [`FactStore::lookup`] with the tuple's [`tuple_hash`] already
+    /// computed.
+    pub fn lookup_hashed(&self, pred: PredId, hash: TupleHash, args: &[T]) -> Option<u32> {
+        let tuple = self.tuples.find_hashed(hash, args)?;
         self.dedup.get(&dedup_key(pred, tuple)).copied()
     }
 
@@ -395,7 +440,7 @@ impl<T: Copy + Eq + Hash> FactStore<T> {
     pub fn with_pred_pos_term(&self, pred: PredId, pos: u32, term: T) -> &[u32] {
         self.preds[pred.index()].stripes[pos as usize]
             .get(&term)
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], Postings::as_slice)
     }
 
     /// The active domain (first-occurrence order of elements).
@@ -465,7 +510,7 @@ impl<T: Copy + Eq + Hash> FactStore<T> {
             self.preds.iter().any(|p| {
                 p.stripes
                     .iter()
-                    .any(|s| below(s.get(&t).and_then(|l| l.first())))
+                    .any(|s| below(s.get(&t).and_then(|l| l.as_slice().first())))
             })
         });
         let tuples = cut_from_end(self.tuples.len(), |id| {
@@ -504,9 +549,7 @@ impl<T: Copy + Eq + Hash> FactStore<T> {
             for (pos, &t) in args.iter().enumerate() {
                 let stripe = &mut table.stripes[pos];
                 let list = stripe.get_mut(&t).expect("indexed term missing");
-                let popped = list.pop();
-                debug_assert_eq!(popped, Some(idx as u32), "postings pop in order");
-                if list.is_empty() {
+                if list.pop(idx as u32) {
                     stripe.remove(&t);
                     self.index_keys -= 1;
                 }
@@ -718,6 +761,67 @@ mod tests {
         assert_eq!(popped.domain(), &[1, 2, 3]);
         assert_eq!(popped.stats().tuples, 4);
         assert_eq!(popped.lookup(e, &[4, 1]), None);
+    }
+
+    /// `[1, 0]` and `[0, MUL]` share one word hash (`(1·M + 0)·M =
+    /// (0·M + M)·M`), so the second is a genuine 64-bit collision: both
+    /// intern apart and stay findable, and `restore` pops the collided id
+    /// before the first one (the index checks the order).
+    #[test]
+    fn colliding_tuples_intern_apart_and_pop_in_order() {
+        let (a, b) = ([1u64, 0], [0u64, crate::fx::MUL]);
+        let hash = tuple_hash(&a);
+        assert_eq!(tuple_hash(&b), hash, "a forced collision");
+        let mut arena: TupleArena<u64> = TupleArena::default();
+        let ia = arena.intern_hashed(hash, &a);
+        let ib = arena.intern_hashed(hash, &b);
+        assert_ne!(ia, ib);
+        assert_eq!(arena.intern_hashed(hash, &b), ib, "re-interning finds it");
+        assert_eq!(arena.find_hashed(hash, &a), Some(ia));
+        assert_eq!(arena.find_hashed(hash, &b), Some(ib));
+        assert_eq!(arena.find_hashed(hash, &[2, 2]), None);
+
+        let mut s: FactStore<u64> = FactStore::new();
+        let e = s.register_pred(2);
+        let empty = s.snapshot();
+        assert_eq!(s.insert_hashed(e, hash, &a), Some(0));
+        let one = s.snapshot();
+        assert_eq!(s.insert_hashed(e, hash, &b), Some(1));
+        assert_eq!(s.insert_hashed(e, hash, &b), None);
+        assert_eq!(s.lookup_hashed(e, hash, &a), Some(0));
+        assert_eq!(s.lookup(e, &b), Some(1));
+        s.restore(&one);
+        assert_eq!(s.lookup(e, &a), Some(0));
+        assert_eq!(s.lookup(e, &b), None);
+        s.restore(&empty);
+        assert!(s.tuples.index.is_empty());
+        assert_eq!(s.lookup(e, &a), None);
+    }
+
+    /// A stripe key holds its first fact inline and moves to a list on
+    /// the second; restoring walks both forms back.
+    #[test]
+    fn single_postings_stay_inline_until_shared() {
+        let (mut s, e, _) = store2();
+        s.insert(e, &[1, 2]);
+        let snap = s.snapshot();
+        assert!(matches!(
+            s.preds[e.index()].stripes[0][&1],
+            Postings::One(0)
+        ));
+        s.insert(e, &[1, 3]);
+        assert!(matches!(
+            s.preds[e.index()].stripes[0][&1],
+            Postings::Many(_)
+        ));
+        assert_eq!(s.with_pred_pos_term(e, 0, 1), &[0, 1]);
+        assert_eq!(s.with_pred_pos_term(e, 1, 3), &[1]);
+        assert_eq!(s.stats().index_keys, 3);
+        s.restore(&snap);
+        assert_eq!(s.with_pred_pos_term(e, 0, 1), &[0]);
+        assert_eq!(s.with_pred_pos_term(e, 1, 3), &[] as &[u32]);
+        assert_eq!(s.stats().index_keys, 2);
+        assert_eq!(s.domain(), &[1, 2]);
     }
 
     #[test]

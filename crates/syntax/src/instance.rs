@@ -21,7 +21,8 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use qr_storage::{
-    ByteReader, ByteWriter, DecodeError, DecodeErrorKind, FactStore, FxMap, PredId, Snapshot,
+    tuple_hash, ByteReader, ByteWriter, DecodeError, DecodeErrorKind, FactStore, FxMap, PredId,
+    Snapshot, TupleHash,
 };
 
 use crate::atom::{Fact, Pred};
@@ -182,8 +183,18 @@ impl Instance {
     /// instance: the store interns the argument slice itself, so no owned
     /// [`Fact`] is built.
     pub fn insert_ref(&mut self, fact: FactRef<'_>) -> Option<FactIdx> {
+        self.insert_hashed(fact, tuple_hash(fact.args))
+    }
+
+    /// [`Instance::insert_ref`] with `hash`, the [`tuple_hash`] of the
+    /// fact's arguments, computed by the caller: a chase that probed the
+    /// fact with [`Instance::index_of_hashed`] inserts it without hashing
+    /// it again.
+    pub fn insert_hashed(&mut self, fact: FactRef<'_>, hash: TupleHash) -> Option<FactIdx> {
         let pid = self.pred_id(fact.pred);
-        self.store.insert(pid, fact.args).map(|i| i as FactIdx)
+        self.store
+            .insert_hashed(pid, hash, fact.args)
+            .map(|i| i as FactIdx)
     }
 
     /// Inserts all facts from the iterator.
@@ -216,8 +227,16 @@ impl Instance {
 
     /// [`Instance::index_of`] from a borrowed view.
     pub fn index_of_ref(&self, fact: FactRef<'_>) -> Option<FactIdx> {
+        self.index_of_hashed(fact, tuple_hash(fact.args))
+    }
+
+    /// [`Instance::index_of_ref`] with `hash`, the [`tuple_hash`] of the
+    /// fact's arguments, computed by the caller.
+    pub fn index_of_hashed(&self, fact: FactRef<'_>, hash: TupleHash) -> Option<FactIdx> {
         let pid = *self.pred_ids.get(&fact.pred)?;
-        self.store.lookup(pid, fact.args).map(|i| i as FactIdx)
+        self.store
+            .lookup_hashed(pid, hash, fact.args)
+            .map(|i| i as FactIdx)
     }
 
     /// Number of distinct terms in the active domain. Like fact indices,

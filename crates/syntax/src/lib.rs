@@ -53,8 +53,10 @@ pub use atom::{Fact, Pred};
 pub use instance::{FactIdx, FactRef, Instance, InstanceSnapshot, StorageStats};
 pub use parser::{parse_instance, parse_query, parse_theory, ParseError};
 /// The unseeded word-hash maps for id-keyed point lookups (see
-/// [`qr_storage::FxHasher`]), for crates above this one.
-pub use qr_storage::{FxMap, FxSet};
+/// [`qr_storage::FxHasher`]), for crates above this one, and the tuple
+/// hash that [`Instance::index_of_hashed`] and [`Instance::insert_hashed`]
+/// take.
+pub use qr_storage::{tuple_hash, FxMap, FxSet, TupleHash};
 pub use query::{ConjunctiveQuery, QAtom, QTerm, Ucq, Var};
 pub use rule::{Tgd, Theory};
 pub use symbol::Symbol;

@@ -9,9 +9,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock};
 
-use qr_storage::FxMap;
+use qr_storage::{FxHasher, FxMap, HashIndex};
 
 use crate::symbol::Symbol;
 
@@ -41,7 +42,6 @@ pub enum TermData {
     Skolem(SkolemFn, Vec<TermId>),
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
 enum TermKey {
     Const(Symbol),
     Skolem(SkolemFn, Box<[TermId]>),
@@ -50,10 +50,36 @@ enum TermKey {
 #[derive(Default)]
 struct Arena {
     terms: Vec<TermKey>,
-    /// Keys are symbol and term ids, so the unseeded word hasher is safe.
-    by_key: FxMap<TermKey, u32>,
+    /// Keys are symbol ids, so the unseeded word hasher is safe.
+    consts: FxMap<Symbol, u32>,
+    /// [`skolem_hash`] → Skolem term ids, probed with a borrowed argument
+    /// slice, so a hit allocates nothing.
+    skolems_by_hash: HashIndex,
     skolems: Vec<SkolemData>,
     skolems_by_key: HashMap<(Symbol, u32), u32>,
+}
+
+/// The word hash of a Skolem term `f(args…)`: ids only, so unseeded.
+fn skolem_hash(f: SkolemFn, args: &[TermId]) -> u64 {
+    let mut h = FxHasher::default();
+    f.hash(&mut h);
+    for a in args {
+        a.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// `true` iff `key` is the Skolem term `f(args…)`.
+fn is_skolem(key: &TermKey, f: SkolemFn, args: &[TermId]) -> bool {
+    matches!(key, TermKey::Skolem(g, a) if *g == f && **a == *args)
+}
+
+impl Arena {
+    fn push(&mut self, key: TermKey) -> u32 {
+        let id = u32::try_from(self.terms.len()).expect("term arena overflow");
+        self.terms.push(key);
+        id
+    }
 }
 
 fn arena() -> &'static RwLock<Arena> {
@@ -94,37 +120,53 @@ impl fmt::Debug for SkolemFn {
 impl TermId {
     /// The hash-consed constant term for `name`.
     pub fn constant(name: Symbol) -> TermId {
-        Self::intern(TermKey::Const(name))
+        if let Some(&id) = arena()
+            .read()
+            .expect("term arena poisoned")
+            .consts
+            .get(&name)
+        {
+            return TermId(id);
+        }
+        let mut a = arena().write().expect("term arena poisoned");
+        if let Some(&id) = a.consts.get(&name) {
+            return TermId(id);
+        }
+        let id = a.push(TermKey::Const(name));
+        a.consts.insert(name, id);
+        TermId(id)
     }
 
-    /// The hash-consed Skolem term `f(args…)`.
+    /// The hash-consed Skolem term `f(args…)`. An existing term costs one
+    /// read lock and one probe with the borrowed `args`; only a new term
+    /// takes the write lock and copies `args`.
     ///
     /// # Panics
     /// Panics if `args.len()` does not match the arity of `f`.
     pub fn skolem(f: SkolemFn, args: &[TermId]) -> TermId {
-        assert_eq!(
-            args.len(),
-            f.arity() as usize,
-            "skolem arity mismatch for {:?}",
-            f
-        );
-        Self::intern(TermKey::Skolem(f, args.into()))
-    }
-
-    fn intern(key: TermKey) -> TermId {
+        let hash = skolem_hash(f, args);
         {
             let a = arena().read().expect("term arena poisoned");
-            if let Some(&id) = a.by_key.get(&key) {
+            let arity = a.skolems[f.0 as usize].arity;
+            if args.len() != arity as usize {
+                // Release the lock first: the message reads `f`'s tag.
+                drop(a);
+                panic!("skolem arity mismatch for {f:?}: {arity} != {}", args.len());
+            }
+            let eq = |id: u32| is_skolem(&a.terms[id as usize], f, args);
+            if let Some(id) = a.skolems_by_hash.find(hash, eq) {
                 return TermId(id);
             }
         }
-        let mut a = arena().write().expect("term arena poisoned");
-        if let Some(&id) = a.by_key.get(&key) {
-            return TermId(id);
-        }
+        let mut guard = arena().write().expect("term arena poisoned");
+        let a = &mut *guard;
         let id = u32::try_from(a.terms.len()).expect("term arena overflow");
-        a.terms.push(key.clone());
-        a.by_key.insert(key, id);
+        let terms = &a.terms;
+        let eq = |t: u32| is_skolem(&terms[t as usize], f, args);
+        if let Some(found) = a.skolems_by_hash.find_or_insert(hash, id, eq) {
+            return TermId(found);
+        }
+        a.terms.push(TermKey::Skolem(f, args.into()));
         TermId(id)
     }
 
