@@ -184,7 +184,7 @@ fn main() {
                 continue;
             }
             let t0 = std::time::Instant::now();
-            let table = build(&exec);
+            let table = build();
             let wall = t0.elapsed();
             println!("{table}   [{id} total {wall:?}]\n");
             timings.push(ExperimentTiming {

@@ -5,16 +5,11 @@
 //! entry point ([`qr_rewrite::rewrite_certified`]), its bundle pushed
 //! through the `QRRC` codec, and replayed by [`qr_check::check_rewrite`];
 //! the E11 transitive-closure chase on `G(60,120)` does the same through
-//! `QRCC` and [`qr_check::check_chase`]. Two invariants are pinned as
-//! drift-gated counters:
-//!
-//! * `failures` is empty — every certificate replays;
-//! * `kernel_searches` is `0` — the checker never touches the shared
-//!   [`HomKernel`](qr_hom), it only verifies recorded witnesses. The
-//!   delta is measured around the replay alone (the emitting engine run
-//!   searches plenty) and additionally asserted here, so a checker that
-//!   starts searching fails the harness loudly before `bench_diff` even
-//!   runs.
+//! `QRCC` and [`qr_check::check_chase`]. The drift-gated invariant is
+//! that `failures` is empty: every certificate replays. The checker only
+//! verifies recorded witnesses and never searches: `qr-check` does not
+//! depend on `qr-hom`, so it has no homomorphism kernel to search with,
+//! and CI fails if that dependency edge appears.
 //!
 //! Only `wall_ms` is machine-dependent; certificate counts and encoded
 //! sizes are pure functions of (theory, query/instance, budget). Prover
@@ -27,7 +22,6 @@ use qr_check::{
     check_chase, check_rewrite, decode_chase_certs, decode_rewrite_certs, encode_chase_certs,
     encode_rewrite_certs,
 };
-use qr_hom::global_kernel;
 use qr_rewrite::{rewrite_certified, RewriteBudget};
 use qr_syntax::{parse_query, parse_theory};
 
@@ -36,8 +30,7 @@ use crate::report::CheckRun;
 use crate::rewrite_workloads;
 
 /// Certifies one pinned rewrite fixture end to end: engine → codec →
-/// replay. The kernel-search delta is measured around the decode+replay
-/// span only.
+/// replay. The wall time covers the decode+replay span only.
 fn rewrite_check(
     label: &str,
     theory_src: &str,
@@ -49,7 +42,6 @@ fn rewrite_check(
     let (r, bundle) = rewrite_certified(&theory, &query, budget).expect("no builtin bodies");
     let bytes = encode_rewrite_certs(&bundle);
 
-    let before = global_kernel().stats();
     let t0 = Instant::now();
     let mut failures = Vec::new();
     let certs = match decode_rewrite_certs(&bytes) {
@@ -66,10 +58,6 @@ fn rewrite_check(
         }
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let after = global_kernel().stats();
-    let kernel_searches =
-        (after.searches - before.searches) + (after.core_searches - before.core_searches);
-    assert_eq!(kernel_searches, 0, "{label}: the checker must not search");
 
     CheckRun {
         workload: label.to_owned(),
@@ -77,7 +65,6 @@ fn rewrite_check(
         wall_ms,
         certs,
         cert_bytes: bytes.len(),
-        kernel_searches,
         failures,
     }
 }
@@ -95,7 +82,6 @@ fn chase_check() -> CheckRun {
     let bundle = emit_chase_certs(&theory, &c);
     let bytes = encode_chase_certs(&bundle);
 
-    let before = global_kernel().stats();
     let t0 = Instant::now();
     let mut failures = Vec::new();
     let certs = match decode_chase_certs(&bytes) {
@@ -112,10 +98,6 @@ fn chase_check() -> CheckRun {
         }
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let after = global_kernel().stats();
-    let kernel_searches =
-        (after.searches - before.searches) + (after.core_searches - before.core_searches);
-    assert_eq!(kernel_searches, 0, "chase checker must not search");
 
     CheckRun {
         workload: "TC on G(60,120)".to_owned(),
@@ -123,7 +105,6 @@ fn chase_check() -> CheckRun {
         wall_ms,
         certs,
         cert_bytes: bytes.len(),
-        kernel_searches,
         failures,
     }
 }
@@ -149,7 +130,6 @@ mod tests {
         assert_eq!(runs.len(), rewrite_workloads::fixtures().len() + 1);
         for r in &runs {
             assert!(r.failures.is_empty(), "{}: {:?}", r.workload, r.failures);
-            assert_eq!(r.kernel_searches, 0, "{}", r.workload);
             assert!(r.certs > 0, "{}: no certificates emitted", r.workload);
             assert!(r.cert_bytes > 0, "{}", r.workload);
         }

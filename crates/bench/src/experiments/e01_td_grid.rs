@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use qr_chase::{chase, ChaseBudget};
 use qr_core::theories::{green_path, phi_r_n, t_d};
-use qr_hom::holds;
+use qr_hom::HomKernel;
 
 use crate::Table;
 
@@ -22,6 +22,7 @@ pub fn run_one(n: usize, max_rounds: usize) -> (Option<usize>, usize, bool) {
     let (db, a, b) = green_path(len, "a");
     let theory = t_d();
     let q = phi_r_n(n);
+    let kernel = HomKernel::new();
     for rounds in 1..=max_rounds {
         let ch = chase(
             &theory,
@@ -31,7 +32,7 @@ pub fn run_one(n: usize, max_rounds: usize) -> (Option<usize>, usize, bool) {
                 max_facts: 2_000_000,
             },
         );
-        if holds(&q, &ch.instance, &[a, b]) {
+        if kernel.holds(&q, &ch.instance, &[a, b]) {
             return (Some(rounds), ch.instance.len(), true);
         }
     }
@@ -39,7 +40,7 @@ pub fn run_one(n: usize, max_rounds: usize) -> (Option<usize>, usize, bool) {
 }
 
 /// The E1 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E1  Fig. 1 / Thm 5B(i) — T_d entails φ_R^n on the green path G^{2^n}",
         "entailed at every n; depth grows ~linearly in n, chase size exponentially",
@@ -72,6 +73,7 @@ pub fn table(_exec: &qr_exec::Executor) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qr_hom::holds;
 
     #[test]
     fn small_n_entailed_at_expected_depths() {

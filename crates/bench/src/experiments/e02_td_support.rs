@@ -23,7 +23,7 @@ pub fn depth_for(n: usize) -> usize {
 }
 
 /// The E2 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E2  Thm 5B(ii) — minimal support of φ_R^n is the whole path; T_d is not distancing",
         "support = 2^n (the full G-path); dist_D/dist_Ch crosses 1 at n=3 (2^n vs ~2n+1 through the grid)",

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use qr_core::marked::rewrite_td;
 use qr_core::theories::{g_power_query, phi_r_n};
-use qr_hom::containment::equivalent;
+use qr_hom::HomKernel;
 
 use crate::Table;
 
@@ -14,7 +14,7 @@ use crate::Table;
 pub const MAX_N: usize = 5;
 
 /// The E3 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E3  Thm 5(A) — marked-query process computes rew(φ_R^n) under T_d",
         "terminates; contains the G^{2^n} disjunct; max disjunct size grows exponentially in n",
@@ -28,11 +28,12 @@ pub fn table(_exec: &qr_exec::Executor) -> Table {
             "ms",
         ],
     );
+    let kernel = HomKernel::new();
     for n in 1..=MAX_N {
         let t0 = Instant::now();
         let r = rewrite_td(&phi_r_n(n), 100_000_000).expect("process terminates");
         let gpath = g_power_query(1 << n);
-        let present = r.disjuncts.iter().any(|d| equivalent(d, &gpath));
+        let present = r.disjuncts.iter().any(|d| kernel.equivalent(d, &gpath));
         t.row(vec![
             n.to_string(),
             phi_r_n(n).size().to_string(),
@@ -68,6 +69,7 @@ mod tests {
     fn g_path_disjunct_present_n3() {
         let r = rewrite_td(&phi_r_n(3), 10_000_000).unwrap();
         let g8 = g_power_query(8);
-        assert!(r.disjuncts.iter().any(|d| equivalent(d, &g8)));
+        let kernel = HomKernel::new();
+        assert!(r.disjuncts.iter().any(|d| kernel.equivalent(d, &g8)));
     }
 }

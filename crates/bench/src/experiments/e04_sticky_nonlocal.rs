@@ -15,7 +15,7 @@ use crate::Table;
 pub const KS: [usize; 5] = [1, 2, 3, 4, 5];
 
 /// The E4 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E4  Ex. 39 — sticky theory is BDD but not local (support grows with colours)",
         "max minimal support = k+1, growing with the star's degree",

@@ -13,7 +13,7 @@ use crate::Table;
 pub const NS: [usize; 5] = [3, 4, 5, 6, 8];
 
 /// The E5 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E5  Ex. 42 — T_c is BDD but not bd-local (degree-2 cycles need all n edges)",
         "degree stays 2 while max minimal support = n",

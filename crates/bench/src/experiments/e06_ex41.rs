@@ -24,7 +24,7 @@ pub fn bounded_degree_chain(n: usize) -> Instance {
 }
 
 /// The E6 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E6  Ex. 41 — bd-local but not BDD: rewriting diverges, supports stay small",
         "disjunct count grows with the budget (never Complete); bounded-degree supports ≤ 2",

@@ -39,7 +39,7 @@ fn measure(theory: &Theory, q: &ConjunctiveQuery) -> (bool, usize, usize) {
 }
 
 /// The E7 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E7  Obs. 31 / Thm 3 — linear (local) theories have linear-size rewritings",
         "complete rewritings; rs(ψ) ≤ l·|ψ| with small l (compare E3's exponential rs)",

@@ -27,7 +27,7 @@ pub fn e_path(n: usize) -> Instance {
 }
 
 /// The E8 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E8  Thm 4 / Obs. 27 / Ex. 28 — uniform chase bounds c_{T,D}",
         "Ex.23: flat c=2 (UBDD); T_p: no certificates (not FES); Ex.28: c grows with K",

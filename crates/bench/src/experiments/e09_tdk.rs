@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use qr_core::marked::rewrite_tdk;
 use qr_core::theories::{colour_path_query, phi_n};
-use qr_hom::containment::equivalent;
+use qr_hom::HomKernel;
 use qr_syntax::{parse_query, ConjunctiveQuery};
 
 use crate::Table;
@@ -47,7 +47,7 @@ pub fn tower(k: usize, n: usize) -> ConjunctiveQuery {
 }
 
 /// The E9 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E9  §12 / Thm 6 — T_d^K: the per-level exponential compounds across colours",
         "each level pair yields pure low-colour paths of length 2^n; tower sizes grow with K and n",
@@ -63,13 +63,14 @@ pub fn table(_exec: &qr_exec::Executor) -> Table {
         ],
     );
     // (1) Per-level single exponential inside T_d^3.
+    let kernel = HomKernel::new();
     for (level, hi, lo) in [(1u8, "i2", "i1"), (2u8, "i3", "i2")] {
         for n in 1..=3usize {
             let t0 = Instant::now();
             let q = phi_n(n, hi, lo);
             let r = rewrite_tdk(3, &q, 100_000_000).expect("terminates");
             let path = colour_path_query(1 << n, lo);
-            let present = r.disjuncts.iter().any(|d| equivalent(d, &path));
+            let present = r.disjuncts.iter().any(|d| kernel.equivalent(d, &path));
             t.row(vec![
                 "3".into(),
                 format!("φ^{n} at level {}", level + 1),
@@ -107,12 +108,13 @@ mod tests {
 
     #[test]
     fn per_level_exponential() {
+        let kernel = HomKernel::new();
         for (hi, lo) in [("i2", "i1"), ("i3", "i2")] {
             let q = phi_n(2, hi, lo);
             let r = rewrite_tdk(3, &q, 10_000_000).unwrap();
             let path = colour_path_query(4, lo);
             assert!(
-                r.disjuncts.iter().any(|d| equivalent(d, &path)),
+                r.disjuncts.iter().any(|d| kernel.equivalent(d, &path)),
                 "level ({hi},{lo}) missing its 2^2-path disjunct"
             );
         }

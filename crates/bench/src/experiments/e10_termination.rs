@@ -54,7 +54,7 @@ fn probe_instance(theory: &Theory) -> Instance {
 }
 
 /// The E10 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E10  Ex. 22/23, Defs. 18–21 — termination taxonomy over the zoo",
         "T_p: BDD only; Ex.23: +FES; Ex.28: +FES with growing bound; Datalog-free rules AIT iff weakly acyclic",

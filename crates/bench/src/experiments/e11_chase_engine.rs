@@ -114,7 +114,7 @@ pub fn stats_runs(exec: &Executor) -> Vec<ChaseRun> {
 }
 
 /// The E11 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E11  Obs. 8 / §3 — engine properties: semi-naive speedup, literal chase equality",
         "identical prefixes; semi-naive faster on recursive Datalog; Obs. 8 holds on all samples",

@@ -12,8 +12,7 @@ use std::time::Instant;
 use qr_chase::{chase, ChaseBudget};
 use qr_core::marked::rewrite_td;
 use qr_core::theories::{ex39, green_path, phi_r_n, t_a, t_p};
-use qr_exec::Executor;
-use qr_hom::{holds, holds_ucq_with};
+use qr_hom::HomKernel;
 use qr_rewrite::{rewrite, RewriteBudget};
 use qr_syntax::{parse_instance, parse_query, ConjunctiveQuery, Instance, TermId, Theory, Ucq};
 
@@ -21,16 +20,16 @@ use crate::Table;
 
 /// Checks the equivalence for one (theory, query, rewriting, instance):
 /// returns `(agreements, disagreements)` over all answer tuples from
-/// `dom(D)` (capped at 200 tuples). The rewriting-side disjunct sweep for
-/// each tuple runs on `exec`'s worker pool.
+/// `dom(D)` (capped at 200 tuples). Both sides are decided on `kernel`,
+/// so a caller checking many instances compiles each query once.
 pub fn check_equivalence(
+    kernel: &HomKernel,
     theory: &Theory,
     query: &ConjunctiveQuery,
     rewriting: &Ucq,
     rewriting_has_true: bool,
     db: &Instance,
     depth: usize,
-    exec: &Executor,
 ) -> (usize, usize) {
     let ch = chase(
         theory,
@@ -60,8 +59,12 @@ pub fn check_equivalence(
     }
     let (mut agree, mut disagree) = (0, 0);
     for tuple in tuples {
-        let via_chase = holds(query, &ch.instance, &tuple);
-        let via_rewriting = rewriting_has_true || holds_ucq_with(exec, rewriting, db, &tuple);
+        let via_chase = kernel.holds(query, &ch.instance, &tuple);
+        let via_rewriting = rewriting_has_true
+            || rewriting
+                .disjuncts()
+                .iter()
+                .any(|d| kernel.holds(d, db, &tuple));
         if via_chase == via_rewriting {
             agree += 1;
         } else {
@@ -72,7 +75,8 @@ pub fn check_equivalence(
 }
 
 /// The E12 table.
-pub fn table(exec: &Executor) -> Table {
+pub fn table() -> Table {
+    let kernel = HomKernel::new();
     let mut t = Table::new(
         "E12  Thm 1 — rewriting ≡ chase on every (theory, query, instance, tuple)",
         "zero disagreements everywhere",
@@ -131,7 +135,7 @@ pub fn table(exec: &Executor) -> Table {
         for (iname, db) in dbs {
             let t0 = Instant::now();
             let (agree, disagree) =
-                check_equivalence(&theory, &query, &r.ucq, false, &db, depth, exec);
+                check_equivalence(&kernel, &theory, &query, &r.ucq, false, &db, depth);
             t.row(vec![
                 name.into(),
                 query.render(),
@@ -156,7 +160,7 @@ pub fn table(exec: &Executor) -> Table {
             let (db, _, _) = green_path(m, &format!("e12x{n}x{m}x"));
             let t0 = Instant::now();
             let (agree, disagree) =
-                check_equivalence(&td, &q, &ucq, mr.has_true_disjunct, &db, 2 * n + 2, exec);
+                check_equivalence(&kernel, &td, &q, &ucq, mr.has_true_disjunct, &db, 2 * n + 2);
             t.row(vec![
                 "T_d (marked)".into(),
                 format!("φ_R^{n}"),
@@ -178,10 +182,10 @@ mod tests {
     fn no_disagreements_small() {
         let theory = t_p();
         let query = parse_query("?(A) :- e(A,B), e(B,C).").unwrap();
-        let exec = Executor::sequential();
         let r = rewrite(&theory, &query, RewriteBudget::default()).unwrap();
         let db = parse_instance("e(a,b). e(c,d). e(d,a).").unwrap();
-        let (_, disagree) = check_equivalence(&theory, &query, &r.ucq, false, &db, 6, &exec);
+        let (_, disagree) =
+            check_equivalence(&HomKernel::new(), &theory, &query, &r.ucq, false, &db, 6);
         assert_eq!(disagree, 0);
     }
 
@@ -190,17 +194,11 @@ mod tests {
         let td = qr_core::theories::t_d();
         let q = phi_r_n(1);
         let mr = rewrite_td(&q, 1_000_000).unwrap();
+        let kernel = HomKernel::new();
         for m in 1..=3usize {
             let (db, _, _) = green_path(m, &format!("t12x{m}x"));
-            let (_, disagree) = check_equivalence(
-                &td,
-                &q,
-                &mr.ucq(),
-                mr.has_true_disjunct,
-                &db,
-                4,
-                &Executor::with_threads(2),
-            );
+            let (_, disagree) =
+                check_equivalence(&kernel, &td, &q, &mr.ucq(), mr.has_true_disjunct, &db, 4);
             assert_eq!(disagree, 0, "G^{m}");
         }
     }

@@ -27,7 +27,7 @@ pub fn ex66_instance(m: usize) -> Instance {
 }
 
 /// The E13 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E13  App. A / Thm 3 — normalization bounds connected ancestors (Ex. 66)",
         "raw adversarial tree-ancestor union grows with |D|; T_NF connected union stays ≤ 2; Lemma 70 & Cor. 76 hold",

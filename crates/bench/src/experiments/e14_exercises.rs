@@ -25,7 +25,7 @@ fn path(n: usize) -> Instance {
 }
 
 /// The E14 table.
-pub fn table(_exec: &qr_exec::Executor) -> Table {
+pub fn table() -> Table {
     let mut t = Table::new(
         "E14  Ex. 13/17, Obs. 29 — BDD locality intuitions, quantified",
         "contraction d and delay n_at flat for BDD theories, growing for transitive closure; Obs. 29 holds",

@@ -16,12 +16,9 @@ pub mod e13_normalization;
 pub mod e14_exercises;
 
 use crate::Table;
-use qr_exec::Executor;
 
-/// A table-producing experiment entry point. Experiments take the
-/// harness-built [`Executor`] so an explicit `--threads N` reaches every
-/// parallel stage without mutating process environment.
-pub type ExperimentFn = fn(&Executor) -> Table;
+/// A table-producing experiment entry point.
+pub type ExperimentFn = fn() -> Table;
 
 /// The experiments, as `(id, constructor)` pairs so callers can stream
 /// results as they are produced.

@@ -1,6 +1,6 @@
 //! Experiment harness: one module per experiment of `DESIGN.md` (E1–E12).
 //!
-//! Each module exposes `table(&Executor) -> Table`; the `harness` binary
+//! Each module exposes `table() -> Table`; the `harness` binary
 //! runs them all and prints the rows that `EXPERIMENTS.md` records.
 //! Parameters are chosen so the full run finishes in minutes on a laptop;
 //! each module's doc comment states the paper anchor and the expected

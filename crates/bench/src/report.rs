@@ -557,8 +557,7 @@ pub struct ShardRun {
 /// certificates pushed through the codec and re-verified by `qr-check`.
 /// Everything but `wall_ms` is deterministic — certificate counts and
 /// encoded sizes are pure functions of (theory, query/instance, budget),
-/// `kernel_searches` is pinned to zero (the checker never searches), and
-/// `failures` is pinned empty.
+/// and `failures` is pinned empty.
 pub struct CheckRun {
     /// Workload label (matches the rewrite fixture / E11 chase labels).
     pub workload: String,
@@ -570,9 +569,6 @@ pub struct CheckRun {
     pub certs: usize,
     /// Encoded bundle size, bytes.
     pub cert_bytes: usize,
-    /// Homomorphism-kernel searches during the replay — zero by the
-    /// checker's no-search contract, and drift-gated at zero.
-    pub kernel_searches: u64,
     /// Rendered located errors; empty on a fully certified run.
     pub failures: Vec<String>,
 }
@@ -840,7 +836,6 @@ impl ToJson for CheckRun {
             "wall_ms" => Json::ms(self.wall_ms),
             "certs" => self.certs,
             "cert_bytes" => self.cert_bytes,
-            "kernel_searches" => self.kernel_searches,
             "failures" => failures.collect::<Vec<_>>(),
         })
     }

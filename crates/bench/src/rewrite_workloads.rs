@@ -10,7 +10,7 @@
 //! * **Marked-query runs** — `rewrite_td` on the paper's `φ_R^n` queries,
 //!   reporting the frontier counters of the marked process.
 
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use qr_core::marked::rewrite_td;
@@ -190,8 +190,8 @@ pub fn hom_microbench() -> RewriteRun {
         kept.push(parse_query(&format!("? :- {}.", atoms.join(", "))).unwrap());
     }
     let t0 = Instant::now();
-    let entries: Vec<Arc<QueryEntry>> = kept.iter().map(|q| kernel.entry(q)).collect();
-    let refs: Vec<&Arc<QueryEntry>> = entries.iter().collect();
+    let entries: Vec<Rc<QueryEntry>> = kept.iter().map(|q| kernel.entry(q)).collect();
+    let refs: Vec<&Rc<QueryEntry>> = entries.iter().collect();
     let mut subsumed = 0usize;
     for _ in 0..ROUNDS {
         for q in &kept {

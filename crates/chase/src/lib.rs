@@ -59,5 +59,6 @@ pub fn first_entailment_depth(
     budget: ChaseBudget,
 ) -> Option<usize> {
     let result = chase(theory, db, budget);
-    (0..=result.rounds).find(|&n| qr_hom::holds(query, &result.prefix(n), answer))
+    let kernel = qr_hom::HomKernel::new();
+    (0..=result.rounds).find(|&n| kernel.holds(query, &result.prefix(n), answer))
 }

@@ -164,9 +164,10 @@ pub fn minimal_support(
     answer: &[TermId],
     budget: ChaseBudget,
 ) -> Option<Instance> {
+    let kernel = qr_hom::HomKernel::new();
     let holds = |inst: &Instance| {
         let ch = chase(theory, inst, budget);
-        qr_hom::holds(query, &ch.instance, answer)
+        kernel.holds(query, &ch.instance, answer)
     };
     if !holds(db) {
         return None;

@@ -1,12 +1,12 @@
-//! End-to-end certification: engine → encode → decode → replay, with
-//! zero homomorphism searches on the checker's side.
+//! End-to-end certification: engine → encode → decode → replay. The
+//! checker has no homomorphism search to run: `qr-check` does not depend
+//! on `qr-hom`, and CI fails if that edge appears.
 
 use qr_chase::{chase, emit_chase_certs, ChaseBudget};
 use qr_check::{
     check_chase, check_rewrite, decode_chase_certs, decode_rewrite_certs, encode_chase_certs,
     encode_rewrite_certs,
 };
-use qr_hom::global_kernel;
 use qr_rewrite::{rewrite_certified, RewriteBudget};
 use qr_syntax::{parse_instance, parse_query, parse_theory};
 
@@ -39,19 +39,9 @@ fn rewrite_workloads_certify_through_the_codec() {
         let decoded = decode_rewrite_certs(&bytes).unwrap();
         assert_eq!(decoded, bundle, "{label}: codec must be lossless");
 
-        // The checker must not touch the shared kernel: replay is pure
-        // recorded-witness verification, zero search.
-        let before = global_kernel().stats();
         let n = check_rewrite(&theory, &query, &r.ucq, &decoded)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
-        let after = global_kernel().stats();
         assert_eq!(n, bundle.certs.len(), "{label}");
-        assert_eq!(after.searches, before.searches, "{label}: kernel searched");
-        assert_eq!(after.freezes, before.freezes, "{label}: kernel froze");
-        assert_eq!(
-            after.core_searches, before.core_searches,
-            "{label}: kernel folded cores"
-        );
     }
 }
 
@@ -139,11 +129,8 @@ fn chase_workloads_certify_through_the_codec() {
         let decoded = decode_chase_certs(&bytes).unwrap();
         assert_eq!(decoded, bundle, "{label}");
 
-        let before = global_kernel().stats();
         let n =
             check_chase(&theory, &c.instance, &decoded).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let after = global_kernel().stats();
         assert_eq!(n, c.instance.len() - bundle.base as usize, "{label}");
-        assert_eq!(after.searches, before.searches, "{label}: kernel searched");
     }
 }

@@ -5,8 +5,8 @@
 //! list of independent work items whose results must be reduced **in
 //! submission order** so the combined output is bit-identical to a
 //! sequential run — per-rule trigger enumeration in the chase (every rule
-//! sees the same immutable prefix `Ch_{i-1}`), shard chases in the sharded
-//! engine, and E12's disjunct sweep. Rewrite saturation and the serving
+//! sees the same immutable prefix `Ch_{i-1}`) and shard chases in the
+//! sharded engine. Rewrite saturation and the serving
 //! engine run on the caller thread and take no executor. The toolchain is
 //! offline, so rayon is out of reach; an [`Executor`] covers the same
 //! ground with scoped threads only:
@@ -30,7 +30,7 @@
 //! rather than by test.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Name of the environment variable overriding the default thread count.
@@ -180,37 +180,6 @@ impl Executor {
         pairs.sort_unstable_by_key(|&(i, _)| i);
         pairs.into_iter().map(|(_, r)| r).collect()
     }
-
-    /// `true` iff `pred` holds for some item. The predicate must be pure:
-    /// the *result* is deterministic (a disjunction is order-independent),
-    /// though which items are inspected after a hit is not — workers stop
-    /// claiming chunks once a witness is found.
-    pub fn any<T: Sync>(&self, items: &[T], pred: impl Fn(&T) -> bool + Sync) -> bool {
-        let n = items.len();
-        if self.is_sequential() || n <= 1 {
-            return items.iter().any(pred);
-        }
-        let workers = self.threads.min(n);
-        let chunk = chunk_size(n, workers);
-        let cursor = AtomicUsize::new(0);
-        let found = AtomicBool::new(false);
-        run_workers(workers, || {
-            while !found.load(Ordering::Relaxed) {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for item in &items[start..end] {
-                    if pred(item) {
-                        found.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-        });
-        found.into_inner()
-    }
 }
 
 /// Chunk size for `n` items over `workers` workers: about four claims per
@@ -313,17 +282,6 @@ mod tests {
         let exec = Executor::with_threads(4);
         assert!(exec.map(&[] as &[u8], |_| 0u8).is_empty());
         assert_eq!(exec.map(&[41u8], |&x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn any_is_exact() {
-        let items: Vec<usize> = (0..10_000).collect();
-        for threads in [1, 2, 4] {
-            let exec = Executor::with_threads(threads);
-            assert!(exec.any(&items, |&x| x == 9_999));
-            assert!(!exec.any(&items, |&x| x > 9_999));
-            assert!(!exec.any(&[] as &[usize], |_| true));
-        }
     }
 
     #[test]

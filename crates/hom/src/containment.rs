@@ -8,45 +8,27 @@
 
 use qr_syntax::query::ConjunctiveQuery;
 
-use crate::kernel::global_kernel;
+use crate::kernel::HomKernel;
 
 /// `true` iff `phi` contains `psi` in the paper's sense: every answer of
 /// `phi` is an answer of `psi` (so `phi` is the logically *stronger* query).
 /// Witnessed by a homomorphism from `psi` into `phi` fixing the answer
 /// variables positionally.
 ///
-/// Delegates to the process-wide [`crate::kernel::HomKernel`], so repeated
-/// checks against the same queries reuse the frozen instance, the compiled
-/// component plans, and the prefilters.
+/// Runs on a [`HomKernel`] that lives for this one call. Callers that
+/// check many pairs own one kernel for the loop
+/// ([`HomKernel::contains_queries`]), so repeated checks against the same
+/// queries reuse the frozen instance, the compiled component plans, and
+/// the prefilters.
 pub fn contains(phi: &ConjunctiveQuery, psi: &ConjunctiveQuery) -> bool {
-    global_kernel().contains_queries(phi, psi)
+    HomKernel::new().contains_queries(phi, psi)
 }
 
-/// `true` iff the two queries are equivalent (mutual containment).
+/// `true` iff the two queries are equivalent (mutual containment), on a
+/// [`HomKernel`] that lives for this one call
+/// ([`HomKernel::equivalent`] for a loop).
 pub fn equivalent(a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
-    contains(a, b) && contains(b, a)
-}
-
-/// Disjunct-vs-set sweep: `true` iff some query in `kept`
-/// [`contains`]-subsumes `cand` — i.e. `contains(cand, r)` holds for some
-/// `r`, so `cand` adds no answers to the union `kept` already describes.
-pub fn subsumed_by_any(cand: &ConjunctiveQuery, kept: &[&ConjunctiveQuery]) -> bool {
-    let k = global_kernel();
-    let cand_entry = k.entry(cand);
-    let entries: Vec<_> = kept.iter().map(|r| k.entry(r)).collect();
-    let refs: Vec<_> = entries.iter().collect();
-    k.subsumed_by_any(&cand_entry, &refs)
-}
-
-/// Set-vs-disjunct sweep: one flag per query in `kept`, `true` iff
-/// `contains(r, cand)` — i.e. `r` is subsumed by `cand` and can be evicted
-/// from a union that now includes `cand`. Flags come back in `kept` order.
-pub fn covered_by(kept: &[&ConjunctiveQuery], cand: &ConjunctiveQuery) -> Vec<bool> {
-    let k = global_kernel();
-    let cand_entry = k.entry(cand);
-    let entries: Vec<_> = kept.iter().map(|r| k.entry(r)).collect();
-    let refs: Vec<_> = entries.iter().collect();
-    k.covered_by(&refs, &cand_entry)
+    HomKernel::new().equivalent(a, b)
 }
 
 #[cfg(test)]

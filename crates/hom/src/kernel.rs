@@ -43,9 +43,9 @@
 //! runs on the calling thread, so the counters of [`HomStats`] are a
 //! function of the calls made.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
 
 use qr_syntax::query::{ConjunctiveQuery, QAtom, QTerm, Var};
 use qr_syntax::{Instance, Pred, Symbol, TermId};
@@ -219,7 +219,7 @@ pub struct QueryEntry {
     conflicts: Vec<(u32, u32)>,
     /// Connected components of the body under shared existential
     /// variables (ψ-side material).
-    components: Vec<Arc<CompiledComponent>>,
+    components: Vec<Rc<CompiledComponent>>,
 }
 
 impl QueryEntry {
@@ -256,14 +256,12 @@ fn pred_bit(p: &Pred) -> u64 {
 
 /// Deterministic counters surfacing what the kernel saved.
 ///
-/// Every sweep runs on the calling thread and the searches of
-/// [`HomKernel::subsumed_by_any`] stop at the first hit in `kept` order,
-/// so each counter is a function of the sequence of calls. A kernel driven
-/// from one thread — a saturation run's private kernel, the marked
-/// pairwise sweep, the `hom` microbench — therefore reports the same
-/// numbers on every run, and all eleven are drift-gated. The process-wide
-/// [`global_kernel`] is shared by concurrent callers, so its counters are
-/// never emitted.
+/// A kernel has one owner, every sweep runs on the calling thread, and the
+/// searches of [`HomKernel::subsumed_by_any`] stop at the first hit in
+/// `kept` order, so each counter is a function of the sequence of calls
+/// made on that kernel. A saturation run's kernel, the marked pairwise
+/// sweep and the `hom` microbench therefore report the same numbers on
+/// every run, and all eleven are drift-gated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HomStats {
     /// Queries frozen and profiled (entry-cache misses).
@@ -291,32 +289,18 @@ pub struct HomStats {
     pub core_cache_hits: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    freezes: AtomicU64,
-    freeze_cache_hits: AtomicU64,
-    plan_compiles: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    prefilter_rejects: AtomicU64,
-    components: AtomicU64,
-    searches: AtomicU64,
-    search_candidates: AtomicU64,
-    core_rounds: AtomicU64,
-    core_searches: AtomicU64,
-    core_cache_hits: AtomicU64,
-}
-
-/// The kernel: three memo tables plus counters. Cheap to create; safe to
-/// share across threads (`&HomKernel` is `Sync`). The free functions of
-/// [`crate::containment`] and [`crate::qcore`] delegate to a global
-/// instance; the rewrite engine and the bench harness create their own so
-/// their [`HomStats`] describe exactly one run.
+/// The kernel: three memo tables plus counters, owned by one run. Cheap
+/// to create and not shareable across threads. The free functions of
+/// [`crate::containment`], [`crate::qcore`] and [`crate::matcher::holds`]
+/// each build one for the call; callers that check in a loop own one for
+/// the whole loop, so its caches warm up on that loop's queries and its
+/// [`HomStats`] describe exactly that run.
 #[derive(Default)]
 pub struct HomKernel {
-    entries: Mutex<HashMap<FreezeKey, Arc<QueryEntry>>>,
-    plans: Mutex<HashMap<PlanKey, Arc<CompiledComponent>>>,
-    cores: Mutex<HashMap<ConjunctiveQuery, ConjunctiveQuery>>,
-    c: Counters,
+    entries: RefCell<HashMap<FreezeKey, Rc<QueryEntry>>>,
+    plans: RefCell<HashMap<PlanKey, Rc<CompiledComponent>>>,
+    cores: RefCell<HashMap<ConjunctiveQuery, ConjunctiveQuery>>,
+    stats: Cell<HomStats>,
 }
 
 impl HomKernel {
@@ -327,24 +311,18 @@ impl HomKernel {
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> HomStats {
-        HomStats {
-            freezes: self.c.freezes.load(Relaxed),
-            freeze_cache_hits: self.c.freeze_cache_hits.load(Relaxed),
-            plan_compiles: self.c.plan_compiles.load(Relaxed),
-            plan_cache_hits: self.c.plan_cache_hits.load(Relaxed),
-            prefilter_rejects: self.c.prefilter_rejects.load(Relaxed),
-            components: self.c.components.load(Relaxed),
-            searches: self.c.searches.load(Relaxed),
-            search_candidates: self.c.search_candidates.load(Relaxed),
-            core_rounds: self.c.core_rounds.load(Relaxed),
-            core_searches: self.c.core_searches.load(Relaxed),
-            core_cache_hits: self.c.core_cache_hits.load(Relaxed),
-        }
+        self.stats.get()
+    }
+
+    fn bump(&self, f: impl FnOnce(&mut HomStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
     }
 
     /// The cached entry for `q`, freezing and compiling on first sight of
     /// its structural key.
-    pub fn entry(&self, q: &ConjunctiveQuery) -> Arc<QueryEntry> {
+    pub fn entry(&self, q: &ConjunctiveQuery) -> Rc<QueryEntry> {
         self.entry_with_key(canonical_key(q), q)
     }
 
@@ -352,25 +330,23 @@ impl HomKernel {
     /// [`CanonicalKey`] (the rewrite engine's dedup path computes it for
     /// every candidate anyway, so the key is not recomputed here). `key`
     /// must be `canonical_key(q)`.
-    pub fn entry_with_key(&self, key: CanonicalKey, q: &ConjunctiveQuery) -> Arc<QueryEntry> {
+    pub fn entry_with_key(&self, key: CanonicalKey, q: &ConjunctiveQuery) -> Rc<QueryEntry> {
         let CanonicalKey(key) = key;
-        {
-            let cache = self.entries.lock().unwrap();
-            if let Some(e) = cache.get(&key) {
-                self.c.freeze_cache_hits.fetch_add(1, Relaxed);
-                return Arc::clone(e);
-            }
+        if let Some(e) = self.entries.borrow().get(&key) {
+            self.bump(|s| s.freeze_cache_hits += 1);
+            return Rc::clone(e);
         }
-        let entry = Arc::new(self.build_entry(q));
-        let mut cache = self.entries.lock().unwrap();
+        let entry = Rc::new(self.build_entry(q));
+        let mut cache = self.entries.borrow_mut();
         if cache.len() >= ENTRY_CACHE_CAP {
             cache.clear();
         }
-        Arc::clone(cache.entry(key).or_insert(entry))
+        cache.insert(key, Rc::clone(&entry));
+        entry
     }
 
     fn build_entry(&self, q: &ConjunctiveQuery) -> QueryEntry {
-        self.c.freezes.fetch_add(1, Relaxed);
+        self.bump(|s| s.freezes += 1);
         let (frozen, var_map) = q.freeze();
         let answer_terms: Vec<TermId> = q.answer_vars().iter().map(|v| var_map[v]).collect();
 
@@ -468,13 +444,11 @@ impl HomKernel {
                 }
             }
         }
-        let components: Vec<Arc<CompiledComponent>> = groups
+        let components: Vec<Rc<CompiledComponent>> = groups
             .iter()
             .map(|idxs| self.compile_component(q, idxs, &ans_index))
             .collect();
-        self.c
-            .components
-            .fetch_add(components.len() as u64, Relaxed);
+        self.bump(|s| s.components += components.len() as u64);
 
         QueryEntry {
             answer_len: q.answer_vars().len(),
@@ -495,7 +469,7 @@ impl HomKernel {
         q: &ConjunctiveQuery,
         idxs: &[usize],
         ans_index: &HashMap<Var, u32>,
-    ) -> Arc<CompiledComponent> {
+    ) -> Rc<CompiledComponent> {
         // Locally-renumbered canonical key: two renumber/sort rounds over
         // the component's atoms, answer anchors kept as answer indices.
         let mut atoms: Vec<(Pred, Box<[LTerm]>)> = idxs
@@ -540,14 +514,11 @@ impl HomKernel {
         atoms.sort();
         atoms.dedup();
         let key: PlanKey = atoms;
-        {
-            let plans = self.plans.lock().unwrap();
-            if let Some(c) = plans.get(&key) {
-                self.c.plan_cache_hits.fetch_add(1, Relaxed);
-                return Arc::clone(c);
-            }
+        if let Some(c) = self.plans.borrow().get(&key) {
+            self.bump(|s| s.plan_cache_hits += 1);
+            return Rc::clone(c);
         }
-        self.c.plan_compiles.fetch_add(1, Relaxed);
+        self.bump(|s| s.plan_compiles += 1);
         // Build the local atom list: local variables are assigned by first
         // occurrence over the canonical key, so every holder of this key
         // computes the identical variable numbering and anchor list.
@@ -584,12 +555,13 @@ impl HomKernel {
         }
         let bound: Vec<Var> = anchors.iter().map(|(v, _)| *v).collect();
         let plan = JoinPlan::compile(local_atoms, nvars as usize, &bound);
-        let compiled = Arc::new(CompiledComponent { plan, anchors });
-        let mut plans = self.plans.lock().unwrap();
+        let compiled = Rc::new(CompiledComponent { plan, anchors });
+        let mut plans = self.plans.borrow_mut();
         if plans.len() >= PLAN_CACHE_CAP {
             plans.clear();
         }
-        Arc::clone(plans.entry(key).or_insert(compiled))
+        plans.insert(key, Rc::clone(&compiled));
+        compiled
     }
 
     /// The prefilter for entry-vs-entry containment: necessary conditions
@@ -675,12 +647,12 @@ impl HomKernel {
         }
         let mut fixed: Vec<(Var, TermId)> = Vec::new();
         for comp in &psi.components {
-            self.c.searches.fetch_add(1, Relaxed);
+            self.bump(|s| s.searches += 1);
             fixed.clear();
             fixed.extend(comp.anchors.iter().map(|&(v, i)| (v, ans[i as usize])));
             let mut mc = MatchCounters::default();
             let completed = comp.plan.for_each_match(inst, &fixed, &mut mc, |_| false);
-            self.c.search_candidates.fetch_add(mc.candidates, Relaxed);
+            self.bump(|s| s.search_candidates += mc.candidates);
             if completed {
                 // Ran to completion without being stopped: no match.
                 return false;
@@ -691,15 +663,14 @@ impl HomKernel {
 
     /// `true` iff `phi` contains `psi` ([`crate::containment::contains`]
     /// semantics), both sides given as cached entries. Prefilter rejects
-    /// are counted here — call this only from sequential contexts when the
-    /// counters matter.
+    /// are counted here.
     pub fn contains_entries(&self, phi: &QueryEntry, psi: &QueryEntry) -> bool {
         assert_eq!(
             phi.answer_len, psi.answer_len,
             "containment requires equal answer arity"
         );
         if !Self::passes_prefilter(psi, phi) {
-            self.c.prefilter_rejects.fetch_add(1, Relaxed);
+            self.bump(|s| s.prefilter_rejects += 1);
             return false;
         }
         self.eval(psi, &phi.frozen, &phi.answer_terms)
@@ -711,6 +682,12 @@ impl HomKernel {
         let pe = self.entry(phi);
         let se = self.entry(psi);
         self.contains_entries(&pe, &se)
+    }
+
+    /// `true` iff the two queries are equivalent (mutual containment,
+    /// [`crate::containment::equivalent`] semantics).
+    pub fn equivalent(&self, a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
+        self.contains_queries(a, b) && self.contains_queries(b, a)
     }
 
     /// Diagnostic: `true` iff the prefilter alone would refute
@@ -731,7 +708,7 @@ impl HomKernel {
         );
         let e = self.entry(q);
         if !Self::preds_present(&e, inst) || !Self::anchors_possible(&e, inst, ans) {
-            self.c.prefilter_rejects.fetch_add(1, Relaxed);
+            self.bump(|s| s.prefilter_rejects += 1);
             return false;
         }
         self.eval(&e, inst, ans)
@@ -742,14 +719,14 @@ impl HomKernel {
     /// over every entry first (so `prefilter_rejects` does not depend on
     /// where a hit lies); the searches then run in `kept` order and stop at
     /// the first hit.
-    pub fn subsumed_by_any(&self, cand: &QueryEntry, kept: &[&Arc<QueryEntry>]) -> bool {
+    pub fn subsumed_by_any(&self, cand: &QueryEntry, kept: &[&Rc<QueryEntry>]) -> bool {
         let survivors: Vec<&QueryEntry> = kept
             .iter()
             .map(|e| e.as_ref())
             .filter(|r| {
                 debug_assert_eq!(r.answer_len, cand.answer_len);
                 Self::passes_prefilter(r, cand) || {
-                    self.c.prefilter_rejects.fetch_add(1, Relaxed);
+                    self.bump(|s| s.prefilter_rejects += 1);
                     false
                 }
             })
@@ -762,14 +739,14 @@ impl HomKernel {
     /// Set-vs-disjunct sweep: one flag per entry in `kept`, `true` iff
     /// `contains(r, cand)` — `r` is covered by `cand` and can be evicted.
     /// Flags come back in `kept` order.
-    pub fn covered_by(&self, kept: &[&Arc<QueryEntry>], cand: &QueryEntry) -> Vec<bool> {
+    pub fn covered_by(&self, kept: &[&Rc<QueryEntry>], cand: &QueryEntry) -> Vec<bool> {
         kept.iter()
             .map(|r| {
                 debug_assert_eq!(r.answer_len, cand.answer_len);
                 if Self::passes_prefilter(cand, r) {
                     self.eval(cand, &r.frozen, &r.answer_terms)
                 } else {
-                    self.c.prefilter_rejects.fetch_add(1, Relaxed);
+                    self.bump(|s| s.prefilter_rejects += 1);
                     false
                 }
             })
@@ -792,12 +769,9 @@ impl HomKernel {
     /// condition.
     pub fn query_core(&self, q: &ConjunctiveQuery) -> ConjunctiveQuery {
         let mut current = q.canonical();
-        {
-            let cores = self.cores.lock().unwrap();
-            if let Some(c) = cores.get(&current) {
-                self.c.core_cache_hits.fetch_add(1, Relaxed);
-                return c.clone();
-            }
+        if let Some(c) = self.cores.borrow().get(&current) {
+            self.bump(|s| s.core_cache_hits += 1);
+            return c.clone();
         }
         let key = current.clone();
         if current.atoms().iter().any(|a| a.pred.is_dom()) {
@@ -812,7 +786,7 @@ impl HomKernel {
             if current.size() <= 1 {
                 break;
             }
-            self.c.core_rounds.fetch_add(1, Relaxed);
+            self.bump(|s| s.core_rounds += 1);
             let (frozen, var_map) = current.freeze();
             let fixed: Vec<(Var, TermId)> = current
                 .answer_vars()
@@ -838,7 +812,7 @@ impl HomKernel {
                     *undrop = true;
                     continue;
                 }
-                self.c.core_searches.fetch_add(1, Relaxed);
+                self.bump(|s| s.core_searches += 1);
                 let mut mc = MatchCounters::default();
                 let found = matcher::exists_match_excluding(
                     current.atoms(),
@@ -848,7 +822,7 @@ impl HomKernel {
                     skip,
                     &mut mc,
                 );
-                self.c.search_candidates.fetch_add(mc.candidates, Relaxed);
+                self.bump(|s| s.search_candidates += mc.candidates);
                 if found {
                     dropped = Some(skip);
                     break;
@@ -923,23 +897,13 @@ impl HomKernel {
     }
 
     fn cache_core(&self, key: ConjunctiveQuery, core: ConjunctiveQuery) -> ConjunctiveQuery {
-        let mut cores = self.cores.lock().unwrap();
+        let mut cores = self.cores.borrow_mut();
         if cores.len() >= CORE_CACHE_CAP {
             cores.clear();
         }
         cores.insert(key, core.clone());
         core
     }
-}
-
-/// The process-wide kernel behind the free functions of
-/// [`crate::containment`], [`crate::qcore`] and [`crate::matcher::holds`].
-/// Its stats are never emitted (concurrent callers would make them
-/// meaningless); workloads that report [`HomStats`] create their own
-/// kernel.
-pub fn global_kernel() -> &'static HomKernel {
-    static GLOBAL: OnceLock<HomKernel> = OnceLock::new();
-    GLOBAL.get_or_init(HomKernel::new)
 }
 
 #[cfg(test)]
@@ -958,7 +922,7 @@ mod tests {
         let q2 = parse_query("?(A) :- e(B,C), e(A,B).").unwrap();
         let e1 = k.entry(&q1);
         let e2 = k.entry(&q2);
-        assert!(Arc::ptr_eq(&e1, &e2), "isomorphic queries share an entry");
+        assert!(Rc::ptr_eq(&e1, &e2), "isomorphic queries share an entry");
         let s = k.stats();
         assert_eq!(s.freezes, 1);
         assert_eq!(s.freeze_cache_hits, 1);
@@ -969,13 +933,13 @@ mod tests {
         let k = HomKernel::new();
         let path = k.entry(&parse_query("? :- e(X,Y), e(Y,Z).").unwrap());
         let fork = k.entry(&parse_query("? :- e(X,Y), e(X,Z).").unwrap());
-        assert!(!Arc::ptr_eq(&path, &fork));
+        assert!(!Rc::ptr_eq(&path, &fork));
         // Constants are part of the structure.
         let ka = k.entry(&parse_query("? :- p(a).").unwrap());
         let kb = k.entry(&parse_query("? :- p(b).").unwrap());
-        assert!(!Arc::ptr_eq(&ka, &kb));
+        assert!(!Rc::ptr_eq(&ka, &kb));
         let kx = k.entry(&parse_query("? :- p(X).").unwrap());
-        assert!(!Arc::ptr_eq(&ka, &kx));
+        assert!(!Rc::ptr_eq(&ka, &kx));
     }
 
     #[test]
@@ -984,7 +948,7 @@ mod tests {
         let k = HomKernel::new();
         let e1 = k.entry(&parse_query("?(X,Y) :- e(X,Y).").unwrap());
         let e2 = k.entry(&parse_query("?(Y,X) :- e(X,Y).").unwrap());
-        assert!(!Arc::ptr_eq(&e1, &e2));
+        assert!(!Rc::ptr_eq(&e1, &e2));
     }
 
     #[test]

@@ -13,11 +13,11 @@ pub mod matcher;
 pub mod qcore;
 pub mod structure;
 
-pub use containment::{contains, covered_by, equivalent, subsumed_by_any};
-pub use kernel::{canonical_key, global_kernel, CanonicalKey, HomKernel, HomStats, QueryEntry};
+pub use containment::{contains, equivalent};
+pub use kernel::{canonical_key, CanonicalKey, HomKernel, HomStats, QueryEntry};
 pub use matcher::{
     all_answers, all_homs, exists_match, exists_match_excluding, find_hom, holds, holds_ucq,
-    holds_ucq_with, Assignment, JoinPlan, MatchCounters,
+    Assignment, JoinPlan, MatchCounters,
 };
 pub use qcore::query_core;
 pub use structure::{instance_hom, structure_core};

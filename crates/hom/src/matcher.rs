@@ -23,6 +23,8 @@ use std::collections::HashSet;
 use qr_syntax::query::{ConjunctiveQuery, QAtom, QTerm, Var};
 use qr_syntax::{Instance, TermId};
 
+use crate::kernel::HomKernel;
+
 /// A partial variable assignment, indexed by [`Var`] index.
 pub type Assignment = Vec<Option<TermId>>;
 
@@ -512,33 +514,22 @@ pub fn all_answers(q: &ConjunctiveQuery, inst: &Instance, limit: usize) -> Vec<V
     out
 }
 
-/// `true` iff some disjunct of the UCQ holds: `inst ⊨ ⋁ qᵢ(ans)`.
+/// `true` iff some disjunct of the UCQ holds: `inst ⊨ ⋁ qᵢ(ans)`. The
+/// disjuncts share one [`HomKernel`] that lives for this call.
 pub fn holds_ucq(u: &qr_syntax::Ucq, inst: &Instance, ans: &[TermId]) -> bool {
-    u.disjuncts().iter().any(|d| holds(d, inst, ans))
-}
-
-/// [`holds_ucq`] with the disjunct sweep scheduled on `exec`'s worker
-/// pool. Each `inst ⊨ qᵢ(ans)` check is an independent pure predicate, so
-/// the early-exiting parallel `any` gives exactly the sequential answer.
-/// The bench harness uses this for entailment sweeps over large
-/// rewritings.
-pub fn holds_ucq_with(
-    exec: &qr_exec::Executor,
-    u: &qr_syntax::Ucq,
-    inst: &Instance,
-    ans: &[TermId],
-) -> bool {
-    exec.any(u.disjuncts(), |d| holds(d, inst, ans))
+    let kernel = HomKernel::new();
+    u.disjuncts().iter().any(|d| kernel.holds(d, inst, ans))
 }
 
 /// `true` iff `inst ⊨ q(ans)`.
 ///
-/// Delegates to the process-wide [`crate::kernel::HomKernel`]: the query's
-/// compiled component plans are cached across calls, and cheap prefilters
+/// Runs on a [`HomKernel`] that lives for this one call: cheap prefilters
 /// (predicate presence, anchored-position postings) refute hopeless checks
-/// before any backtracking.
+/// before any backtracking. Callers that check in a loop own one kernel
+/// ([`HomKernel::holds`]), so the query's compiled component plans are
+/// built once.
 pub fn holds(q: &ConjunctiveQuery, inst: &Instance, ans: &[TermId]) -> bool {
-    crate::kernel::global_kernel().holds(q, inst, ans)
+    HomKernel::new().holds(q, inst, ans)
 }
 
 #[cfg(test)]

@@ -7,17 +7,18 @@
 
 use qr_syntax::query::ConjunctiveQuery;
 
-use crate::kernel::global_kernel;
+use crate::kernel::HomKernel;
 
 /// Returns an equivalent subquery from which no atom can be dropped without
 /// changing the semantics (a core of `q`).
 ///
-/// Delegates to the process-wide [`crate::kernel::HomKernel`], which finds
+/// Runs on a [`HomKernel`] that lives for this one call. The kernel finds
 /// the core by searching directly for retraction endomorphisms on the
 /// frozen instance — one search per drop attempt instead of a full
-/// `equivalent` round-trip — and caches results per canonical form.
+/// `equivalent` round-trip; callers that take many cores own one kernel
+/// ([`HomKernel::query_core`]), which caches results per canonical form.
 pub fn query_core(q: &ConjunctiveQuery) -> ConjunctiveQuery {
-    global_kernel().query_core(q)
+    HomKernel::new().query_core(q)
 }
 
 #[cfg(test)]

@@ -7,6 +7,10 @@
 //! prefilters, component decomposition, fold-based core) must agree with
 //! them on every generated input — including constants, repeated
 //! variables, duplicate atoms, and answer-variable anchoring.
+//!
+//! Each loop also checks a warm kernel, owned across all cases, against
+//! the free function, which runs on a cold kernel built for the one call:
+//! what a kernel has memoized never changes an answer.
 
 use std::collections::HashMap;
 
@@ -149,13 +153,10 @@ fn kernel_contains_matches_one_shot_reference() {
         let arity = rng.below(3);
         let phi = random_query(rng, arity);
         let psi = random_query(rng, arity);
-        assert_eq!(
-            kernel.contains_queries(&phi, &psi),
-            contains_ref(&phi, &psi),
-            "phi={} psi={}",
-            phi.render(),
-            psi.render()
-        );
+        let warm = kernel.contains_queries(&phi, &psi);
+        let ctx = format!("phi={} psi={}", phi.render(), psi.render());
+        assert_eq!(warm, contains_ref(&phi, &psi), "{ctx}");
+        assert_eq!(qr_hom::contains(&phi, &psi), warm, "cold vs warm: {ctx}");
     });
     // The sweep must actually have exercised the caches and prefilters.
     let s = kernel.stats();
@@ -168,17 +169,15 @@ fn kernel_contains_matches_one_shot_reference() {
 
 #[test]
 fn kernel_equivalent_matches_one_shot_reference() {
+    let kernel = HomKernel::new();
     check("kernel_equivalent", 200, |rng| {
         let arity = rng.below(2);
         let a = random_query(rng, arity);
         let b = random_query(rng, arity);
-        assert_eq!(
-            qr_hom::equivalent(&a, &b),
-            contains_ref(&a, &b) && contains_ref(&b, &a),
-            "a={} b={}",
-            a.render(),
-            b.render()
-        );
+        let cold = qr_hom::equivalent(&a, &b);
+        let ctx = format!("a={} b={}", a.render(), b.render());
+        assert_eq!(cold, contains_ref(&a, &b) && contains_ref(&b, &a), "{ctx}");
+        assert_eq!(kernel.equivalent(&a, &b), cold, "warm vs cold: {ctx}");
     });
 }
 
@@ -190,13 +189,10 @@ fn kernel_holds_matches_one_shot_reference() {
         let q = random_query(rng, arity);
         let inst = random_instance(rng);
         let ans = random_answer(rng, arity);
-        assert_eq!(
-            kernel.holds(&q, &inst, &ans),
-            holds_ref(&q, &inst, &ans),
-            "q={} inst has {} facts",
-            q.render(),
-            inst.len()
-        );
+        let warm = kernel.holds(&q, &inst, &ans);
+        let ctx = format!("q={} inst has {} facts", q.render(), inst.len());
+        assert_eq!(warm, holds_ref(&q, &inst, &ans), "{ctx}");
+        assert_eq!(qr_hom::holds(&q, &inst, &ans), warm, "cold vs warm: {ctx}");
     });
 }
 
@@ -233,28 +229,37 @@ fn kernel_query_core_matches_greedy_reference() {
             "core is equivalent to the input: q={}",
             q.render()
         );
+        assert_eq!(
+            qr_hom::query_core(&q),
+            got,
+            "cold vs warm: q={}",
+            q.render()
+        );
     });
 }
 
 #[test]
 fn kernel_subsumption_sweeps_match_reference() {
+    let kernel = HomKernel::new();
     check("kernel_sweeps", 100, |rng| {
         let arity = rng.below(2);
         let cand = random_query(rng, arity);
         let kept: Vec<ConjunctiveQuery> = (0..rng.range(1, 6))
             .map(|_| random_query(rng, arity))
             .collect();
-        let refs: Vec<&ConjunctiveQuery> = kept.iter().collect();
-        let expect_any = refs.iter().any(|r| contains_ref(&cand, r));
-        let expect_cov: Vec<bool> = refs.iter().map(|r| contains_ref(r, &cand)).collect();
+        let expect_any = kept.iter().any(|r| contains_ref(&cand, r));
+        let expect_cov: Vec<bool> = kept.iter().map(|r| contains_ref(r, &cand)).collect();
+        let cand_entry = kernel.entry(&cand);
+        let entries: Vec<_> = kept.iter().map(|r| kernel.entry(r)).collect();
+        let refs: Vec<_> = entries.iter().collect();
         assert_eq!(
-            qr_hom::subsumed_by_any(&cand, &refs),
+            kernel.subsumed_by_any(&cand_entry, &refs),
             expect_any,
             "cand={}",
             cand.render()
         );
         assert_eq!(
-            qr_hom::covered_by(&refs, &cand),
+            kernel.covered_by(&refs, &cand_entry),
             expect_cov,
             "cand={}",
             cand.render()

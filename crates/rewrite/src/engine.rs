@@ -52,11 +52,10 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use qr_exec::Executor;
-use qr_hom::containment::contains;
 use qr_hom::kernel::{canonical_key, CanonicalKey, HomKernel, HomStats, QueryEntry};
 use qr_syntax::{ConjunctiveQuery, Pred, Symbol, Theory, Ucq, Var};
 
@@ -172,12 +171,14 @@ impl Rewriting {
 
     /// Theorem 1's minimality condition: no disjunct contains another
     /// (pairwise containment-incomparable). The saturation loop maintains
-    /// this invariant; this re-checks it from scratch.
+    /// this invariant; this re-checks it from scratch, on one kernel for
+    /// the whole pairwise sweep.
     pub fn is_minimal(&self) -> bool {
+        let kernel = HomKernel::new();
         let ds = self.ucq.disjuncts();
         for i in 0..ds.len() {
             for j in 0..ds.len() {
-                if i != j && contains(&ds[i], &ds[j]) {
+                if i != j && kernel.contains_queries(&ds[i], &ds[j]) {
                     return false;
                 }
             }
@@ -204,7 +205,7 @@ struct KeptSet {
 
 struct KeptEntry {
     query: ConjunctiveQuery,
-    entry: Arc<QueryEntry>,
+    entry: Rc<QueryEntry>,
     /// The entry's sorted predicate set — its path in the trie, kept for
     /// removal on eviction.
     preds: Vec<Pred>,
@@ -226,7 +227,7 @@ impl KeptSet {
         self.alive
     }
 
-    fn push(&mut self, query: ConjunctiveQuery, entry: Arc<QueryEntry>, node: u32) {
+    fn push(&mut self, query: ConjunctiveQuery, entry: Rc<QueryEntry>, node: u32) {
         let preds: Vec<Pred> = entry.pred_set().collect();
         self.trie.insert(&preds, self.entries.len());
         self.entries.push(KeptEntry {
@@ -262,7 +263,7 @@ impl KeptSet {
         slots
     }
 
-    fn entry_refs(&self, slots: &[usize]) -> Vec<&Arc<QueryEntry>> {
+    fn entry_refs(&self, slots: &[usize]) -> Vec<&Rc<QueryEntry>> {
         slots.iter().map(|&i| &self.entries[i].entry).collect()
     }
 
@@ -1091,7 +1092,7 @@ mod tests {
         let k = HomKernel::new();
         let path = parse_query("? :- e(X,Y), e(Y,Z).").unwrap();
         let selfloop = parse_query("? :- e(A,A).").unwrap();
-        assert!(contains(&selfloop, &path));
+        assert!(k.contains_queries(&selfloop, &path));
         assert!(!k.prefilter_rejects_pair(&selfloop, &path));
         assert!(!k.prefilter_rejects_pair(&path, &selfloop));
         // Disjoint predicates are pruned in both directions.

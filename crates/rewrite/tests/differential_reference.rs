@@ -10,7 +10,7 @@
 //! mismatch on seeded random theories.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use qr_hom::kernel::{HomKernel, QueryEntry};
 use qr_rewrite::{piece_rewritings, rewrite, RewriteBudget, RewriteOutcome, Rewriting};
@@ -75,7 +75,7 @@ fn reference_rewrite(theory: &Theory, query: &ConjunctiveQuery, budget: RewriteB
     let kernel = HomKernel::new();
     let seed = canonical_named(&kernel.query_core(query));
     // (query, entry, alive), in insertion order.
-    let mut kept: Vec<(ConjunctiveQuery, Arc<QueryEntry>, bool)> = Vec::new();
+    let mut kept: Vec<(ConjunctiveQuery, Rc<QueryEntry>, bool)> = Vec::new();
     let entry = kernel.entry(&seed);
     kept.push((seed.clone(), entry, true));
     let mut queue: VecDeque<(ConjunctiveQuery, usize)> = VecDeque::new();
@@ -102,7 +102,7 @@ fn reference_rewrite(theory: &Theory, query: &ConjunctiveQuery, budget: RewriteB
                     let cand = canonical_named(&kernel.query_core(&pu.result));
                     let cand_entry = kernel.entry(&cand);
                     let alive: Vec<usize> = (0..kept.len()).filter(|&i| kept[i].2).collect();
-                    let refs: Vec<&Arc<QueryEntry>> = alive.iter().map(|&i| &kept[i].1).collect();
+                    let refs: Vec<&Rc<QueryEntry>> = alive.iter().map(|&i| &kept[i].1).collect();
                     if kernel.subsumed_by_any(&cand_entry, &refs) {
                         continue;
                     }

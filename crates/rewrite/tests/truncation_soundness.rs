@@ -9,8 +9,7 @@
 //! victims' coverage with nothing standing in for them.
 
 use qr_chase::{chase, ChaseBudget};
-use qr_hom::containment::subsumed_by_any;
-use qr_hom::holds;
+use qr_hom::{holds, HomKernel};
 use qr_rewrite::{rewrite, rewrite_with_trace, RewriteBudget, RewriteOutcome};
 use qr_syntax::{parse_query, parse_theory, ConjunctiveQuery, TermId};
 use qr_testkit::{check, Rng};
@@ -47,6 +46,14 @@ fn pick_inputs(rng: &mut Rng) -> (qr_syntax::Theory, ConjunctiveQuery, &'static 
     (theory, parse_query(query_src).unwrap(), query_src)
 }
 
+/// `true` iff some query of `kept` contains `cand` (so `cand` adds no
+/// answers to their union), decided on `kernel`.
+fn subsumed_by_any(kernel: &HomKernel, cand: &ConjunctiveQuery, kept: &[ConjunctiveQuery]) -> bool {
+    let entries: Vec<_> = kept.iter().map(|r| kernel.entry(r)).collect();
+    let refs: Vec<_> = entries.iter().collect();
+    kernel.subsumed_by_any(&kernel.entry(cand), &refs)
+}
+
 /// Regression for the `max_queries` truncation hole. With `max_queries =
 /// 0` the unguarded seed push leaves the set over capacity, so the first
 /// accepted candidate both evicts the seed and trips the budget check —
@@ -68,10 +75,10 @@ fn budget_break_mid_eviction_keeps_coverage() {
     // The candidate p(A) evicts the seed q(A),p(A) and must replace it:
     // the rescue push keeps exactly one disjunct.
     assert_eq!(r.ucq.len(), 1, "victim's replacement must be kept");
-    let disjuncts: Vec<&ConjunctiveQuery> = r.ucq.disjuncts().iter().collect();
+    let kernel = HomKernel::new();
     for pre in &accepted {
         assert!(
-            subsumed_by_any(pre, &disjuncts),
+            subsumed_by_any(&kernel, pre, r.ucq.disjuncts()),
             "truncation lost coverage of accepted query {}",
             pre.render()
         );
@@ -152,7 +159,7 @@ fn truncated_disjuncts_covered_by_complete_reference() {
             if !reference.is_complete() {
                 return; // divergent pick: no finite reference set exists
             }
-            let refs: Vec<&ConjunctiveQuery> = reference.ucq.disjuncts().iter().collect();
+            let kernel = HomKernel::new();
             for _ in 0..3 {
                 let budget = RewriteBudget {
                     max_queries: rng.range(1, 8),
@@ -162,7 +169,7 @@ fn truncated_disjuncts_covered_by_complete_reference() {
                 let truncated = rewrite(&theory, &query, budget).unwrap();
                 for d in truncated.ucq.disjuncts() {
                     assert!(
-                        subsumed_by_any(d, &refs),
+                        subsumed_by_any(&kernel, d, reference.ucq.disjuncts()),
                         "disjunct {} of the {budget:?} run is not covered by the \
                      complete rewriting of {query_src} under {}",
                         d.render(),
