@@ -200,18 +200,20 @@ fn main() {
             let c = &r.counters;
             println!(
                 "{}: {} batches in {:.1} ms ({:.3} ms/batch amortized, full re-chase {:.3} ms) — \
-                 {} seeded, {} re-chased, {} rederived facts, cone {}, \
-                 candidates {} incr vs {} cold",
+                 {} seeded, {} cone drops, {} re-chased, {} rederived facts, cone {}, \
+                 candidates {} incr, {} retract vs {} cold",
                 r.workload,
                 r.batches,
                 r.wall_ms,
                 r.batch_ms,
                 r.rechase_ms,
                 c.seeded_inserts,
+                c.cone_drops,
                 c.rechases,
                 c.rederived_facts,
                 c.cone_facts,
                 r.candidates_incr,
+                r.candidates_retract,
                 r.candidates_cold,
             );
         }

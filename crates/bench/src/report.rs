@@ -403,7 +403,7 @@ pub struct ChaseRun {
 /// One measured incremental-maintenance run (the harness's `--incr`
 /// mode): a pinned write-batch sequence absorbed by
 /// [`qr_chase::IncrementalChase`], plus a cold re-chase of the final base
-/// as the per-batch baseline. The mode/replay/cone counters and both
+/// as the per-batch baseline. The mode/replay/cone counters and the three
 /// candidate totals are deterministic and drift-gated; every `*_ms` field
 /// and `threads` are machine-dependent.
 pub struct IncrRun {
@@ -428,6 +428,9 @@ pub struct IncrRun {
     pub counters: IncrementalStats,
     /// Matcher candidates enumerated across the insert batches.
     pub candidates_incr: u64,
+    /// Matcher candidates of the final retraction (its support check,
+    /// when it drops its cone).
+    pub candidates_retract: u64,
     /// Matcher candidates of the one cold chase of the final base.
     pub candidates_cold: u64,
 }
@@ -650,6 +653,7 @@ impl ToJson for IncrRun {
             "modes" => Json::Obj(fields! {
                 "noops" => c.noops,
                 "seeded_inserts" => c.seeded_inserts,
+                "cone_drops" => c.cone_drops,
                 "rechases" => c.rechases,
             }),
             "counters" => Json::Obj(fields! {
@@ -657,6 +661,7 @@ impl ToJson for IncrRun {
                 "rederived_facts" => c.rederived_facts,
                 "cone_facts" => c.cone_facts,
                 "candidates_incr" => self.candidates_incr,
+                "candidates_retract" => self.candidates_retract,
                 "candidates_cold" => self.candidates_cold,
             }),
         })

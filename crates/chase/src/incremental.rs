@@ -22,26 +22,43 @@
 //! cold engine's canonical enumeration order, reconstructed from the
 //! static [`JoinPlan`] execution order.
 //!
-//! **Every other batch** — any batch with a retraction, an insert into a
-//! chase that did not terminate, or an insert batch that violates one of
-//! the seeded path's invariants (each bail is a *detected* structural
-//! change, e.g. a new fact pulling an old fact into an earlier round,
-//! where replaying old trails would be unsound) — is a cold re-chase of
-//! the adjusted base. A retraction first counts its
-//! provenance cone (the derived facts whose first derivations transitively
-//! reference a retracted base fact) for [`BatchStats::cone_facts`]; the
-//! re-chase then recomputes every derived fact, in the cone or not.
+//! **Retract-only batches** drop the retraction's provenance cone: one
+//! forward sweep over the first-derivation trails marks the *dead* facts
+//! (the retracted base facts and every derived fact whose first derivation
+//! transitively references one), and one pass in fact order re-pushes each
+//! surviving event, its trigger remapped to the new indices. Under Skolem
+//! naming the chase is monotone in its base, so the chase of the smaller
+//! base is a subset of the old one; removing facts keeps every survivor's
+//! round, its relative order and the canonical path of every surviving
+//! trigger, so each survivor keeps its first derivation and its position.
+//! The rebuild is therefore exact unless some dead fact is derived again.
+//! Were one, the earliest would have a body of survivors only, so a
+//! one-step *support check* (each dead fact against each rule head atom it
+//! unifies with, then one body match over the rebuilt instance) decides
+//! it. A supported dead fact, a rule with a `dom` body atom (a term that
+//! dies with the cone leaves `dom` triggers the trails do not record), a
+//! previous run that did not terminate or lacks a trail: each sends the
+//! batch to a re-chase instead.
+//!
+//! **Every other batch** — a batch that both retracts and inserts, an
+//! insert into a chase that did not terminate, or a batch the seeded or
+//! cone-drop path bails on (each bail is a *detected* structural change,
+//! e.g. a new fact pulling an old fact into an earlier round, where
+//! replaying old trails would be unsound) — is a cold re-chase of the
+//! adjusted base. A re-chase recomputes every derived fact; a retraction
+//! still reports its cone, from the same sweep.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use qr_exec::Executor;
 use qr_hom::matcher::{Assignment, JoinPlan, MatchCounters};
-use qr_syntax::query::{QTerm, Var};
-use qr_syntax::{tuple_hash, Fact, FactIdx, FxMap, FxSet, Instance, Pred, TermId, Theory};
+use qr_syntax::query::{QAtom, QTerm, Var};
+use qr_syntax::term::TermData;
+use qr_syntax::{tuple_hash, Fact, FactIdx, FactRef, FxMap, FxSet, Instance, Pred, TermId, Theory};
 
 use crate::engine::{chase_with, plans, unify_atom_fact, Chase, ChaseBudget, ChaseLog, RulePlan};
-use crate::skolem::head_facts;
+use crate::skolem::{head_facts, SkolemizedRule};
 use crate::stats::RoundStats;
 
 /// A batch of base-fact writes. Retractions are applied before inserts, so
@@ -86,8 +103,11 @@ pub enum BatchMode {
     Noop,
     /// Inserts absorbed by delta seeding plus match-trail replay.
     SeededInsert,
-    /// Cold re-chase of the adjusted base: every batch with a retraction,
-    /// and every insert batch the seeded path bails on.
+    /// Retractions absorbed by dropping the provenance cone: the survivors
+    /// are re-pushed in their old order, and no dead fact has a support.
+    ConeDrop,
+    /// Cold re-chase of the adjusted base: every batch that both retracts
+    /// and inserts, and every batch the seeded or cone-drop path bails on.
     Rechase,
 }
 
@@ -99,12 +119,13 @@ pub struct BatchStats {
     /// Derived facts carried over from the previous chase without
     /// re-running their joins (seeded inserts only).
     pub replayed_facts: u64,
-    /// Derived facts (re)computed by enumeration: new cone facts on the
-    /// insert path, every derived fact on a re-chase.
+    /// Derived facts (re)computed by enumeration: new facts on the insert
+    /// path, every derived fact on a re-chase, none on a cone drop.
     pub rederived_facts: u64,
     /// Derived facts whose first derivations transitively reference a
-    /// retracted base fact (the provenance cone). Counted only; the
-    /// re-chase recomputes them along with every other derived fact.
+    /// retracted base fact (the provenance cone). A cone drop removes
+    /// them; a re-chase recomputes them along with every other derived
+    /// fact.
     pub cone_facts: u64,
 }
 
@@ -117,9 +138,12 @@ pub struct IncrementalStats {
     pub noops: u64,
     /// Batches absorbed as [`BatchMode::SeededInsert`].
     pub seeded_inserts: u64,
-    /// Always 0: no path absorbs a retraction without a re-chase. Kept
+    /// Always 0: no path truncates the chase to absorb a retraction (a
+    /// retraction is a [`BatchMode::ConeDrop`] or a re-chase). Kept
     /// because the `perfbench` maintain workload reports it.
     pub truncated_retracts: u64,
+    /// Batches absorbed as [`BatchMode::ConeDrop`].
+    pub cone_drops: u64,
     /// Batches that fell back to [`BatchMode::Rechase`].
     pub rechases: u64,
     /// Total derived facts replayed without enumeration.
@@ -136,6 +160,7 @@ impl IncrementalStats {
         match b.mode {
             BatchMode::Noop => self.noops += 1,
             BatchMode::SeededInsert => self.seeded_inserts += 1,
+            BatchMode::ConeDrop => self.cone_drops += 1,
             BatchMode::Rechase => self.rechases += 1,
         }
         self.replayed_facts += b.replayed_facts;
@@ -158,7 +183,7 @@ impl IncrementalChase {
     }
 
     /// Wraps an existing chase (it should be terminated and built by the
-    /// semi-naive engine for seeded inserts to engage).
+    /// semi-naive engine for seeded inserts and cone drops to engage).
     pub fn from_chase(chase: Chase) -> Self {
         IncrementalChase {
             chase,
@@ -184,7 +209,8 @@ impl IncrementalChase {
     /// Absorbs one write batch; the new state is byte-identical to a cold
     /// chase of the adjusted base under `budget`, which must be the budget
     /// the current chase was built with for a seeded insert to preserve
-    /// that contract.
+    /// that contract (a cone drop re-chases when the rebuilt chase would
+    /// not reach its fixpoint within `budget`).
     pub fn apply(
         &mut self,
         theory: &Theory,
@@ -243,7 +269,18 @@ fn chase_incremental(
             return (Some(chase), bs);
         }
     }
-    let cone = cone_facts(prev, &retracted_idx);
+    let (dead, cone) = dead_facts(prev, &retracted_idx);
+    if inserts.is_empty() && prev.terminated() {
+        if let Some(chase) = drop_cone(theory, prev, &dead, budget, exec) {
+            let bs = BatchStats {
+                mode: BatchMode::ConeDrop,
+                replayed_facts: 0,
+                rederived_facts: 0,
+                cone_facts: cone,
+            };
+            return (Some(chase), bs);
+        }
+    }
     let mut db = Instance::new();
     for i in 0..base_len {
         if retracted_idx.binary_search(&i).is_err() {
@@ -267,18 +304,20 @@ fn chase_incremental(
     )
 }
 
-/// The size of the provenance cone: derived facts whose first derivations
-/// transitively reference a retracted base fact. Trails only point
-/// backwards, so one forward sweep suffices.
-fn cone_facts(prev: &Chase, retracted: &[FactIdx]) -> u64 {
+/// The facts a retraction kills, as a mark per fact of `prev` (empty when
+/// nothing is retracted): the retracted base facts and the provenance
+/// cone, the derived facts whose first derivations transitively reference
+/// one. Also returns the cone's size. Trails only point backwards, so one
+/// forward sweep suffices.
+fn dead_facts(prev: &Chase, retracted: &[FactIdx]) -> (Vec<bool>, u64) {
     if retracted.is_empty() {
-        return 0;
+        return (Vec::new(), 0);
     }
     let mut dead = vec![false; prev.instance.len()];
     for &i in retracted {
         dead[i] = true;
     }
-    let mut n = 0u64;
+    let mut cone = 0u64;
     for i in 0..prev.instance.len() {
         if dead[i] {
             continue;
@@ -286,11 +325,186 @@ fn cone_facts(prev: &Chase, retracted: &[FactIdx]) -> u64 {
         if let Some(d) = prev.derivations.get(i) {
             if d.trigger.iter().any(|&t| dead[t]) {
                 dead[i] = true;
-                n += 1;
+                cone += 1;
             }
         }
     }
-    n
+    (dead, cone)
+}
+
+/// The cone-drop path: the chase of the base without its `dead` facts,
+/// rebuilt from `prev` in one pass over the survivors, or `None` (the
+/// caller re-chases) when that would not be the cold chase: a rule has a
+/// `dom` body atom, a derived fact has no trail, the rebuild does not
+/// reach its fixpoint within `budget`, or a dead fact still has a support.
+fn drop_cone(
+    theory: &Theory,
+    prev: &Chase,
+    dead: &[bool],
+    budget: ChaseBudget,
+    exec: &Executor,
+) -> Option<Chase> {
+    let supports = SupportCheck::new(theory)?;
+    let base_len = prev.round_snapshots[0].facts();
+    let prev_len = prev.instance.len();
+    if (base_len..prev_len).any(|i| prev.derivations.get(i).is_none()) {
+        return None;
+    }
+    // Each survivor's index in the rebuilt chase.
+    let mut to_new = vec![FactIdx::MAX; prev_len];
+    let mut base = Instance::new();
+    for i in (0..base_len).filter(|&i| !dead[i]) {
+        to_new[i] = base
+            .insert_ref(prev.instance.fact(i))
+            .expect("the previous chase holds no duplicates");
+    }
+    let mut log = ChaseLog::new(base, exec.threads());
+    let mut trigger: Vec<FactIdx> = Vec::new();
+    for round in 1..=budget.max_rounds {
+        let t0 = Instant::now();
+        let before = log.instance().len();
+        let mut last = None;
+        for i in prev.delta_range(round).unwrap_or(0..0) {
+            if dead[i] {
+                continue;
+            }
+            let row = prev.derivations.event_index(i);
+            if row != last {
+                last = row;
+                let d = prev.derivations.get(i).expect("checked above");
+                trigger.clear();
+                trigger.extend(d.trigger.iter().map(|&t| to_new[t]));
+                debug_assert!(!trigger.contains(&FactIdx::MAX), "survivors use survivors");
+                log.open_event(d.rule, &trigger, d.frontier);
+            }
+            let fact = prev.instance.fact(i);
+            to_new[i] = log
+                .push(fact, tuple_hash(fact.args))
+                .expect("survivors are distinct");
+        }
+        let mut row = RoundStats {
+            round,
+            ..RoundStats::default()
+        };
+        // The round that re-pushes nothing is the fixpoint probe, unless a
+        // dead fact is derived again from the survivors.
+        let probe = log.instance().len() == before;
+        if probe {
+            let mut counters = MatchCounters::default();
+            if supports.any_supported(prev, dead, log.instance(), &mut counters) {
+                return None;
+            }
+            row.candidates = counters.candidates;
+        }
+        row.wall = t0.elapsed();
+        if !log.close_round(row) {
+            return Some(log.finish());
+        }
+        if log.instance().len() > budget.max_facts {
+            return None;
+        }
+    }
+    None
+}
+
+/// The cone drop's support check: for every rule head atom, the rule body
+/// compiled with the variables a fact unifying with that atom binds.
+struct SupportCheck<'a> {
+    skolemized: Vec<SkolemizedRule>,
+    by_pred: FxMap<Pred, Vec<HeadSupport<'a>>>,
+}
+
+/// One head atom of one rule, with its body plan.
+struct HeadSupport<'a> {
+    rule: usize,
+    atom: &'a QAtom,
+    body: JoinPlan,
+}
+
+impl<'a> SupportCheck<'a> {
+    /// `None` if a rule has a `dom` body atom.
+    fn new(theory: &'a Theory) -> Option<SupportCheck<'a>> {
+        let mut skolemized = Vec::new();
+        let mut by_pred: FxMap<Pred, Vec<HeadSupport<'a>>> = FxMap::default();
+        for (ridx, rule) in theory.rules().iter().enumerate() {
+            let body = rule.body();
+            if body.iter().any(|a| a.pred.is_dom()) {
+                return None;
+            }
+            let sk = SkolemizedRule::new(rule);
+            for atom in rule.head() {
+                // An existential position binds the whole frontier.
+                let mut bound: Vec<Var> = atom.vars().filter(|v| sk.frontier.contains(v)).collect();
+                if atom.vars().any(|v| sk.skolem_of.contains_key(&v)) {
+                    bound.clone_from(&sk.frontier);
+                }
+                let body = JoinPlan::compile(body.to_vec(), rule.var_names().len(), &bound);
+                by_pred.entry(atom.pred).or_default().push(HeadSupport {
+                    rule: ridx,
+                    atom,
+                    body,
+                });
+            }
+            skolemized.push(sk);
+        }
+        Some(SupportCheck {
+            skolemized,
+            by_pred,
+        })
+    }
+
+    /// `true` iff some fact marked `dead` in `prev` is the head fact of a
+    /// rule application whose body matches `inst`.
+    fn any_supported(
+        &self,
+        prev: &Chase,
+        dead: &[bool],
+        inst: &Instance,
+        counters: &mut MatchCounters,
+    ) -> bool {
+        let mut fixed: Vec<(Var, TermId)> = Vec::new();
+        (0..dead.len()).filter(|&i| dead[i]).any(|i| {
+            let fact = prev.instance.fact(i);
+            self.by_pred.get(&fact.pred).is_some_and(|heads| {
+                heads.iter().any(|h| {
+                    unify_head_fact(h.atom, &self.skolemized[h.rule], fact, &mut fixed)
+                        && !h.body.for_each_match(inst, &fixed, counters, |_| false)
+                })
+            })
+        })
+    }
+}
+
+/// Unifies a head atom of the rule skolemized as `sk` with `fact`, writing
+/// the frontier bindings to `out`: a frontier variable binds the fact's
+/// term, and an existential variable must hold the rule's Skolem term,
+/// whose arguments bind the whole frontier. Returns `false` on clash.
+fn unify_head_fact(
+    atom: &QAtom,
+    sk: &SkolemizedRule,
+    fact: FactRef<'_>,
+    out: &mut Vec<(Var, TermId)>,
+) -> bool {
+    out.clear();
+    let mut bind = |v: Var, t: TermId| match out.iter().find(|(u, _)| *u == v) {
+        Some(&(_, b)) => b == t,
+        None => {
+            out.push((v, t));
+            true
+        }
+    };
+    atom.args.iter().zip(fact.args).all(|(arg, &t)| match *arg {
+        QTerm::Const(c) => TermId::constant(c) == t,
+        QTerm::Var(v) => match sk.skolem_of.get(&v) {
+            None => bind(v, t),
+            Some(&f) => match t.data() {
+                TermData::Skolem(g, args) if g == f => {
+                    sk.frontier.iter().zip(args).all(|(&u, a)| bind(u, a))
+                }
+                _ => false,
+            },
+        },
+    })
 }
 
 /// Per-rule metadata for firing-round and sort-key computation.
@@ -978,12 +1192,16 @@ mod tests {
         (incr.chase, bs)
     }
 
-    fn cold_of(theory: &Theory, base: &[Fact], budget: ChaseBudget, exec: &Executor) -> Chase {
+    fn instance_of(base: &[Fact]) -> Instance {
         let mut db = Instance::new();
         for fx in base {
             db.insert(fx.clone());
         }
-        chase_with(theory, &db, budget, exec)
+        db
+    }
+
+    fn cold_of(theory: &Theory, base: &[Fact], budget: ChaseBudget, exec: &Executor) -> Chase {
+        chase_with(theory, &instance_of(base), budget, exec)
     }
 
     #[test]
@@ -1020,41 +1238,69 @@ mod tests {
         assert_incr_matches_cold(&incr, &cold_of(&t, &base, budget, &exec));
     }
 
-    #[test]
-    fn retract_leaf_rechases_with_empty_cone() {
-        // r/1 heads no rule and r(z) feeds no derivation: the cone is empty,
-        // and the re-chase of the shrunken base still matches a cold chase.
-        let t = parse_theory("p(X) -> q(X).").unwrap();
-        let d = parse_instance("p(a). p(b). r(z).").unwrap();
-        let exec = Executor::sequential();
+    /// Retracts `retract` from the chase of `base` at 1, 2 and 4 threads:
+    /// the batch takes `mode` and lands on the cold chase of the shrunken
+    /// base. Returns the batch's stats (equal at every width).
+    fn assert_retract(theory: &str, base: &str, retract: &[Fact], mode: BatchMode) -> BatchStats {
+        let t = parse_theory(theory).unwrap();
+        let d = parse_instance(base).unwrap();
         let budget = ChaseBudget::default();
-        let prev = chase_with(&t, &d, budget, &exec);
-        let batch = WriteBatch::retract([f("r", &["z"])]);
-        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
-        assert_eq!(bs.mode, BatchMode::Rechase);
-        assert_eq!(bs.cone_facts, 0);
-        assert_eq!(bs.replayed_facts, 0);
-        assert_eq!(bs.rederived_facts, 2); // q(a), q(b)
-        let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
-        apply_shadow(&mut base, &batch);
-        assert_incr_matches_cold(&incr, &cold_of(&t, &base, budget, &exec));
+        let batch = WriteBatch::retract(retract.iter().cloned());
+        let mut seen = None;
+        for threads in [1, 2, 4] {
+            let exec = Executor::with_threads(threads);
+            let prev = chase_with(&t, &d, budget, &exec);
+            let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
+            assert_eq!(bs.mode, mode, "{theory} minus {retract:?}");
+            let mut shadow: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
+            apply_shadow(&mut shadow, &batch);
+            assert_incr_matches_cold(&incr, &cold_of(&t, &shadow, budget, &exec));
+            assert_eq!(*seen.get_or_insert(bs), bs, "stats at {threads} threads");
+        }
+        seen.expect("three widths ran")
     }
 
     #[test]
-    fn retract_with_cone_falls_back_and_counts_it() {
-        let t = parse_theory("e(X,Y), e(Y,Z) -> e(X,Z).").unwrap();
-        let d = parse_instance("e(a,b). e(b,c). e(c,d).").unwrap();
-        let exec = Executor::sequential();
-        let budget = ChaseBudget::default();
-        let prev = chase_with(&t, &d, budget, &exec);
-        let batch = WriteBatch::retract([f("e", &["b", "c"])]);
-        let (incr, bs) = absorb(&t, &prev, &batch, budget, &exec);
-        assert_eq!(bs.mode, BatchMode::Rechase);
+    fn retract_leaf_drops_an_empty_cone() {
+        // r/1 heads no rule and r(z) feeds no derivation: the cone is
+        // empty, and dropping r(z) alone is the cold chase.
+        let bs = assert_retract(
+            "p(X) -> q(X).",
+            "p(a). p(b). r(z).",
+            &[f("r", &["z"])],
+            BatchMode::ConeDrop,
+        );
+        assert_eq!(bs.cone_facts, 0);
+        assert_eq!(bs.replayed_facts, 0);
+        assert_eq!(bs.rederived_facts, 0);
+    }
+
+    #[test]
+    fn retract_drops_the_cone_and_counts_it() {
+        let bs = assert_retract(
+            "e(X,Y), e(Y,Z) -> e(X,Z).",
+            "e(a,b). e(b,c). e(c,d).",
+            &[f("e", &["b", "c"])],
+            BatchMode::ConeDrop,
+        );
         // Cone: e(a,c), e(b,d) directly, e(a,d) transitively.
         assert_eq!(bs.cone_facts, 3);
-        let mut base: Vec<Fact> = d.iter().map(|fr| fr.to_fact()).collect();
-        apply_shadow(&mut base, &batch);
-        assert_incr_matches_cold(&incr, &cold_of(&t, &base, budget, &exec));
+        assert_eq!(bs.rederived_facts, 0);
+    }
+
+    #[test]
+    fn retract_that_empties_late_rounds_shrinks_the_chase() {
+        // Every round-2 and round-3 fact hangs off e(a,b): the rebuilt
+        // chase has fewer rounds and probes its fixpoint earlier.
+        let t = "e(X,Y), e(Y,Z) -> e(X,Z).";
+        let d = "e(a,b). e(b,c). e(c,d). e(d,g).";
+        let bs = assert_retract(
+            t,
+            d,
+            &[f("e", &["a", "b"]), f("e", &["c", "d"])],
+            BatchMode::ConeDrop,
+        );
+        assert!(bs.cone_facts > 0);
     }
 
     #[test]
@@ -1200,9 +1446,62 @@ mod tests {
                 assert_incr_matches_cold(incr.chase(), &cold_of(&t, &base, budget, &exec));
             }
             let s = incr.stats();
-            assert_eq!(s.batches, s.noops + s.seeded_inserts + s.rechases);
+            assert_eq!(
+                s.batches,
+                s.noops + s.seeded_inserts + s.cone_drops + s.rechases
+            );
             assert_eq!(s.truncated_retracts, 0);
         });
+    }
+
+    /// A multi-head existential theory whose rules share one Skolem
+    /// function (isomorphic heads), so a null can keep a support in
+    /// another rule.
+    const MULTI_HEAD: &str =
+        "p(X) -> r(X,Z), s(Z,X).\ne(X,Y) -> r(X,Z), s(Z,X).\ns(Z,X), e(X,Y) -> q(Z,Y).";
+
+    #[test]
+    fn retract_only_sequences_match_cold_chase() {
+        let nodes = ["a", "b", "c", "d"];
+        let budget = ChaseBudget::default();
+        for src in PROP_THEORIES.iter().copied().chain([MULTI_HEAD]) {
+            let t = parse_theory(src).unwrap();
+            let has_dom = t
+                .rules()
+                .iter()
+                .any(|r| r.body().iter().any(|a| a.pred.is_dom()));
+            let cone_drops = std::cell::Cell::new(0u64);
+            qr_testkit::check("retract_only_vs_cold", 24, |rng| {
+                let exec = Executor::with_threads(*rng.pick(&[1, 2, 4]));
+                let mut base: Vec<Fact> = Vec::new();
+                for _ in 0..rng.range(2, 8) {
+                    let fx = random_fact(rng, &nodes);
+                    if !base.contains(&fx) {
+                        base.push(fx);
+                    }
+                }
+                let mut incr = IncrementalChase::new(&t, &instance_of(&base), budget, &exec);
+                while !base.is_empty() {
+                    let mut batch = WriteBatch::default();
+                    for _ in 0..rng.range(1, 3) {
+                        batch.retracts.push(base[rng.below(base.len())].clone());
+                    }
+                    apply_shadow(&mut base, &batch);
+                    let bs = incr.apply(&t, &batch, budget, &exec);
+                    assert_ne!(bs.mode, BatchMode::SeededInsert);
+                    assert!(
+                        !has_dom || bs.mode == BatchMode::Rechase,
+                        "{src}: dom falls back"
+                    );
+                    assert_incr_matches_cold(incr.chase(), &cold_of(&t, &base, budget, &exec));
+                }
+                cone_drops.set(cone_drops.get() + incr.stats().cone_drops);
+            });
+            assert!(
+                has_dom || cone_drops.get() > 0,
+                "{src}: no batch dropped its cone"
+            );
+        }
     }
 
     #[test]
